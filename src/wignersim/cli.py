@@ -279,6 +279,8 @@ def cmd_check(config: RunConfig) -> int:
 def cmd_sample(config: RunConfig) -> int:
     if config.seed is None:
         raise UsageError("sample requires --seed for reproducibility")
+    if not 0 <= config.seed < 2**128:
+        raise UsageError(f"--seed must be in [0, 2**128), got {config.seed}")
     if config.shots is None or config.shots < 0:
         raise UsageError("sample requires --shots >= 0")
     spec = _load_spec(config)

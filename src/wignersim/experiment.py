@@ -29,12 +29,7 @@ from .channels import (
     branch_decomposition,
 )
 from .registry import SubsystemRegistry
-from .states import (
-    DensityMatrix,
-    StateVector,
-    ZeroProbabilityError,
-    partial_trace,
-)
+from .states import DensityMatrix, StateVector, ZeroProbabilityError
 
 ATOL_DIST = 1e-9
 SUPPORT_EPS = 1e-15
@@ -395,14 +390,16 @@ def evolved_density(
     model: CollapseModel,
     through_time: int | None = None,
 ) -> DensityMatrix:
-    """Density matrix of the evolved (possibly branch-mixed) experiment."""
+    """Density matrix of the evolved (possibly branch-mixed) experiment.
+
+    This is :func:`memory_state` with nothing discarded, so its cost is
+    O(B·d·d_keep) with d_keep = d for B branches.  The returned matrix passes
+    the full :class:`DensityMatrix` checks (Hermitian, unit trace, positive
+    semidefinite).
+    """
     branches = _evolved_branches(spec, model, through_time)
     registry = spec.registry_after(through_time)
-    d = registry.total_dimension
-    rho = np.zeros((d, d), dtype=np.complex128)
-    for b in branches:
-        rho += b.weight * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-    return DensityMatrix(registry, rho)
+    return _reduced_density(branches, registry, registry.labels)
 
 
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
@@ -495,6 +492,26 @@ def conditional_via_renormalized_state(
     return out
 
 
+def _reduced_density(
+    branches: list[_Branch], registry: SubsystemRegistry, keep: Iterable[str]
+) -> DensityMatrix:
+    """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
+
+    Ψ_b is branch b's amplitude tensor with the kept axes moved first and
+    reshaped to (d_keep, d_discard), so the discarded factors are contracted
+    away branch by branch and no d×d matrix is ever formed.
+    """
+    sub_registry = registry.restricted(keep)
+    keep_axes = [registry.axis(label) for label in sub_registry.labels]
+    order = keep_axes + [i for i in range(len(registry.dims)) if i not in keep_axes]
+    d_keep = sub_registry.total_dimension
+    rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
+    for b in branches:
+        psi = b.state.tensored().transpose(order).reshape(d_keep, -1)
+        rho += b.weight * (psi @ psi.conj().T)
+    return DensityMatrix(sub_registry, rho)
+
+
 def memory_state(
     spec: ExperimentSpec,
     model: CollapseModel,
@@ -507,22 +524,26 @@ def memory_state(
     a collapsed measurement this selects the branch; otherwise it projects
     and renormalizes), which is how a collapsed observer's conditional
     memory state is produced.
+
+    The reduced state is built from the branch ensemble directly, in
+    O(B·d·d_keep) time for B branches over total dimension d.  Beyond the
+    branch states it holds one reshaped branch and the d_keep×d_keep result,
+    so the cost scales with the kept factors.  The returned matrix passes the full
+    :class:`DensityMatrix` checks (Hermitian, unit trace, positive
+    semidefinite).
     """
-    branches = _evolved_branches(spec, model)
     registry = spec.registry_after()
-    if given:
-        branches = _condition_branches(branches, spec, model, registry, given)
-    d = registry.total_dimension
-    rho_mat = np.zeros((d, d), dtype=np.complex128)
-    for b in branches:
-        rho_mat += b.weight * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-    rho = DensityMatrix(registry, rho_mat)
     discard = set(discard)
     unknown = discard - set(registry.labels)
     if unknown:
         raise KeyError(f"unknown subsystem labels {sorted(unknown)}")
     keep = [l for l in registry.labels if l not in discard]
-    return partial_trace(rho, keep)
+    if not keep:
+        raise ValueError("discard names every subsystem; nothing is left to keep")
+    branches = _evolved_branches(spec, model)
+    if given:
+        branches = _condition_branches(branches, spec, model, registry, given)
+    return _reduced_density(branches, registry, keep)
 
 
 def post_select(

@@ -47,6 +47,19 @@ def _vector_pairs(amps: np.ndarray) -> list[list[float]]:
     return [_pair(a) for a in amps]
 
 
+def _complex_pair(value, where: str) -> complex:
+    """Inverse of :func:`_pair`; a ValueError names ``where`` on bad input."""
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+        )
+    ):
+        raise ValueError(f"{where}: expected [re, im], got {value!r}")
+    return complex(value[0], value[1])
+
+
 def experiment_to_document(spec: ExperimentSpec) -> dict:
     """Plain-data form of an experiment, ready for canonical dumping."""
     doc: dict = {
@@ -110,8 +123,12 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
         )
     )
     amps = np.zeros(registry.total_dimension, dtype=np.complex128)
-    for key, (re, im) in doc["initial"].items():
-        amps[registry.flat_index(tuple(key.split(",")))] = complex(re, im)
+    if not isinstance(doc["initial"], Mapping):
+        raise ValueError("initial: expected an object of [re, im] amplitudes")
+    for key, value in doc["initial"].items():
+        amps[registry.flat_index(tuple(key.split(",")))] = _complex_pair(
+            value, f"initial[{json.dumps(key, ensure_ascii=False)}]"
+        )
     initial = StateVector(registry, amps)
 
     steps = []

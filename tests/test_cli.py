@@ -87,6 +87,17 @@ class TestTables:
             "tables", "--config", str(path), "--target", "w"
         ).returncode == 2
 
+    @pytest.mark.parametrize("amplitude", [5, ["a", "b"]])
+    def test_initial_amplitude_not_a_pair_exits_2(self, tmp_path, amplitude):
+        doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)
+        doc["initial"]["h"] = amplitude
+        path = tmp_path / "bad-initial.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("tables", "--config", str(path), "--target", "w")
+        assert result.returncode == 2
+        assert b"Traceback" not in result.stderr
+        assert b'initial["h"]: expected [re, im]' in result.stderr
+
 
 class TestCheck:
     def test_fr_subjective_collapse_exits_1(self):
@@ -132,6 +143,15 @@ class TestSample:
 
     def test_missing_seed_exits_2(self):
         assert run_cli("sample", "--preset", "fr", "--shots", "10").returncode == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_exits_2(self, seed):
+        result = run_cli(
+            "sample", "--preset", "fr", "--shots", "5", "--seed", str(seed)
+        )
+        assert result.returncode == 2
+        assert b"Traceback" not in result.stderr
+        assert b"--seed must be in [0, 2**128)" in result.stderr
 
 
 class TestDeterminism:

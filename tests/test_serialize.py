@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -83,4 +84,20 @@ def test_unknown_step_type_rejected():
     doc = experiment_to_document(wigner_friend())
     doc["steps"][0]["type"] = "teleport"
     with pytest.raises(ValueError):
+        document_to_experiment(doc)
+
+
+@pytest.mark.parametrize(
+    "initial,message",
+    [
+        ({"up": 5}, 'initial["up"]: expected [re, im]'),
+        ({"up": [1.0, 0.0, 0.0]}, 'initial["up"]: expected [re, im]'),
+        ({"up": [True, False]}, 'initial["up"]: expected [re, im]'),
+        ([[1.0, 0.0]], "initial: expected an object"),
+    ],
+)
+def test_initial_amplitude_must_be_a_pair(initial, message):
+    doc = experiment_to_document(wigner_friend())
+    doc["initial"] = initial
+    with pytest.raises(ValueError, match=re.escape(message)):
         document_to_experiment(doc)
