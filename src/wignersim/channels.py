@@ -80,6 +80,10 @@ class MeasurementIsometry:
         return self.measured_labels
 
     @property
+    def domain_registry(self) -> SubsystemRegistry:
+        return self.measured_registry
+
+    @property
     def appended(self) -> Subsystem:
         return self.memory
 
@@ -109,6 +113,10 @@ class PreparationIsometry:
     @property
     def domain_labels(self) -> tuple[str, ...]:
         return self.control_labels
+
+    @property
+    def domain_registry(self) -> SubsystemRegistry:
+        return self.control_registry
 
     @property
     def appended(self) -> Subsystem:
@@ -278,12 +286,7 @@ def build_preparation_isometry(
 
 
 def _check_application(state: StateVector, iso: Isometry) -> None:
-    domain = (
-        iso.measured_registry
-        if isinstance(iso, MeasurementIsometry)
-        else iso.control_registry
-    )
-    for sub in domain.subsystems:
+    for sub in iso.domain_registry.subsystems:
         if sub.label not in state.registry:
             raise ValueError(
                 f"state has no subsystem {sub.label!r} for {iso.agent}'s step"
@@ -302,6 +305,14 @@ def _check_application(state: StateVector, iso: Isometry) -> None:
 
 def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
     """Apply an isometry; the fresh factor lands at the end of the registry."""
+    out = _isometry_image(state, iso).reshape(-1)
+    return StateVector(
+        state.registry.extended(iso.appended), out, normalized=state.normalized
+    )
+
+
+def _isometry_image(state: StateVector, iso: Isometry) -> np.ndarray:
+    """V|state⟩ as an amplitude tensor: the state's axes, then the fresh factor."""
     _check_application(state, iso)
     registry = state.registry
     dims = list(registry.dims)
@@ -318,10 +329,87 @@ def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
     )
     cur_axes = rest_axes + domain_axes
     perm_back = [cur_axes.index(i) for i in range(n)] + [n]
-    out = shaped.transpose(perm_back).reshape(-1)
-    return StateVector(
-        registry.extended(iso.appended), out, normalized=state.normalized
-    )
+    return shaped.transpose(perm_back)
+
+
+def _record_slice(
+    subsystems: tuple[Subsystem, ...], tens: np.ndarray, axis: int, index: int
+) -> tuple[float, StateVector | None]:
+    """Project factor ``axis`` of ``tens`` onto basis state ``index``, renormalized.
+
+    ``tens`` is an amplitude tensor over ``subsystems``.  The projected
+    factor is kept as a record factor: the one-dimensional
+    ``Subsystem(label, 1, (basis_label,))`` at the same axis, so no zero
+    slices are stored.  Returns (probability, state), or (0.0, None) below
+    probability 1e-12.
+    """
+    where: list = [slice(None)] * tens.ndim
+    where[axis] = index
+    projected = tens[tuple(where)]
+    p = float(np.sum(np.abs(projected) ** 2))
+    if p <= 1e-12:
+        return 0.0, None
+    sub = subsystems[axis]
+    record = Subsystem(sub.label, 1, (sub.basis_labels[index],))
+    registry = SubsystemRegistry(subsystems[:axis] + (record,) + subsystems[axis + 1 :])
+    return p, StateVector(registry, projected / math.sqrt(p))
+
+
+def _record_branches(
+    state: StateVector, iso: MeasurementIsometry
+) -> list[tuple[str, float, StateVector | None]]:
+    """Outcome branches of one measurement, each memory kept as a record factor.
+
+    Branch i stores the measurement's memory as the one-dimensional
+    ``Subsystem(memory_label, 1, (label_i,))`` at the end of the registry, so
+    a collapse adds no axis length and no zero slices.  Probabilities and
+    ``None`` branches are as in :func:`branch_decomposition`.
+    """
+    tens = _isometry_image(state, iso)
+    subsystems = state.registry.subsystems + (iso.memory,)
+    return [
+        (label, *_record_slice(subsystems, tens, tens.ndim - 1, i))
+        for i, label in enumerate(iso.outcome_labels)
+    ]
+
+
+def _record_index(held: Subsystem, full: Subsystem) -> slice:
+    """Where ``held`` sits inside ``full``: all of it, or one recorded basis state.
+
+    ``held`` is either ``full`` itself or a record factor of it, the
+    one-dimensional subsystem that :func:`_record_slice` leaves for a
+    collapsed or conditioned memory.
+    """
+    if held == full:
+        return slice(None)
+    if (
+        held.label != full.label
+        or held.dimension != 1
+        or held.basis_labels[0] not in full.basis_labels
+    ):
+        raise ValueError(f"subsystem {held.label!r} is not a record of {full}")
+    index = full.basis_index(held.basis_labels[0])
+    return slice(index, index + 1)
+
+
+def _expand_records(state: StateVector, full: Sequence[Subsystem]) -> StateVector:
+    """Expand the record factors of the ``full`` subsystems back to full length.
+
+    An expanded memory is one-hot at the recorded outcome.  The state is
+    returned unchanged when it holds every subsystem of ``full`` already.
+    """
+    if all(sub in state.registry.subsystems for sub in full):
+        return state
+    subsystems = list(state.registry.subsystems)
+    where: list[slice] = [slice(None)] * len(subsystems)
+    for sub in full:
+        axis = state.registry.axis(sub.label)
+        where[axis] = _record_index(subsystems[axis], sub)
+        subsystems[axis] = sub
+    expanded = SubsystemRegistry(tuple(subsystems))
+    out = np.zeros(expanded.dims, dtype=np.complex128)
+    out[tuple(where)] = state.tensored()
+    return StateVector(expanded, out, normalized=state.normalized)
 
 
 def branch_decomposition(
@@ -331,21 +419,14 @@ def branch_decomposition(
 
     Branches below probability 1e-12 are reported with probability 0.0 and a
     ``None`` branch.  For a normalized input the probabilities sum to 1.
+    Every branch lives on the input registry extended by the full memory
+    factor, one-hot at the branch's outcome.
     """
-    applied = apply_isometry(state, iso)
-    tens = applied.tensored()  # memory is the last axis
     out = []
-    for i, label in enumerate(iso.outcome_labels):
-        slice_i = tens[..., i]
-        p = float(np.sum(np.abs(slice_i) ** 2))
-        if p <= 1e-12:
-            out.append((label, 0.0, None))
-            continue
-        branch = np.zeros_like(tens)
-        branch[..., i] = slice_i / math.sqrt(p)
-        out.append(
-            (label, p, StateVector(applied.registry, branch.reshape(-1)))
-        )
+    for label, p, branch in _record_branches(state, iso):
+        if branch is not None:
+            branch = _expand_records(branch, [iso.memory])
+        out.append((label, p, branch))
     return out
 
 

@@ -25,8 +25,11 @@ from .channels import (
     CollapseModel,
     Isometry,
     MeasurementIsometry,
+    _expand_records,
+    _record_branches,
+    _record_index,
+    _record_slice,
     apply_isometry,
-    branch_decomposition,
 )
 from .registry import SubsystemRegistry
 from .states import DensityMatrix, StateVector, ZeroProbabilityError
@@ -70,11 +73,16 @@ class ExperimentSpec:
             raise ValueError(f"step times must be strictly increasing, got {times}")
         reg = self.registry
         for step in self.steps:
-            for label in step.iso.domain_labels:
-                if label not in reg:
+            for sub in step.iso.domain_registry.subsystems:
+                if sub.label not in reg:
                     raise ValueError(
                         f"step at t={step.time} ({step.agent}) references unknown "
-                        f"subsystem {label!r}"
+                        f"subsystem {sub.label!r}"
+                    )
+                if reg.subsystem(sub.label).basis_labels != sub.basis_labels:
+                    raise ValueError(
+                        f"step at t={step.time} ({step.agent}) expects subsystem "
+                        f"{sub.label!r} in another basis than the experiment's"
                     )
             reg = reg.extended(step.iso.appended)
         if self.halting is not None:
@@ -234,6 +242,16 @@ class _Branch:
     are what the agents actually observed at their steps; reading the memory
     factor again at the end of the circuit can differ, because a later
     superobserver measurement acts coherently on the record.
+
+    A collapsed measurement's memory stays in ``state`` as a record factor:
+    the one-dimensional ``Subsystem(memory_label, 1, (outcome,))`` at the
+    memory's usual registry position, as does a memory the ensemble was
+    conditioned on (see :func:`_condition_branches`).  ``state`` therefore
+    only carries the factors that are still quantum, and every
+    ``registry.axis`` lookup holds.  Before a step acts, the records on its
+    domain are expanded back to the full memory, one-hot at the outcome
+    (:func:`_expand_records`); :func:`_reduced_density` adds a kept record's
+    block at the rows of its outcome.
     """
 
     weight: float
@@ -252,7 +270,14 @@ def _evolved_branches(
     model: CollapseModel,
     through_time: int | None = None,
 ) -> list[_Branch]:
-    """Weighted pure-state ensemble after evolving under the model."""
+    """Weighted pure-state ensemble after evolving under the model.
+
+    Collapsed memories are record factors (see :class:`_Branch`), so a branch
+    scales with the factors that are still quantum, not with the full
+    registry; a collapse divides the applied state into its outcome slices.
+    Records are expanded against the step's own domain subsystems, which
+    :class:`ExperimentSpec` checks against the experiment's registry.
+    """
     if model.kind == "subjective" and model.agent not in spec.measuring_agents:
         raise ValueError(
             f"collapse model names unknown agent {model.agent!r} for {spec.name!r}"
@@ -261,10 +286,12 @@ def _evolved_branches(
     for step in spec.steps:
         if through_time is not None and step.time > through_time:
             break
+        domain = step.iso.domain_registry.subsystems
+        states = [_expand_records(b.state, domain) for b in branches]
         if step.is_measurement and model.collapses_at(step.agent):
             nxt = []
-            for b in branches:
-                for label, p, branch in branch_decomposition(b.state, step.iso):
+            for b, state in zip(branches, states):
+                for label, p, branch in _record_branches(state, step.iso):
                     if branch is not None:
                         nxt.append(
                             _Branch(
@@ -276,8 +303,8 @@ def _evolved_branches(
             branches = nxt
         else:
             branches = [
-                _Branch(b.weight, apply_isometry(b.state, step.iso), b.records)
-                for b in branches
+                _Branch(b.weight, apply_isometry(state, step.iso), b.records)
+                for b, state in zip(branches, states)
             ]
     return branches
 
@@ -289,21 +316,6 @@ def _memory_readout(state: StateVector, memory_axes: list[int]) -> np.ndarray:
     if other:
         probs = probs.sum(axis=other)
     return probs
-
-
-def _project_state_on_memory(
-    state: StateVector, axis: int, index: int
-) -> tuple[float, StateVector | None]:
-    """Project onto one memory record; returns (probability, renormalized state)."""
-    tens = state.tensored()
-    mover = np.moveaxis(tens, axis, -1)
-    p = float(np.sum(np.abs(mover[..., index]) ** 2))
-    if p <= CONDITION_EPS:
-        return 0.0, None
-    out = np.zeros_like(mover)
-    out[..., index] = mover[..., index] / np.sqrt(p)
-    out = np.moveaxis(out, -1, axis)
-    return p, StateVector(state.registry, out.reshape(-1))
 
 
 def _condition_branches(
@@ -318,7 +330,8 @@ def _condition_branches(
     If the model collapsed an agent's measurement, conditioning selects the
     matching branches (the outcome was decided at the step).  Otherwise the
     record still lives coherently in the memory factor and conditioning is a
-    projective update on the final state.
+    projective update on the final state, which leaves that memory as a
+    record factor too.
     """
     work = branches
     for agent, outcome in condition.items():
@@ -332,7 +345,9 @@ def _condition_branches(
             index = step.iso.outcome_labels.index(outcome)
             projected = []
             for b in work:
-                p, state = _project_state_on_memory(b.state, axis, index)
+                p, state = _record_slice(
+                    b.state.registry.subsystems, b.state.tensored(), axis, index
+                )
                 if state is not None:
                     projected.append(_Branch(b.weight * p, state, b.records))
             work = projected
@@ -366,16 +381,13 @@ def evolve(
     alphabets = {s.agent: s.iso.outcome_labels for s in steps}
     readout_steps = [s for s in steps if not model.collapses_at(s.agent)]
     memory_axes = [registry.axis(s.iso.memory_label) for s in readout_steps]
-    mem_dims = tuple(registry.dims[a] for a in memory_axes)
 
     probs: dict[OutcomeAssignment, float] = {}
     for b in branches:
         readout = b.weight * _memory_readout(b.state, memory_axes)
-        for idx in np.ndindex(*mem_dims):
-            p = float(readout[idx])
-            if p <= SUPPORT_EPS:
-                continue
-            by_agent = dict(b.records)
+        by_agent = dict(b.records)
+        for idx in np.argwhere(readout > SUPPORT_EPS):  # C order, as np.ndindex
+            p = float(readout[tuple(idx)])
             for s, i in zip(readout_steps, idx):
                 by_agent[s.agent] = s.iso.outcome_labels[i]
             assignment = OutcomeAssignment.from_pairs(
@@ -498,17 +510,27 @@ def _reduced_density(
     """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
 
     Ψ_b is branch b's amplitude tensor with the kept axes moved first and
-    reshaped to (d_keep, d_discard), so the discarded factors are contracted
-    away branch by branch and no d×d matrix is ever formed.
+    reshaped to (kept, discarded), so the discarded factors are contracted
+    away branch by branch and no d×d matrix is ever formed.  A kept record
+    factor has length 1: Ψ_b Ψ_b† then fills only the rows and columns of
+    the recorded outcome, and is added there.  Discarded records cost nothing.
     """
     sub_registry = registry.restricted(keep)
     keep_axes = [registry.axis(label) for label in sub_registry.labels]
     order = keep_axes + [i for i in range(len(registry.dims)) if i not in keep_axes]
     d_keep = sub_registry.total_dimension
+    flat = np.arange(d_keep).reshape(sub_registry.dims)
     rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
     for b in branches:
-        psi = b.state.tensored().transpose(order).reshape(d_keep, -1)
-        rho += b.weight * (psi @ psi.conj().T)
+        held = b.state.registry.subsystems
+        where = tuple(
+            _record_index(held[a], full)
+            for a, full in zip(keep_axes, sub_registry.subsystems)
+        )
+        rows = flat[where].reshape(-1)
+        psi = b.state.tensored().transpose(order).reshape(rows.size, -1)
+        at = np.ix_(rows, rows) if rows.size < d_keep else (slice(None), slice(None))
+        rho[at] += b.weight * (psi @ psi.conj().T)
     return DensityMatrix(sub_registry, rho)
 
 

@@ -100,13 +100,6 @@ class SubsystemRegistry:
             raise KeyError(f"unknown subsystem labels {sorted(unknown)}")
         return SubsystemRegistry(tuple(s for s in self.subsystems if s.label in keep))
 
-    def reordered(self, order: Iterable[str]) -> "SubsystemRegistry":
-        """Same subsystems in an explicitly given order."""
-        order = tuple(order)
-        if sorted(order) != sorted(self.labels):
-            raise ValueError(f"order {order} is not a permutation of {self.labels}")
-        return SubsystemRegistry(tuple(self.subsystem(l) for l in order))
-
     def combined(self, other: "SubsystemRegistry") -> "SubsystemRegistry":
         """Concatenate two registries over disjoint label sets."""
         clash = set(self.labels) & set(other.labels)

@@ -60,6 +60,44 @@ def _complex_pair(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _label(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a label, got {value!r}")
+    return value
+
+
+def _labels(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{where}: expected a list of labels, got {value!r}")
+    return tuple(value)
+
+
+def _list(value, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of {what}, got {value!r}")
+    return value
+
+
+def _object(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _vector(value, where: str) -> np.ndarray:
+    pairs = _list(value, where, "[re, im] amplitudes")
+    return np.array(
+        [_complex_pair(z, f"{where}[{i}]") for i, z in enumerate(pairs)],
+        dtype=np.complex128,
+    )
+
+
 def experiment_to_document(spec: ExperimentSpec) -> dict:
     """Plain-data form of an experiment, ready for canonical dumping."""
     doc: dict = {
@@ -115,17 +153,26 @@ def experiment_to_document(spec: ExperimentSpec) -> dict:
 
 
 def document_to_experiment(doc: Mapping) -> ExperimentSpec:
-    """Rebuild an experiment from its document form."""
-    registry = SubsystemRegistry(
-        tuple(
-            Subsystem(s["label"], int(s["dimension"]), tuple(s["basis_labels"]))
-            for s in doc["registry"]
+    """Rebuild an experiment from its document form.
+
+    A field of the wrong type raises a ``ValueError`` that names its path,
+    such as ``steps[0].targets: expected a list of labels, got 5``.
+    """
+    doc = _object(doc, "document")
+    subsystems = []
+    for i, s in enumerate(_list(doc["registry"], "registry", "subsystems")):
+        where = f"registry[{i}]"
+        s = _object(s, where)
+        subsystems.append(
+            Subsystem(
+                _label(s["label"], f"{where}.label"),
+                _integer(s["dimension"], f"{where}.dimension"),
+                _labels(s["basis_labels"], f"{where}.basis_labels"),
+            )
         )
-    )
+    registry = SubsystemRegistry(tuple(subsystems))
     amps = np.zeros(registry.total_dimension, dtype=np.complex128)
-    if not isinstance(doc["initial"], Mapping):
-        raise ValueError("initial: expected an object of [re, im] amplitudes")
-    for key, value in doc["initial"].items():
+    for key, value in _object(doc["initial"], "initial").items():
         amps[registry.flat_index(tuple(key.split(",")))] = _complex_pair(
             value, f"initial[{json.dumps(key, ensure_ascii=False)}]"
         )
@@ -133,55 +180,63 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
 
     steps = []
     walked = registry
-    for raw in doc["steps"]:
-        targets = tuple(raw["targets"])
+    for n, raw in enumerate(_list(doc["steps"], "steps", "steps")):
+        where = f"steps[{n}]"
+        raw = _object(raw, where)
+        targets = _labels(raw["targets"], f"{where}.targets")
+        time = _integer(raw["time"], f"{where}.time")
         target_registry = SubsystemRegistry(
             tuple(walked.subsystem(label) for label in targets)
         )
         if raw["type"] == "measure":
+            vectors = _list(raw["basis"], f"{where}.basis", "vectors")
             basis = [
-                StateVector(
-                    target_registry,
-                    np.array([complex(re, im) for re, im in vec]),
-                )
-                for vec in raw["basis"]
+                StateVector(target_registry, _vector(vec, f"{where}.basis[{i}]"))
+                for i, vec in enumerate(vectors)
             ]
             iso = build_measurement_isometry(
-                raw["agent"],
+                _label(raw["agent"], f"{where}.agent"),
                 target_registry,
                 basis,
-                memory=raw["memory_label"],
-                memory_labels=raw["memory_basis_labels"],
+                memory=_label(raw["memory_label"], f"{where}.memory_label"),
+                memory_labels=_labels(
+                    raw["memory_basis_labels"], f"{where}.memory_basis_labels"
+                ),
             )
         elif raw["type"] == "prepare":
+            output_labels = _labels(
+                raw["output_basis_labels"], f"{where}.output_basis_labels"
+            )
             output = Subsystem(
-                raw["output_label"],
-                len(raw["output_basis_labels"]),
-                tuple(raw["output_basis_labels"]),
+                _label(raw["output_label"], f"{where}.output_label"),
+                len(output_labels),
+                output_labels,
             )
             out_registry = SubsystemRegistry((output,))
-            prepared = {
-                tuple(key.split(",")): StateVector(
-                    out_registry,
-                    np.array([complex(re, im) for re, im in vec]),
-                )
-                for key, vec in raw["prepared"].items()
-            }
-            iso = build_preparation_isometry(
-                raw["agent"], target_registry, prepared, output
-            )
+            prepared = {}
+            for key, vec in _object(raw["prepared"], f"{where}.prepared").items():
+                at = f"{where}.prepared[{json.dumps(key, ensure_ascii=False)}]"
+                state = StateVector(out_registry, _vector(vec, at))
+                prepared[tuple(key.split(","))] = state
+            agent = _label(raw["agent"], f"{where}.agent")
+            iso = build_preparation_isometry(agent, target_registry, prepared, output)
         else:
             raise ValueError(f"unknown step type {raw['type']!r}")
-        steps.append(Step(int(raw["time"]), iso))
+        steps.append(Step(time, iso))
         walked = walked.extended(iso.appended)
 
-    halting = tuple((h["agent"], h["outcome"]) for h in doc.get("halting", ()))
+    halting = []
+    for i, h in enumerate(_list(doc.get("halting", []), "halting", "conditions")):
+        where = f"halting[{i}]"
+        h = _object(h, where)
+        agent = _label(h["agent"], f"{where}.agent")
+        halting.append((agent, _label(h["outcome"], f"{where}.outcome")))
     return ExperimentSpec(
         name=doc.get("name", "experiment"),
         registry=registry,
         initial=initial,
         steps=tuple(steps),
-        halting=halting or None,
+        halting=tuple(halting) or None,
     )
 
 

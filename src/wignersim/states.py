@@ -57,7 +57,7 @@ class StateVector:
                 f"dimension {self.registry.total_dimension}"
             )
         if self.normalized:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
+            norm_sq = float(np.vdot(amps, amps).real)
             if abs(norm_sq - 1.0) > ATOL_CONSTRUCT:
                 raise ValueError(
                     f"state not normalized: |psi|^2 = {norm_sq!r} "
@@ -285,12 +285,28 @@ def basis_projectors(sub: Subsystem) -> dict[str, Projector]:
 def born_probability(
     state: Union[StateVector, DensityMatrix], proj: Projector
 ) -> float:
-    """tr(rho P), or <psi|P|psi>, clamped into [0, 1] after a tolerance check."""
-    full = proj.matrix_on(state.registry)
+    """tr(rho P), or <psi|P|psi>, clamped into [0, 1] after a tolerance check.
+
+    The k×k operator is contracted over its target axes only; no d×d
+    embedding is formed.  A state vector costs O(d·k) time and O(d) memory.
+    """
+    proj._check_host(state.registry)
+    dims = state.registry.dims
+    n = len(dims)
+    targets = [state.registry.axis(l) for l in proj.target_labels]
+    rest = [i for i in range(n) if i not in targets]
+    k = proj.target_registry.total_dimension
     if isinstance(state, StateVector):
-        value = float(np.real(np.vdot(state.amplitudes, full @ state.amplitudes)))
+        psi = state.tensored().transpose(targets + rest).reshape(k, -1)
+        value = float(np.real(np.vdot(psi, proj.operator @ psi)))
     else:
-        value = float(np.real(np.trace(state.entries @ full)))
+        # Partial trace onto the targets: rest axes share one index in rows and
+        # columns, then tr(rho_T P) = sum(rho_T * P^T).
+        tens = state.entries.reshape(dims + dims)
+        cols = [i + n if i in targets else i for i in range(n)]
+        out = targets + [t + n for t in targets]
+        reduced = np.einsum(tens, list(range(n)) + cols, out)
+        value = float(np.real(np.sum(reduced.reshape(k, k) * proj.operator.T)))
     if value < -ATOL_PSD:
         raise ValueError(f"Born probability {value!r} below -1e-10")
     if value > 1.0 + ATOL_PROB:

@@ -19,7 +19,6 @@ entry prints as the bare value, a wildcard prints as ``⋆``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -513,7 +512,3 @@ def verdict_to_json(verdict: CompatibilityVerdict) -> dict:
             for v in verdict.violations
         ],
     }
-
-
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)

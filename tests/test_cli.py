@@ -99,6 +99,24 @@ class TestTables:
         assert b'initial["h"]: expected [re, im]' in result.stderr
 
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("steps", {"targets": 5}, b"steps[0].targets: expected a list of labels, got 5"),
+            ("registry", {"basis_labels": 7}, b"registry[0].basis_labels: expected a list of labels, got 7"),
+        ],
+    )
+    def test_wrong_field_type_exits_2(self, tmp_path, field, value, message):
+        doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)
+        doc[field][0].update(value)
+        path = tmp_path / "bad-field.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("tables", "--config", str(path), "--target", "w")
+        assert result.returncode == 2
+        assert b"Traceback" not in result.stderr
+        assert message in result.stderr
+
+
 class TestCheck:
     def test_fr_subjective_collapse_exits_1(self):
         result = run_cli("check", "fr", "--f1-model", "clps", "--format", "json")

@@ -3,9 +3,10 @@
 ``memory_state`` and ``evolved_density`` build the reduced state straight
 from the branch ensemble.  The reference kept here is the dense route they
 replaced: sum every branch's outer product into the full d×d density,
-validate it as a ``DensityMatrix``, then ``partial_trace`` it.  Both routes
-share only the branch ensemble (``_evolved_branches`` and
-``_condition_branches``); the contraction itself is independent.
+validate it as a ``DensityMatrix``, then ``partial_trace`` it.  The branches
+come from :mod:`dense_ensemble`, which builds full-registry states from the
+public ``apply_isometry`` and ``branch_decomposition``, so the reference
+shares no code with the record-factor ensemble it checks.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_ensemble import dense_condition, dense_density, dense_ensemble, models_for
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -24,8 +26,6 @@ from wignersim.channels import (
 from wignersim.experiment import (
     ExperimentSpec,
     Step,
-    _condition_branches,
-    _evolved_branches,
     evolve,
     evolved_density,
     marginal,
@@ -33,23 +33,9 @@ from wignersim.experiment import (
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
-from wignersim.states import DensityMatrix, StateVector, partial_trace
+from wignersim.states import StateVector, partial_trace
 
 ORACLE_ATOL = 1e-12
-
-
-def dense_density(branches, registry):
-    d = registry.total_dimension
-    rho = np.zeros((d, d), dtype=np.complex128)
-    for b in branches:
-        rho += b.weight * np.outer(b.state.amplitudes, b.state.amplitudes.conj())
-    return DensityMatrix(registry, rho)
-
-
-def models_for(spec):
-    return [NO_COLLAPSE, OBJECTIVE_COLLAPSE] + [
-        CollapseModel.subjective(agent) for agent in spec.measuring_agents
-    ]
 
 
 def possible_givens(spec, model):
@@ -80,9 +66,9 @@ def assert_matches_dense_route(spec, model):
     labels = registry.labels
     cases = 0
     for given in possible_givens(spec, model):
-        branches = _evolved_branches(spec, model)
+        branches = dense_ensemble(spec, model)
         if given:
-            branches = _condition_branches(branches, spec, model, registry, given)
+            branches = dense_condition(branches, spec, model, given)
         full = dense_density(branches, registry)
         for keep in nonempty_subsets(labels):
             discard = set(labels) - set(keep)
@@ -110,7 +96,7 @@ def test_evolved_density_matches_outer_product_sum(name, model):
     spec = presets()[name]()
     for through in [None] + [s.time for s in spec.steps]:
         want = dense_density(
-            _evolved_branches(spec, model, through), spec.registry_after(through)
+            dense_ensemble(spec, model, through), spec.registry_after(through)
         )
         got = evolved_density(spec, model, through)
         assert got.registry == want.registry

@@ -101,3 +101,45 @@ def test_initial_amplitude_must_be_a_pair(initial, message):
     doc["initial"] = initial
     with pytest.raises(ValueError, match=re.escape(message)):
         document_to_experiment(doc)
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("steps", 0, "targets"), 5, "steps[0].targets: expected a list of labels, got 5"),
+        (("registry", 0, "basis_labels"), 7, "registry[0].basis_labels: expected a list of labels, got 7"),
+        (("registry", 0, "dimension"), "2", "registry[0].dimension: expected an integer, got '2'"),
+        (("registry", 0, "label"), 3, "registry[0].label: expected a label, got 3"),
+        (("registry", 0), "C", "registry[0]: expected an object, got 'C'"),
+        (("registry",), {}, "registry: expected a list of subsystems"),
+        (("steps", 2, "time"), "3", "steps[2].time: expected an integer, got '3'"),
+        (("steps", 2, "time"), True, "steps[2].time: expected an integer, got True"),
+        (("steps", 0, "basis"), 4, "steps[0].basis: expected a list of vectors, got 4"),
+        (("steps", 0, "basis", 1), 4, "steps[0].basis[1]: expected a list of [re, im] amplitudes"),
+        (("steps", 0, "basis", 1, 0), "x", "steps[0].basis[1][0]: expected [re, im], got 'x'"),
+        (("steps", 0, "memory_basis_labels"), [1, 2], "steps[0].memory_basis_labels: expected a list of labels"),
+        (("steps", 1, "prepared"), [1], "steps[1].prepared: expected an object, got [1]"),
+        (("steps", 1, "prepared", "a"), 9, 'steps[1].prepared["a"]: expected a list of [re, im] amplitudes'),
+        (("steps", 1, "output_basis_labels"), "ab", "steps[1].output_basis_labels: expected a list of labels"),
+        (("steps",), None, "steps: expected a list of steps, got None"),
+        (("halting",), {"A": "o"}, "halting: expected a list of conditions"),
+        (("halting", 0, "outcome"), 1, "halting[0].outcome: expected a label, got 1"),
+    ],
+)
+def test_wrong_field_types_raise_path_qualified_errors(path, value, message):
+    doc = json.loads(dumps_canonical(experiment_to_document(frauchiger_renner())))
+    _set(doc, path, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        document_to_experiment(doc)
+
+
+def test_document_must_be_an_object():
+    with pytest.raises(ValueError, match=re.escape("document: expected an object, got []")):
+        document_to_experiment([])

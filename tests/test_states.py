@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense_ensemble import dense_ensemble, ghz_spec
+from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE
+from wignersim.experiment import evolved_density
+from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
     DensityMatrix,
@@ -184,6 +189,70 @@ class TestProjectorsAndBorn:
         phi[reg.flat_index(("0", "0", "1"))] = 1.0
         # <0b0 c1| O_(c,a) |1b0 c1> with b untouched: O[(c=1,a=0),(c=1,a=1)]
         assert phi @ full @ psi == pytest.approx(op[2, 3])
+
+
+def born_via_matrix_on(state, proj):
+    """The d×d route: embed the projector, then <psi|P|psi> or tr(rho P)."""
+    full = proj.matrix_on(state.registry)
+    if isinstance(state, StateVector):
+        value = float(np.real(np.vdot(state.amplitudes, full @ state.amplitudes)))
+    else:
+        value = float(np.real(np.trace(state.entries @ full)))
+    return min(max(value, 0.0), 1.0)
+
+
+def preset_projectors(spec):
+    """Every measurement-basis projector and every memory basis projector."""
+    for step in spec.measuring_steps:
+        for v in step.iso.basis:
+            yield projector_from_basis_vector(v)
+        yield from basis_projectors(step.iso.memory).values()
+
+
+class TestBornByContraction:
+    @pytest.mark.parametrize("name", sorted(presets()))
+    def test_matches_matrix_on_route_for_every_preset_projector(self, name):
+        spec = presets()[name]()
+        (branch,) = dense_ensemble(spec, NO_COLLAPSE)
+        states = [branch.state, evolved_density(spec, OBJECTIVE_COLLAPSE)]
+        cases = 0
+        for proj in preset_projectors(spec):
+            for state in states:
+                got = born_probability(state, proj)
+                assert abs(got - born_via_matrix_on(state, proj)) < 1e-12
+                cases += 1
+        assert cases >= 2 * len(spec.measuring_steps)
+
+    def test_noncontiguous_targets_in_declared_order(self):
+        reg = SubsystemRegistry.build(
+            [("a", ("0", "1")), ("b", ("0", "1", "2")), ("c", ("0", "1"))]
+        )
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+        psi = StateVector(reg, amps / np.linalg.norm(amps))
+        mixed = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+        rho = DensityMatrix(reg, mixed @ mixed.conj().T / np.sum(np.abs(mixed) ** 2))
+        targets = SubsystemRegistry.build([("c", ("0", "1")), ("a", ("0", "1"))])
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        proj = projector_from_basis_vector(StateVector(targets, v / np.linalg.norm(v)))
+        for state in (psi, rho):
+            assert abs(born_probability(state, proj) - born_via_matrix_on(state, proj)) < 1e-12
+
+    def test_ghz_d1024_state_needs_no_padded_matrix(self):
+        spec = ghz_spec(3, 2, math.sqrt(0.4), math.sqrt(0.6), (0.5, 1.0))
+        (branch,) = dense_ensemble(spec, NO_COLLAPSE)
+        psi = branch.state
+        assert psi.registry.total_dimension == 1024
+        proj = basis_projectors(psi.registry.subsystem("W1"))["p"]
+        tracemalloc.start()
+        try:
+            value = born_probability(psi, proj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The padded 1024×1024 matrix alone is 16 MiB.
+        assert peak < 2**20
+        assert abs(value - born_via_matrix_on(psi, proj)) < 1e-12
 
 
 class TestDensityMatrixInvariants:
