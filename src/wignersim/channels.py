@@ -392,6 +392,35 @@ def _record_index(held: Subsystem, full: Subsystem) -> slice:
     return slice(index, index + 1)
 
 
+def _record_rows(held: Sequence[Subsystem], full: SubsystemRegistry) -> np.ndarray:
+    """Flat indices, in ``full``, of the basis states that ``held`` spans.
+
+    ``held`` lists one subsystem per factor of ``full``, in order: the factor
+    itself or a record factor of it.  A flattened amplitude tensor over
+    ``held`` is the vector over ``full`` restricted to these rows.
+    """
+    where = tuple(_record_index(h, f) for h, f in zip(held, full.subsystems))
+    return np.arange(full.total_dimension).reshape(full.dims)[where].reshape(-1)
+
+
+def _project_record(
+    state: StateVector, memory: Subsystem, outcome: str
+) -> tuple[float, StateVector | None]:
+    """Project ``memory`` onto ``outcome``, renormalized, leaving a record factor.
+
+    Returns (probability, state), or (0.0, None) below probability 1e-12, as
+    :func:`_record_slice` does.  A memory already held as a record factor is
+    expanded first.
+    """
+    state = _expand_records(state, [memory])
+    return _record_slice(
+        state.registry.subsystems,
+        state.tensored(),
+        state.registry.axis(memory.label),
+        memory.basis_index(outcome),
+    )
+
+
 def _expand_records(state: StateVector, full: Sequence[Subsystem]) -> StateVector:
     """Expand the record factors of the ``full`` subsystems back to full length.
 

@@ -26,9 +26,9 @@ from .channels import (
     Isometry,
     MeasurementIsometry,
     _expand_records,
+    _project_record,
     _record_branches,
-    _record_index,
-    _record_slice,
+    _record_rows,
     apply_isometry,
 )
 from .registry import SubsystemRegistry
@@ -73,16 +73,11 @@ class ExperimentSpec:
             raise ValueError(f"step times must be strictly increasing, got {times}")
         reg = self.registry
         for step in self.steps:
-            for sub in step.iso.domain_registry.subsystems:
-                if sub.label not in reg:
+            for label in step.iso.domain_labels:
+                if label not in reg:
                     raise ValueError(
                         f"step at t={step.time} ({step.agent}) references unknown "
-                        f"subsystem {sub.label!r}"
-                    )
-                if reg.subsystem(sub.label).basis_labels != sub.basis_labels:
-                    raise ValueError(
-                        f"step at t={step.time} ({step.agent}) expects subsystem "
-                        f"{sub.label!r} in another basis than the experiment's"
+                        f"subsystem {label!r}"
                     )
             reg = reg.extended(step.iso.appended)
         if self.halting is not None:
@@ -248,10 +243,11 @@ class _Branch:
     memory's usual registry position, as does a memory the ensemble was
     conditioned on (see :func:`_condition_branches`).  ``state`` therefore
     only carries the factors that are still quantum, and every
-    ``registry.axis`` lookup holds.  Before a step acts, the records on its
-    domain are expanded back to the full memory, one-hot at the outcome
-    (:func:`_expand_records`); :func:`_reduced_density` adds a kept record's
-    block at the rows of its outcome.
+    ``registry.axis`` lookup holds.  A record is expanded back to the full
+    memory, one-hot at the outcome (:func:`_expand_records`), before a step
+    acts on it and before a conditioned memory is read out;
+    :func:`_reduced_density` adds a kept record's block at the rows of its
+    outcome.
     """
 
     weight: float
@@ -275,18 +271,19 @@ def _evolved_branches(
     Collapsed memories are record factors (see :class:`_Branch`), so a branch
     scales with the factors that are still quantum, not with the full
     registry; a collapse divides the applied state into its outcome slices.
-    Records are expanded against the step's own domain subsystems, which
-    :class:`ExperimentSpec` checks against the experiment's registry.
+    Records are expanded against the experiment's registry, so a step whose
+    domain basis differs from it fails the same check with or without collapse.
     """
     if model.kind == "subjective" and model.agent not in spec.measuring_agents:
         raise ValueError(
             f"collapse model names unknown agent {model.agent!r} for {spec.name!r}"
         )
+    registry = spec.registry_after(through_time)
     branches = [_Branch(1.0, spec.initial, ())]
     for step in spec.steps:
         if through_time is not None and step.time > through_time:
             break
-        domain = step.iso.domain_registry.subsystems
+        domain = [registry.subsystem(label) for label in step.iso.domain_labels]
         states = [_expand_records(b.state, domain) for b in branches]
         if step.is_measurement and model.collapses_at(step.agent):
             nxt = []
@@ -322,7 +319,6 @@ def _condition_branches(
     branches: list[_Branch],
     spec: ExperimentSpec,
     model: CollapseModel,
-    registry: SubsystemRegistry,
     condition: Mapping[str, str],
 ) -> list[_Branch]:
     """Condition the ensemble on memory outcomes, renormalizing the weights.
@@ -341,13 +337,9 @@ def _condition_branches(
         if model.collapses_at(agent):
             work = [b for b in work if b.record(agent) == outcome]
         else:
-            axis = registry.axis(step.iso.memory_label)
-            index = step.iso.outcome_labels.index(outcome)
             projected = []
             for b in work:
-                p, state = _record_slice(
-                    b.state.registry.subsystems, b.state.tensored(), axis, index
-                )
+                p, state = _project_record(b.state, step.iso.memory, outcome)
                 if state is not None:
                     projected.append(_Branch(b.weight * p, state, b.records))
             work = projected
@@ -486,9 +478,7 @@ def conditional_via_renormalized_state(
     through = max(spec.step_for(target).time, spec.step_for(given).time)
     branches = _evolved_branches(spec, model, through_time=through)
     registry = spec.registry_after(through)
-    conditioned = _condition_branches(
-        branches, spec, model, registry, {given: given_outcome}
-    )
+    conditioned = _condition_branches(branches, spec, model, {given: given_outcome})
     step = spec.step_for(target)
     labels = step.iso.outcome_labels
     out = {outcome: 0.0 for outcome in labels}
@@ -498,7 +488,9 @@ def conditional_via_renormalized_state(
     else:
         axis = registry.axis(step.iso.memory_label)
         for b in conditioned:
-            readout = b.weight * _memory_readout(b.state, [axis])
+            # Conditioning on the target itself leaves its memory a record.
+            state = _expand_records(b.state, [step.iso.memory])
+            readout = b.weight * _memory_readout(state, [axis])
             for i, outcome in enumerate(labels):
                 out[outcome] += float(readout[i])
     return out
@@ -519,15 +511,10 @@ def _reduced_density(
     keep_axes = [registry.axis(label) for label in sub_registry.labels]
     order = keep_axes + [i for i in range(len(registry.dims)) if i not in keep_axes]
     d_keep = sub_registry.total_dimension
-    flat = np.arange(d_keep).reshape(sub_registry.dims)
     rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
     for b in branches:
         held = b.state.registry.subsystems
-        where = tuple(
-            _record_index(held[a], full)
-            for a, full in zip(keep_axes, sub_registry.subsystems)
-        )
-        rows = flat[where].reshape(-1)
+        rows = _record_rows([held[a] for a in keep_axes], sub_registry)
         psi = b.state.tensored().transpose(order).reshape(rows.size, -1)
         at = np.ix_(rows, rows) if rows.size < d_keep else (slice(None), slice(None))
         rho[at] += b.weight * (psi @ psi.conj().T)
@@ -564,7 +551,7 @@ def memory_state(
         raise ValueError("discard names every subsystem; nothing is left to keep")
     branches = _evolved_branches(spec, model)
     if given:
-        branches = _condition_branches(branches, spec, model, registry, given)
+        branches = _condition_branches(branches, spec, model, given)
     return _reduced_density(branches, registry, keep)
 
 

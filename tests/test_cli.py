@@ -73,6 +73,14 @@ class TestTables:
         ).returncode == 2
         assert run_cli("tables", "--preset", "fr").returncode == 2
 
+    def test_conditioning_on_the_target_itself(self):
+        result = run_cli(
+            "tables", "--preset", "wigner-superposition", "--model", "ism",
+            "--target", "f", "--given", "f", "--given-outcome", "u",
+        )
+        assert result.returncode == 0
+        assert result.stdout.decode().splitlines()[1:] == ["F  F=u", "u  1.00000", "d  0.00000"]
+
     def test_impossible_conditioning_exits_3(self):
         result = run_cli(
             "tables", "--preset", "wigner-superposition",

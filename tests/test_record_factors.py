@@ -18,6 +18,7 @@ import pytest
 
 from dense_ensemble import dense_condition, dense_ensemble, dense_joint, ghz_spec, models_for
 from wignersim.channels import (
+    NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
     _expand_records,
@@ -114,7 +115,9 @@ def test_renormalized_state_conditional_matches_dense_ensemble(name, model):
     spec = presets()[name]()
     joint = evolve(spec, model)
     cases = 0
-    for target, given in itertools.permutations(spec.measuring_agents, 2):
+    # target == given included: conditioning then leaves the target's memory
+    # a record factor, which the readout has to expand.
+    for target, given in itertools.product(spec.measuring_agents, repeat=2):
         for outcome, p in marginal(joint, given).items():
             if p <= 1e-9:
                 continue
@@ -124,6 +127,10 @@ def test_renormalized_state_conditional_matches_dense_ensemble(name, model):
             assert max(abs(got[t] - want[t]) for t in want) < ORACLE_ATOL, (
                 f"{target}|{given}={outcome}"
             )
+            if target == given:
+                assert got == pytest.approx(
+                    {t: float(t == outcome) for t in got}, abs=ORACLE_ATOL
+                )
             cases += 1
     assert cases > 0
 
@@ -192,13 +199,15 @@ def test_step_on_an_unexpanded_record_factor_raises():
         apply_isometry(branch.state, wigner.iso)
 
 
-def test_spec_rejects_a_step_on_a_memory_in_another_basis():
-    # A step expands a record against its own domain subsystems, so these must
-    # agree with the experiment's registry; before, only labels were checked.
+@pytest.mark.parametrize("model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag)
+def test_step_on_a_memory_in_another_basis_fails_when_applied(model):
+    # The spec checks only labels; the basis mismatch is caught when the step
+    # is applied, also when the memory was collapsed to a record factor.
     spec = ghz_spec(1, 1, GHZ_ALPHA, GHZ_BETA, (0.5,))
     friend = spec.steps[0]
     flipped = SubsystemRegistry((spec.registry.subsystem("Q0"), Subsystem("F0", 2, ("b", "a"))))
     basis = [StateVector.basis_state(flipped, ("0", "a")), StateVector.basis_state(flipped, ("1", "b"))]
     iso = build_measurement_isometry("W0", flipped, basis, memory="W0")
-    with pytest.raises(ValueError, match="in another basis"):
-        ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
+    spec = ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
+    with pytest.raises(ValueError, match="bases differ"):
+        evolve(spec, model)
