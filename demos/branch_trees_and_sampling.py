@@ -27,7 +27,7 @@ print()
 print("Joint distribution over (F1, F2, A, W) under the three models")
 models = [NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel.subjective("F1")]
 joints = {m.tag: evolve(spec, m) for m in models}
-assignments = [a for a, _ in joints["ism"].items_sorted()]
+assignments = list(joints["ism"].probs)
 for tag, joint in joints.items():
     extra = sorted(set(joint.probs) - set(assignments), key=str)
     assignments += extra
@@ -48,14 +48,14 @@ print()
 halted = post_select(joints["ism"], dict(spec.halting))
 print("Conditioned on halting (no-collapse account), the friends' records are")
 print("uniform; the superobserver measurements erased their correlations:")
-for assignment, p in halted.items_sorted():
+for assignment, p in halted.probs.items():
     print(f"  {assignment}  {p:.5f}")
 print()
 
 print("Seeded demonstration run (the distribution itself is exact; this is")
 print("what a lab notebook of repeated rounds would show):")
 rng = np.random.Generator(np.random.Philox(key=2024))
-entries = joints["ism"].items_sorted()
+entries = list(joints["ism"].probs.items())
 cdf = np.cumsum([p for _, p in entries])
 cdf[-1] = 1.0
 shots = 60000

@@ -43,6 +43,17 @@ def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
     return basis
 
 
+def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
+    """A read-only complex copy of a (d·k)×d matrix V, checked for V†V = 1."""
+    mat = np.ascontiguousarray(np.asarray(matrix), dtype=np.complex128)
+    if mat.shape != (d * k, d):
+        raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_ISOMETRY:
+        raise ValueError("V†V differs from the identity beyond 1e-12")
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True)
 class MeasurementIsometry:
     """V mapping the measured factor into itself tensored with a memory record."""
@@ -56,15 +67,8 @@ class MeasurementIsometry:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        d = self.measured_registry.total_dimension
-        k = self.memory.dimension
-        mat = np.ascontiguousarray(np.asarray(self.matrix), dtype=np.complex128)
-        if mat.shape != (d * k, d):
-            raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_ISOMETRY:
-            raise ValueError("V†V differs from the identity beyond 1e-12")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        d, k = self.measured_registry.total_dimension, self.memory.dimension
+        object.__setattr__(self, "matrix", _checked_isometry(self.matrix, d, k))
 
     @property
     def memory_label(self) -> str:
@@ -100,15 +104,8 @@ class PreparationIsometry:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        d = self.control_registry.total_dimension
-        k = self.output.dimension
-        mat = np.ascontiguousarray(np.asarray(self.matrix), dtype=np.complex128)
-        if mat.shape != (d * k, d):
-            raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_ISOMETRY:
-            raise ValueError("V†V differs from the identity beyond 1e-12")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        d, k = self.control_registry.total_dimension, self.output.dimension
+        object.__setattr__(self, "matrix", _checked_isometry(self.matrix, d, k))
 
     @property
     def domain_labels(self) -> tuple[str, ...]:

@@ -140,12 +140,12 @@ def cmd_tables(config: RunConfig) -> int:
                 "agents": list(joint.agents),
                 "probabilities": [
                     {"assignment": str(a), "p": round(p, digits)}
-                    for a, p in joint.items_sorted()
+                    for a, p in joint.probs.items()
                 ],
             }
             print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
             return EXIT_OK
-        rows = [[str(a), _fmt(p, digits)] for a, p in joint.items_sorted()]
+        rows = [[str(a), _fmt(p, digits)] for a, p in joint.probs.items()]
         if config.output_format == "csv":
             out.append("assignment,p")
             out.extend(",".join(r) for r in rows)
@@ -158,6 +158,8 @@ def cmd_tables(config: RunConfig) -> int:
     if config.target is None:
         raise UsageError("tables needs --target (with optional --given) or --joint")
     target = _resolve_agent(config.target, spec)
+    if config.given is None and config.given_outcome is not None:
+        raise UsageError("--given-outcome needs --given")
 
     if config.given is None:
         dist = marginal(evolve(spec, model), target)
@@ -212,6 +214,8 @@ def cmd_tables(config: RunConfig) -> int:
             )
         return EXIT_OK
 
+    if given == target:
+        raise UsageError("--target and --given name the same agent; add --given-outcome")
     table = conditional_table(spec, model, target, given)
     columns = table.present_columns()
     header = [target] + [f"{given}={g}" for g in columns]
@@ -286,7 +290,7 @@ def cmd_sample(config: RunConfig) -> int:
     spec = _load_spec(config)
     model = _parse_model(config.model, spec)
     joint = evolve(spec, model)
-    entries = joint.items_sorted()
+    entries = list(joint.probs.items())
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     cdf = np.cumsum([p for _, p in entries])
@@ -325,8 +329,11 @@ def cmd_export_preset(config: RunConfig) -> int:
     spec = _load_spec(config)
     text = dumps_canonical(experiment_to_document(spec))
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write {config.out_path}: {err}") from err
     else:
         sys.stdout.write(text)
     return EXIT_OK

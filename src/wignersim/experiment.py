@@ -17,6 +17,8 @@ distribution it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -123,10 +125,6 @@ class OutcomeAssignment:
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "OutcomeAssignment":
         return cls(tuple(pairs))
 
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return tuple(agent for agent, _ in self.outcomes)
-
     def __getitem__(self, agent: str) -> str:
         for a, outcome in self.outcomes:
             if a == agent:
@@ -149,49 +147,58 @@ class OutcomeAssignment:
         return ",".join(f"{a}={o}" for a, o in self.outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Exact joint outcome distribution with a collapse-model provenance tag."""
+    """Exact joint outcome distribution with a collapse-model provenance tag.
+
+    ``array`` has one axis per agent, in ``agents`` order, each as long as
+    that agent's alphabet, so array order is basis order.  It is read-only.
+    """
 
     agents: tuple[str, ...]
     alphabets: dict[str, tuple[str, ...]]
-    probs: dict[OutcomeAssignment, float]
+    array: np.ndarray
     model_tag: str
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for assignment, p in self.probs.items():
-            if p < -CONDITION_EPS:
-                raise ValueError(f"negative probability {p!r} for {assignment}")
-            if assignment.agents != self.agents:
-                raise ValueError(
-                    f"assignment agents {assignment.agents} != {self.agents}"
-                )
-            for agent, outcome in assignment.outcomes:
-                if outcome not in self.alphabets[agent]:
-                    raise ValueError(
-                        f"outcome {outcome!r} not in {agent!r}'s memory basis"
-                    )
-            total += p
+        array = np.asarray(self.array, dtype=np.float64)
+        shape = tuple(len(self.alphabets[agent]) for agent in self.agents)
+        if array.shape != shape:
+            raise ValueError(f"joint array shape {array.shape}, expected {shape}")
+        if array.size and array.min() < -CONDITION_EPS:
+            raise ValueError(f"negative probability {float(array.min())!r}")
+        total = float(array.sum())
         if abs(total - 1.0) > ATOL_DIST:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
 
-    def probability(self, condition: Mapping[str, str]) -> float:
-        """Total probability of all assignments matching a partial condition."""
+    @cached_property
+    def probs(self) -> Mapping[OutcomeAssignment, float]:
+        """Read-only support view: the nonzero cells in basis order."""
+        support = {}
+        for cell in map(tuple, np.argwhere(self.array)):
+            labels = (self.alphabets[a][i] for a, i in zip(self.agents, cell))
+            assignment = OutcomeAssignment(tuple(zip(self.agents, labels)))
+            support[assignment] = float(self.array[cell])
+        return MappingProxyType(support)
+
+    def _cells(self, condition: Mapping[str, str]) -> tuple | None:
+        """Index of the cells matching a partial condition; None if none can."""
         unknown = set(condition) - set(self.agents)
         if unknown:
             raise KeyError(f"unknown agents {sorted(unknown)}")
-        return sum(p for a, p in self.probs.items() if a.matches(condition))
+        if any(o not in self.alphabets[a] for a, o in condition.items()):
+            return None
+        return tuple(
+            self.alphabets[a].index(condition[a]) if a in condition else slice(None)
+            for a in self.agents
+        )
 
-    def items_sorted(self) -> list[tuple[OutcomeAssignment, float]]:
-        """Entries sorted by outcome indices in agent order (stable display)."""
-        def key(item: tuple[OutcomeAssignment, float]):
-            assignment = item[0]
-            return tuple(
-                self.alphabets[agent].index(outcome)
-                for agent, outcome in assignment.outcomes
-            )
-        return sorted(self.probs.items(), key=key)
+    def probability(self, condition: Mapping[str, str]) -> float:
+        """Total probability of all assignments matching a partial condition."""
+        cells = self._cells(condition)
+        return 0.0 if cells is None else float(self.array[cells].sum())
 
 
 @dataclass(frozen=True)
@@ -253,12 +260,6 @@ class _Branch:
     weight: float
     state: StateVector
     records: tuple[tuple[str, str], ...]
-
-    def record(self, agent: str) -> str | None:
-        for a, outcome in self.records:
-            if a == agent:
-                return outcome
-        return None
 
 
 def _evolved_branches(
@@ -335,7 +336,7 @@ def _condition_branches(
         if outcome not in step.iso.outcome_labels:
             raise KeyError(f"{outcome!r} is not an outcome of {agent!r}")
         if model.collapses_at(agent):
-            work = [b for b in work if b.record(agent) == outcome]
+            work = [b for b in work if (agent, outcome) in b.records]
         else:
             projected = []
             for b in work:
@@ -351,18 +352,19 @@ def _condition_branches(
     return [_Branch(b.weight / total, b.state, b.records) for b in work]
 
 
-def evolve(
+def _joint(
+    branches: list[_Branch],
     spec: ExperimentSpec,
     model: CollapseModel,
-    through_time: int | None = None,
+    through_time: int | None,
 ) -> JointDistribution:
-    """Exact joint distribution of the outcomes observed by ``through_time``.
+    """Joint distribution of what a branch ensemble observed by ``through_time``.
 
     Agents whose measurement the model collapsed contribute the branch
     outcome; agents measured by plain isometry contribute the diagonal
-    readout of their memory factor in the final state.
+    readout of their memory factor, expanded first if the ensemble was
+    conditioned on it.
     """
-    branches = _evolved_branches(spec, model, through_time)
     registry = spec.registry_after(through_time)
     steps = [
         s
@@ -371,22 +373,30 @@ def evolve(
     ]
     agents = tuple(s.agent for s in steps)
     alphabets = {s.agent: s.iso.outcome_labels for s in steps}
-    readout_steps = [s for s in steps if not model.collapses_at(s.agent)]
-    memory_axes = [registry.axis(s.iso.memory_label) for s in readout_steps]
-
-    probs: dict[OutcomeAssignment, float] = {}
+    memories = [s.iso.memory for s in steps if not model.collapses_at(s.agent)]
+    memory_axes = [registry.axis(m.label) for m in memories]
+    array = np.zeros(tuple(len(s.iso.outcome_labels) for s in steps))
     for b in branches:
-        readout = b.weight * _memory_readout(b.state, memory_axes)
-        by_agent = dict(b.records)
-        for idx in np.argwhere(readout > SUPPORT_EPS):  # C order, as np.ndindex
-            p = float(readout[tuple(idx)])
-            for s, i in zip(readout_steps, idx):
-                by_agent[s.agent] = s.iso.outcome_labels[i]
-            assignment = OutcomeAssignment.from_pairs(
-                (agent, by_agent[agent]) for agent in agents
-            )
-            probs[assignment] = probs.get(assignment, 0.0) + p
-    return JointDistribution(agents, alphabets, probs, model.tag)
+        state = _expand_records(b.state, memories)
+        readout = b.weight * _memory_readout(state, memory_axes)
+        records = dict(b.records)
+        # A collapsed agent sits at its record; a readout agent spans its axis.
+        cells = tuple(
+            alphabets[a].index(records[a]) if model.collapses_at(a) else slice(None)
+            for a in agents
+        )
+        array[cells] += np.where(readout > SUPPORT_EPS, readout, 0.0)
+    return JointDistribution(agents, alphabets, array, model.tag)
+
+
+def evolve(
+    spec: ExperimentSpec,
+    model: CollapseModel,
+    through_time: int | None = None,
+) -> JointDistribution:
+    """Exact joint distribution of the outcomes observed by ``through_time``."""
+    branches = _evolved_branches(spec, model, through_time)
+    return _joint(branches, spec, model, through_time)
 
 
 def evolved_density(
@@ -406,14 +416,19 @@ def evolved_density(
     return _reduced_density(branches, registry, registry.labels)
 
 
+def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
+    """The joint summed over every other agent, axes in ``agents`` order."""
+    axes = [joint.agents.index(agent) for agent in agents]
+    front = np.moveaxis(joint.array, axes, range(len(axes)))
+    return front.reshape(front.shape[: len(axes)] + (-1,)).sum(axis=-1)
+
+
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
     """Distribution of one agent's outcome, summed over everybody else."""
     if agent not in joint.agents:
         raise KeyError(f"unknown agent {agent!r}")
-    out = {outcome: 0.0 for outcome in joint.alphabets[agent]}
-    for assignment, p in joint.probs.items():
-        out[assignment[agent]] += p
-    return out
+    sums = _summed_to(joint, (agent,))
+    return {o: float(p) for o, p in zip(joint.alphabets[agent], sums)}
 
 
 def conditional(
@@ -426,15 +441,12 @@ def conditional(
         raise KeyError(f"unknown target agent {target!r}")
     if target == given:
         raise ValueError("target and conditioning agent must differ")
-    given_marginal = marginal(joint, given)
-    columns: dict[str, dict[str, float]] = {}
-    for g, pg in given_marginal.items():
-        if pg <= CONDITION_EPS:
-            continue
-        column = {}
-        for t in joint.alphabets[target]:
-            column[t] = joint.probability({target: t, given: g}) / pg
-        columns[g] = column
+    pair = _summed_to(joint, (target, given))
+    columns = {
+        g: {t: float(p / pg) for t, p in zip(joint.alphabets[target], pair[:, j])}
+        for j, (g, pg) in enumerate(zip(joint.alphabets[given], pair.sum(axis=0)))
+        if pg > CONDITION_EPS
+    }
     return ConditionalTable(
         target=target,
         given=given,
@@ -477,23 +489,8 @@ def conditional_via_renormalized_state(
     """
     through = max(spec.step_for(target).time, spec.step_for(given).time)
     branches = _evolved_branches(spec, model, through_time=through)
-    registry = spec.registry_after(through)
     conditioned = _condition_branches(branches, spec, model, {given: given_outcome})
-    step = spec.step_for(target)
-    labels = step.iso.outcome_labels
-    out = {outcome: 0.0 for outcome in labels}
-    if model.collapses_at(target):
-        for b in conditioned:
-            out[b.record(target)] += b.weight
-    else:
-        axis = registry.axis(step.iso.memory_label)
-        for b in conditioned:
-            # Conditioning on the target itself leaves its memory a record.
-            state = _expand_records(b.state, [step.iso.memory])
-            readout = b.weight * _memory_readout(state, [axis])
-            for i, outcome in enumerate(labels):
-                out[outcome] += float(readout[i])
-    return out
+    return marginal(_joint(conditioned, spec, model, through), target)
 
 
 def _reduced_density(
@@ -564,7 +561,7 @@ def post_select(
         raise ZeroProbabilityError(
             f"post-selection on {dict(condition)} has zero probability"
         )
-    probs = {
-        a: p / total for a, p in joint.probs.items() if a.matches(condition)
-    }
-    return JointDistribution(joint.agents, joint.alphabets, probs, joint.model_tag)
+    cells = joint._cells(condition)
+    array = np.zeros_like(joint.array)
+    array[cells] = joint.array[cells] / total
+    return JointDistribution(joint.agents, joint.alphabets, array, joint.model_tag)

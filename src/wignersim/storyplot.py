@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .experiment import JointDistribution, OutcomeAssignment
+from .experiment import (
+    CONDITION_EPS,
+    JointDistribution,
+    OutcomeAssignment,
+    marginal,
+    post_select,
+)
 from .states import ZeroProbabilityError
 
 WILDCARD_GLYPH = "⋆"
@@ -400,7 +406,7 @@ def plot_from_distribution(
     observed_map = (
         observed.as_dict() if isinstance(observed, OutcomeAssignment) else dict(observed)
     )
-    if observed_map and joint.probability(observed_map) <= 1e-12:
+    if observed_map and joint.probability(observed_map) <= CONDITION_EPS:
         raise ZeroProbabilityError(
             f"observed assignment {observed_map} has zero probability"
         )
@@ -428,12 +434,8 @@ def plot_from_distribution(
         if agent in observed_map:
             continue
         time, slot = schema.agent_cell(agent)
-        total = joint.probability(observed_map) if observed_map else 1.0
-        support = []
-        for outcome in joint.alphabets[agent]:
-            p = joint.probability({**observed_map, agent: outcome})
-            if p / total > 1e-12:
-                support.append(outcome)
+        seen = post_select(joint, observed_map) if observed_map else joint
+        support = [o for o, p in marginal(seen, agent).items() if p > CONDITION_EPS]
         if len(support) == 1:
             events.append(make_event(schema, time, {slot: Deduced(support[0])}))
         else:

@@ -81,6 +81,22 @@ class TestTables:
         assert result.returncode == 0
         assert result.stdout.decode().splitlines()[1:] == ["F  F=u", "u  1.00000", "d  0.00000"]
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--target", "f2", "--given", "f2"), b"--target and --given name the same agent"),
+            (("--target", "w", "--given-outcome", "o"), b"--given-outcome needs --given"),
+        ],
+        ids=["target-is-given", "outcome-without-given"],
+    )
+    def test_ill_posed_conditioning_exits_2(self, args, message):
+        result = run_cli("tables", "--preset", "fr", *args)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert message in result.stderr
+        assert b"Traceback" not in result.stderr
+
     def test_impossible_conditioning_exits_3(self):
         result = run_cli(
             "tables", "--preset", "wigner-superposition",
@@ -178,6 +194,16 @@ class TestSample:
         assert result.returncode == 2
         assert b"Traceback" not in result.stderr
         assert b"--seed must be in [0, 2**128)" in result.stderr
+
+
+class TestExportPreset:
+    def test_unwritable_out_path_exits_2(self, tmp_path):
+        path = tmp_path / "missing" / "fr.json"
+        result = run_cli("export-preset", "--preset", "fr", "--out", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: cannot write {path}".encode())
+        assert b"Traceback" not in result.stderr
+        assert not path.exists()
 
 
 class TestDeterminism:
