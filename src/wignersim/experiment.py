@@ -418,6 +418,9 @@ def evolved_density(
 
 def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
     """The joint summed over every other agent, axes in ``agents`` order."""
+    for agent in agents:
+        if agent not in joint.agents:
+            raise KeyError(f"unknown agent {agent!r}")
     axes = [joint.agents.index(agent) for agent in agents]
     front = np.moveaxis(joint.array, axes, range(len(axes)))
     return front.reshape(front.shape[: len(axes)] + (-1,)).sum(axis=-1)
@@ -425,8 +428,6 @@ def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
 
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
     """Distribution of one agent's outcome, summed over everybody else."""
-    if agent not in joint.agents:
-        raise KeyError(f"unknown agent {agent!r}")
     sums = _summed_to(joint, (agent,))
     return {o: float(p) for o, p in zip(joint.alphabets[agent], sums)}
 
@@ -435,10 +436,6 @@ def conditional(
     joint: JointDistribution, target: str, given: str
 ) -> ConditionalTable:
     """Bayes' rule on a joint distribution: P(target | given)."""
-    if given not in joint.agents:
-        raise KeyError(f"cannot condition on agent {given!r}: not in the joint")
-    if target not in joint.agents:
-        raise KeyError(f"unknown target agent {target!r}")
     if target == given:
         raise ValueError("target and conditioning agent must differ")
     pair = _summed_to(joint, (target, given))

@@ -29,7 +29,6 @@ from .experiment import (
     marginal,
     post_select,
 )
-from .states import ZeroProbabilityError
 
 WILDCARD_GLYPH = "⋆"
 
@@ -406,10 +405,8 @@ def plot_from_distribution(
     observed_map = (
         observed.as_dict() if isinstance(observed, OutcomeAssignment) else dict(observed)
     )
-    if observed_map and joint.probability(observed_map) <= CONDITION_EPS:
-        raise ZeroProbabilityError(
-            f"observed assignment {observed_map} has zero probability"
-        )
+    # post_select raises ZeroProbabilityError on an impossible observation.
+    seen = post_select(joint, observed_map) if observed_map else joint
 
     per_time: dict[str, dict[str, Entry]] = {}
 
@@ -434,7 +431,6 @@ def plot_from_distribution(
         if agent in observed_map:
             continue
         time, slot = schema.agent_cell(agent)
-        seen = post_select(joint, observed_map) if observed_map else joint
         support = [o for o, p in marginal(seen, agent).items() if p > CONDITION_EPS]
         if len(support) == 1:
             events.append(make_event(schema, time, {slot: Deduced(support[0])}))
