@@ -173,15 +173,19 @@ class JointDistribution:
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
 
-    @cached_property
+    @property
     def probs(self) -> Mapping[OutcomeAssignment, float]:
         """Read-only support view: the nonzero cells in basis order."""
+        return MappingProxyType(self._support)
+
+    @cached_property
+    def _support(self) -> dict[OutcomeAssignment, float]:
         support = {}
         for cell in map(tuple, np.argwhere(self.array)):
             labels = (self.alphabets[a][i] for a, i in zip(self.agents, cell))
             assignment = OutcomeAssignment(tuple(zip(self.agents, labels)))
             support[assignment] = float(self.array[cell])
-        return MappingProxyType(support)
+        return support
 
     def _cells(self, condition: Mapping[str, str]) -> tuple | None:
         """Index of the cells matching a partial condition; None if none can."""
@@ -428,8 +432,7 @@ def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
 
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
     """Distribution of one agent's outcome, summed over everybody else."""
-    sums = _summed_to(joint, (agent,))
-    return {o: float(p) for o, p in zip(joint.alphabets[agent], sums)}
+    return dict(zip(joint.alphabets[agent], _summed_to(joint, (agent,)).tolist()))
 
 
 def conditional(

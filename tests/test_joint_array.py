@@ -10,6 +10,7 @@ GHZ friend/superobserver circuits.
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +119,8 @@ def test_post_select_on_the_halting_condition(name, model):
 
 def test_joint_array_and_support_view_are_read_only():
     joint = evolve(SPECS["fr"], models_for(SPECS["fr"])[0])
+    view = joint.probs
+    assert pickle.loads(pickle.dumps(joint)).probs == view
     assert not joint.array.flags.writeable
     with pytest.raises(ValueError):
         joint.array[(0,) * joint.array.ndim] = 1.0
