@@ -247,7 +247,8 @@ class _Branch:
     ``records`` holds the results of measurements the model collapsed.  Those
     are what the agents actually observed at their steps; reading the memory
     factor again at the end of the circuit can differ, because a later
-    superobserver measurement acts coherently on the record.
+    superobserver measurement acts coherently on the record.  A conditioned
+    ensemble also records each outcome it was projected onto.
 
     A collapsed measurement's memory stays in ``state`` as a record factor:
     the one-dimensional ``Subsystem(memory_label, 1, (outcome,))`` at the
@@ -256,9 +257,8 @@ class _Branch:
     only carries the factors that are still quantum, and every
     ``registry.axis`` lookup holds.  A record is expanded back to the full
     memory, one-hot at the outcome (:func:`_expand_records`), before a step
-    acts on it and before a conditioned memory is read out;
-    :func:`_reduced_density` adds a kept record's block at the rows of its
-    outcome.
+    acts on it; :func:`_reduced_density` adds a kept record's block at the
+    rows of its outcome.
     """
 
     weight: float
@@ -332,7 +332,7 @@ def _condition_branches(
     matching branches (the outcome was decided at the step).  Otherwise the
     record still lives coherently in the memory factor and conditioning is a
     projective update on the final state, which leaves that memory as a
-    record factor too.
+    record factor too and adds the outcome to the branch's records.
     """
     work = branches
     for agent, outcome in condition.items():
@@ -346,7 +346,8 @@ def _condition_branches(
             for b in work:
                 p, state = _project_record(b.state, step.iso.memory, outcome)
                 if state is not None:
-                    projected.append(_Branch(b.weight * p, state, b.records))
+                    records = b.records + ((agent, outcome),)
+                    projected.append(_Branch(b.weight * p, state, records))
             work = projected
     total = sum(b.weight for b in work)
     if total <= CONDITION_EPS:
@@ -364,12 +365,10 @@ def _joint(
 ) -> JointDistribution:
     """Joint distribution of what a branch ensemble observed by ``through_time``.
 
-    Agents whose measurement the model collapsed contribute the branch
-    outcome; agents measured by plain isometry contribute the diagonal
-    readout of their memory factor, expanded first if the ensemble was
-    conditioned on it.
+    An agent with a record in the branch (a collapsed measurement, or an
+    outcome the ensemble was conditioned on) contributes that outcome; every
+    other agent contributes the diagonal readout of its memory factor.
     """
-    registry = spec.registry_after(through_time)
     steps = [
         s
         for s in spec.measuring_steps
@@ -377,16 +376,17 @@ def _joint(
     ]
     agents = tuple(s.agent for s in steps)
     alphabets = {s.agent: s.iso.outcome_labels for s in steps}
-    memories = [s.iso.memory for s in steps if not model.collapses_at(s.agent)]
-    memory_axes = [registry.axis(m.label) for m in memories]
+    memories = {s.agent: s.iso.memory_label for s in steps}
     array = np.zeros(tuple(len(s.iso.outcome_labels) for s in steps))
     for b in branches:
-        state = _expand_records(b.state, memories)
-        readout = b.weight * _memory_readout(state, memory_axes)
         records = dict(b.records)
-        # A collapsed agent sits at its record; a readout agent spans its axis.
+        memory_axes = [
+            b.state.registry.axis(memories[a]) for a in agents if a not in records
+        ]
+        readout = b.weight * _memory_readout(b.state, memory_axes)
+        # An agent with a record sits at it; every other agent spans its axis.
         cells = tuple(
-            alphabets[a].index(records[a]) if model.collapses_at(a) else slice(None)
+            alphabets[a].index(records[a]) if a in records else slice(None)
             for a in agents
         )
         array[cells] += np.where(readout > SUPPORT_EPS, readout, 0.0)
@@ -426,8 +426,8 @@ def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
         if agent not in joint.agents:
             raise KeyError(f"unknown agent {agent!r}")
     axes = [joint.agents.index(agent) for agent in agents]
-    front = np.moveaxis(joint.array, axes, range(len(axes)))
-    return front.reshape(front.shape[: len(axes)] + (-1,)).sum(axis=-1)
+    other = tuple(i for i in range(joint.array.ndim) if i not in axes)
+    return joint.array.sum(axis=other).transpose([sorted(axes).index(i) for i in axes])
 
 
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
