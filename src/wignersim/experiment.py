@@ -314,10 +314,7 @@ def _evolved_branches(
 def _memory_readout(state: StateVector, memory_axes: list[int]) -> np.ndarray:
     """Joint outcome probabilities over the given memory axes."""
     probs = np.abs(state.tensored()) ** 2
-    other = tuple(i for i in range(probs.ndim) if i not in memory_axes)
-    if other:
-        probs = probs.sum(axis=other)
-    return probs
+    return probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in memory_axes))
 
 
 def _condition_branches(
@@ -432,7 +429,8 @@ def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
 
 def marginal(joint: JointDistribution, agent: str) -> dict[str, float]:
     """Distribution of one agent's outcome, summed over everybody else."""
-    return dict(zip(joint.alphabets[agent], _summed_to(joint, (agent,)).tolist()))
+    sums = _summed_to(joint, (agent,))
+    return dict(zip(joint.alphabets[agent], sums.tolist()))
 
 
 def conditional(
