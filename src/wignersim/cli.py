@@ -131,6 +131,8 @@ def cmd_tables(config: RunConfig) -> int:
     out: list[str] = []
 
     if config.joint:
+        if (config.target, config.given, config.given_outcome) != (None, None, None):
+            raise UsageError("--joint takes no --target, --given or --given-outcome")
         joint = evolve(spec, model)
         title = f"P({','.join(joint.agents)})  model={joint.model_tag}  experiment={spec.name}"
         if config.output_format == "json":
@@ -411,8 +413,11 @@ def main(argv: list[str] | None = None) -> int:
             },
         )
         return handlers[args.command](config)
-    except (UsageError, KeyError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyError as err:  # str(KeyError) would quote its message
+        print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroProbabilityError as err:
         print(f"error: {err}", file=sys.stderr)

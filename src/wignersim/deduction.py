@@ -40,6 +40,9 @@ from .storyplot import (
 )
 
 CERTAINTY = 1.0 - 1e-9
+# A Deutsch answer bit reads 1 when P(phi-) exceeds this: far above the
+# float noise of an exact zero, far below every possible outcome's weight.
+POSSIBILITY = 1e-9
 
 
 class ChainCycleError(ValueError):
@@ -546,12 +549,12 @@ def build_deutsch_scenario(
     )
     p_ism = marginal(joint, "W")
     if friend_assumes_collapse:
-        friend_answer = "1" if p_clps["phi-"] > 1e-9 else "0"
+        friend_answer = "1" if p_clps["phi-"] > POSSIBILITY else "0"
         friend_tag = collapse_model.tag
     else:
-        friend_answer = "1" if p_ism["phi-"] > 1e-9 else "0"
+        friend_answer = "1" if p_ism["phi-"] > POSSIBILITY else "0"
         friend_tag = NO_COLLAPSE.tag
-    wigner_answer = "1" if p_ism["phi-"] > 1e-9 else "0"
+    wigner_answer = "1" if p_ism["phi-"] > POSSIBILITY else "0"
     wigner_record = max(p_ism, key=lambda k: p_ism[k])  # phi+ with certainty
 
     friend_rule = DeductionRule(

@@ -7,6 +7,15 @@ cached without copying.  Numeric conventions:
 * construction invariants (normalization, hermiticity, trace) hold to 1e-12,
 * positive semidefiniteness allows eigenvalues down to -1e-10,
 * computed probabilities are compared against exact fractions at 1e-9.
+
+Every bound is written as ``not (x <= tol)``, so a NaN anywhere fails it.
+
+Positive semidefiniteness is first proved from the entries alone: a
+diagonal-pivoted Cholesky factor L of rank r with ‖A − LL†‖_F ≤ 5e-11 puts,
+by Weyl's inequality, every eigenvalue above -1e-10.  That costs O(d²·r), and
+the densities built here have small r.  Only when the proof does not go
+through does the full O(d³) ``eigvalsh`` decide, with the same bound and
+message as before, so no input changes verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ class StateVector:
             )
         if self.normalized:
             norm_sq = float(np.vdot(amps, amps).real)
-            if abs(norm_sq - 1.0) > ATOL_CONSTRUCT:
+            if not abs(norm_sq - 1.0) <= ATOL_CONSTRUCT:
                 raise ValueError(
                     f"state not normalized: |psi|^2 = {norm_sq!r} "
                     "(pass normalized=False for an unnormalized branch)"
@@ -130,6 +139,10 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator over a registry.
 
     ``subnormalized=True`` marks a conditional block whose trace may be < 1.
+
+    Positivity is proved by :func:`_psd_certified` in O(d²·r) for rank r;
+    ``eigvalsh`` runs only on a matrix it cannot prove, which is then within
+    about 1e-10 of failing, or fails.
     """
 
     registry: SubsystemRegistry
@@ -141,15 +154,16 @@ class DensityMatrix:
         d = self.registry.total_dimension
         if mat.shape != (d, d):
             raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL_CONSTRUCT:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL_CONSTRUCT:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if not self.subnormalized:
             tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > ATOL_CONSTRUCT:
+            if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
                 raise ValueError(f"density matrix trace {tr!r} != 1 within 1e-12")
-        eigmin = float(np.min(np.linalg.eigvalsh(mat)))
-        if eigmin < -ATOL_PSD:
-            raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
+        if not _psd_certified(mat):
+            eigmin = float(np.min(np.linalg.eigvalsh(mat)))
+            if not eigmin >= -ATOL_PSD:
+                raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -159,6 +173,43 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
+
+
+def _psd_certified(mat: np.ndarray) -> bool:
+    """Whether the entries alone prove that ``eigvalsh(mat)`` is ≥ -ATOL_PSD.
+
+    The pivot is the largest residual diagonal entry.  Pivoting stops once
+    that is ≤ ATOL_PSD/(2d), where a positive semidefinite remainder has
+    Frobenius norm ≤ its trace ≤ ATOL_PSD/2.  The proof reads the remainder
+    itself, so rounding or an indefinite matrix cannot fake it: it holds only
+    if ‖A − LL†‖_F ≤ ATOL_PSD/2.  Then by Weyl's inequality every eigenvalue
+    of A is ≥ -ATOL_PSD/2 when A is Hermitian.  When A is Hermitian only to
+    1e-12, ``eigvalsh`` reads the Hermitian matrix of A's lower triangle; it
+    differs from A's Hermitian part by at most A's skew part, which is
+    orthogonal to that part, so its eigenvalues are ≥ -ATOL_PSD/√2.
+    Rank r costs O(d²·r) time and one d×d array.
+    """
+    d = mat.shape[0]
+    stop = ATOL_PSD / (2 * d)
+    residual_diag = mat.diagonal().real.copy()
+    rows = np.empty((min(d, 16), d), dtype=np.complex128)  # row k is column k of L
+    rank = 0
+    while rank < d:
+        p = int(np.argmax(residual_diag))
+        pivot = residual_diag[p]
+        if pivot <= stop:
+            break
+        if rank == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        col = mat[:, p] - rows[:rank].T @ rows[:rank, p].conj()
+        col /= math.sqrt(pivot)
+        rows[rank] = col
+        residual_diag -= col.real**2 + col.imag**2
+        rank += 1
+    factor = rows[:rank]
+    remainder = factor.T @ factor.conj()
+    remainder -= mat
+    return math.sqrt(np.vdot(remainder, remainder).real) <= ATOL_PSD / 2
 
 
 @dataclass(frozen=True)
@@ -181,9 +232,9 @@ class Projector:
             raise ValueError("target_labels must match the target registry order")
         if op.shape != (d, d):
             raise ValueError(f"operator shape {op.shape} does not match dimension {d}")
-        if np.max(np.abs(op - op.conj().T)) > ATOL_CONSTRUCT:
+        if not np.max(np.abs(op - op.conj().T)) <= ATOL_CONSTRUCT:
             raise ValueError("projector is not Hermitian within 1e-12")
-        if np.max(np.abs(op @ op - op)) > ATOL_CONSTRUCT:
+        if not np.max(np.abs(op @ op - op)) <= ATOL_CONSTRUCT:
             raise ValueError("projector is not idempotent within 1e-12")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
@@ -265,7 +316,7 @@ def projector_from_basis_vector(
             f"targets {sorted(set(targets))} do not match the vector's labels {labels}"
         )
     norm = v.norm()
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"basis vector not normalized: |v| = {norm!r}")
     op = np.outer(v.amplitudes, v.amplitudes.conj())
     return Projector(labels, v.registry, op)

@@ -97,6 +97,31 @@ class TestTables:
         assert message in result.stderr
         assert b"Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--target", "w"),
+            ("--given", "f1"),
+            ("--given-outcome", "o"),
+            ("--target", "w", "--given-outcome", "o"),
+        ],
+        ids=["target", "given", "given-outcome", "target-and-outcome"],
+    )
+    def test_joint_with_conditioning_flags_exits_2(self, args):
+        result = run_cli("tables", "--preset", "fr", "--joint", *args)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: --joint takes no --target, --given or --given-outcome\n"
+
+    def test_unknown_outcome_message_is_not_quoted_twice(self):
+        result = run_cli(
+            "tables", "--preset", "fr",
+            "--target", "w", "--given", "f1", "--given-outcome", "bogus",
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: 'bogus' is not an outcome of 'F1'\n"
+
     def test_impossible_conditioning_exits_3(self):
         result = run_cli(
             "tables", "--preset", "wigner-superposition",

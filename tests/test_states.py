@@ -11,6 +11,7 @@ from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
     DensityMatrix,
+    Projector,
     StateVector,
     ZeroProbabilityError,
     basis_projectors,
@@ -257,17 +258,36 @@ class TestBornByContraction:
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             DensityMatrix(qubit("S"), np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert str(err.value) == "density matrix is not Hermitian within 1e-12"
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             DensityMatrix(qubit("S"), np.eye(2))
+        assert str(err.value) == "density matrix trace (2+0j) != 1 within 1e-12"
 
     def test_rejects_negative_eigenvalue(self):
         mat = np.array([[1.5, 0.0], [0.0, -0.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             DensityMatrix(qubit("S"), mat)
+        assert str(err.value) == "density matrix has negative eigenvalue -0.5"
+
+    def test_eigenvalue_bound_is_minus_1e_10(self):
+        """Both sides of the bound are left to eigvalsh: no proof covers them."""
+        DensityMatrix(qubit("S"), np.diag([0.0, -9e-11]), subnormalized=True)
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(qubit("S"), np.diag([0.0, -1.1e-10]), subnormalized=True)
+        assert str(err.value) == "density matrix has negative eigenvalue -1.1e-10"
+
+    def test_rejects_negative_direction_beside_a_large_pure_state(self):
+        """d = 256: rank 1 plus an eigenvalue of -2e-10 on an orthogonal vector."""
+        reg = SubsystemRegistry.build([(f"q{i}", ("0", "1")) for i in range(8)])
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.normal(size=(256, 2)) + 1j * rng.normal(size=(256, 2)))
+        mat = np.outer(u[:, 0], u[:, 0].conj()) - 2e-10 * np.outer(u[:, 1], u[:, 1].conj())
+        with pytest.raises(ValueError, match="negative eigenvalue -2.0000"):
+            DensityMatrix(reg, (mat + mat.conj().T) / 2, subnormalized=True)
 
     def test_subnormalized_block_allowed(self):
         DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
@@ -279,6 +299,36 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ZeroProbabilityError):
             StateVector(qubit("S"), [0.0, 0.0], normalized=False).renormalized()
         assert branch.renormalized().norm() == pytest.approx(1.0)
+
+
+class TestNotANumberRejected:
+    """Every bound fails on NaN: no NaN entry gets through a constructor."""
+
+    NAN = float("nan")
+
+    def test_state_vector(self):
+        with pytest.raises(ValueError, match="state not normalized"):
+            StateVector(qubit("S"), [self.NAN, 1.0])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[NAN, 0.0], [0.0, 1.0]], [[0.5, NAN], [NAN, 0.5]], [[0.5, NAN], [0.0, 0.5]]],
+        ids=["diagonal", "off-diagonal-pair", "off-diagonal"],
+    )
+    @pytest.mark.parametrize("subnormalized", [False, True])
+    def test_density_matrix(self, entries, subnormalized):
+        with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
+            DensityMatrix(qubit("S"), np.array(entries), subnormalized=subnormalized)
+
+    def test_projector(self):
+        reg = qubit("S")
+        with pytest.raises(ValueError, match="projector is not Hermitian"):
+            Projector(("S",), reg, np.array([[self.NAN, 0.0], [0.0, 0.0]]))
+
+    def test_basis_vector_for_projector(self):
+        v = StateVector(qubit("S"), [self.NAN, 1.0], normalized=False)
+        with pytest.raises(ValueError, match="basis vector not normalized"):
+            projector_from_basis_vector(v)
 
 
 def test_debug_printing_sorted_by_multi_index():
