@@ -410,7 +410,9 @@ def evolved_density(
     This is :func:`memory_state` with nothing discarded, so its cost is
     O(B·d·d_keep) with d_keep = d for B branches.  The returned matrix passes
     the full :class:`DensityMatrix` checks (Hermitian, unit trace, positive
-    semidefinite).
+    semidefinite).  Positivity is proved by a pivoted Cholesky in O(d²·r)
+    for the density's rank r ≤ B; the O(d³) ``eigvalsh`` runs only if that
+    proof fails.
     """
     branches = _evolved_branches(spec, model, through_time)
     registry = spec.registry_after(through_time)
@@ -534,7 +536,9 @@ def memory_state(
     branch states it holds one reshaped branch and the d_keep×d_keep result,
     so the cost scales with the kept factors.  The returned matrix passes the full
     :class:`DensityMatrix` checks (Hermitian, unit trace, positive
-    semidefinite).
+    semidefinite).  Positivity is proved by a pivoted Cholesky in
+    O(d_keep²·r) for rank r, at most B times the discarded dimension; the
+    O(d_keep³) ``eigvalsh`` runs only if that proof fails.
     """
     registry = spec.registry_after()
     discard = set(discard)

@@ -8,14 +8,16 @@ cached without copying.  Numeric conventions:
 * positive semidefiniteness allows eigenvalues down to -1e-10,
 * computed probabilities are compared against exact fractions at 1e-9.
 
-Every bound is written as ``not (x <= tol)``, so a NaN anywhere fails it.
+Validation bounds are written as ``not (x <= tol)``, which NaN fails, so no
+NaN gets into a normalized state, a density matrix, a projector or a Born
+probability.
 
 Positive semidefiniteness is first proved from the entries alone: a
 diagonal-pivoted Cholesky factor L of rank r with ‖A − LL†‖_F ≤ 5e-11 puts,
 by Weyl's inequality, every eigenvalue above -1e-10.  That costs O(d²·r), and
 the densities built here have small r.  Only when the proof does not go
-through does the full O(d³) ``eigvalsh`` decide, with the same bound and
-message as before, so no input changes verdict.
+through does the full O(d³) ``eigvalsh`` decide, against the same -1e-10
+bound, so either way the verdict is the spectrum's.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ class DensityMatrix:
 
     ``subnormalized=True`` marks a conditional block whose trace may be < 1.
 
-    Positivity is proved by :func:`_psd_certified` in O(d²·r) for rank r;
-    ``eigvalsh`` runs only on a matrix it cannot prove, which is then within
-    about 1e-10 of failing, or fails.
+    Positivity is proved by :func:`_psd_certified` in O(d²·r) for rank r.
+    ``eigvalsh`` decides only what that proof does not settle, such as an
+    eigenvalue below -5e-11 or a skew part near the 1e-12 tolerance.
     """
 
     registry: SubsystemRegistry
@@ -183,11 +185,12 @@ def _psd_certified(mat: np.ndarray) -> bool:
     Frobenius norm ≤ its trace ≤ ATOL_PSD/2.  The proof reads the remainder
     itself, so rounding or an indefinite matrix cannot fake it: it holds only
     if ‖A − LL†‖_F ≤ ATOL_PSD/2.  Then by Weyl's inequality every eigenvalue
-    of A is ≥ -ATOL_PSD/2 when A is Hermitian.  When A is Hermitian only to
-    1e-12, ``eigvalsh`` reads the Hermitian matrix of A's lower triangle; it
-    differs from A's Hermitian part by at most A's skew part, which is
-    orthogonal to that part, so its eigenvalues are ≥ -ATOL_PSD/√2.
-    Rank r costs O(d²·r) time and one d×d array.
+    of A is ≥ -ATOL_PSD/2 when A is Hermitian.  When A = H + K is Hermitian
+    only to 1e-12, with K anti-Hermitian, ``eigvalsh`` reads the Hermitian
+    matrix of A's lower triangle, which is within ‖K‖_F of H.  K is
+    orthogonal to every Hermitian matrix, so ‖K‖_F + ‖H − LL†‖_F ≤
+    √2·‖A − LL†‖_F, and what ``eigvalsh`` reads has eigenvalues
+    ≥ -ATOL_PSD/√2.  Rank r costs O(d²·r) time and one d×d array.
     """
     d = mat.shape[0]
     stop = ATOL_PSD / (2 * d)
@@ -358,7 +361,7 @@ def born_probability(
         out = targets + [t + n for t in targets]
         reduced = np.einsum(tens, list(range(n)) + cols, out)
         value = float(np.real(np.sum(reduced.reshape(k, k) * proj.operator.T)))
-    if value < -ATOL_PSD:
+    if not value >= -ATOL_PSD:
         raise ValueError(f"Born probability {value!r} below -1e-10")
     if value > 1.0 + ATOL_PROB:
         raise ValueError(f"Born probability {value!r} above 1")

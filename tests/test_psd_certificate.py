@@ -19,7 +19,7 @@ from wignersim.states import ATOL_PSD, DensityMatrix, _psd_certified
 BAND = 1e-13  # verdicts this close to -ATOL_PSD may go either way
 
 
-def register(d):
+def one_factor(d):
     return SubsystemRegistry.build([("S", tuple(str(i) for i in range(d)))])
 
 
@@ -44,8 +44,8 @@ def from_spectrum(spectrum, seed, skew=0.0, d=None):
 def spectra(draw, kinds=("low-rank", "full-rank", "perturbed")):
     """(spectrum, seed, skew, d); positive parts are scaled to trace 1.
 
-    A spectrum covers m ≤ d rows; a full-rank one covers all d.  One weight
-    in about five is tiny (1e-9 to 1e-6), so the proof must pivot on it."""
+    A spectrum covers m ≤ d rows; a full-rank one covers all d.  About half
+    the weights are tiny (1e-9 to 1e-6), so the proof must pivot on them."""
     kind = draw(st.sampled_from(kinds))
     least = 2 if kind == "perturbed" else 1
     d = draw(st.integers(least, 64))
@@ -69,7 +69,7 @@ def spectra(draw, kinds=("low-rank", "full-rank", "perturbed")):
 
 def accepts(mat):
     try:
-        DensityMatrix(register(len(mat)), mat, subnormalized=True)
+        DensityMatrix(one_factor(len(mat)), mat, subnormalized=True)
     except ValueError as err:
         assert "negative eigenvalue" in str(err)
         return False

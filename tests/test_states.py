@@ -325,6 +325,12 @@ class TestNotANumberRejected:
         with pytest.raises(ValueError, match="projector is not Hermitian"):
             Projector(("S",), reg, np.array([[self.NAN, 0.0], [0.0, 0.0]]))
 
+    def test_born_probability_of_an_unnormalized_branch(self):
+        reg = qubit("S")
+        branch = StateVector(reg, [self.NAN, 1.0], normalized=False)
+        with pytest.raises(ValueError, match="Born probability nan"):
+            born_probability(branch, basis_projectors(reg.subsystems[0])["0"])
+
     def test_basis_vector_for_projector(self):
         v = StateVector(qubit("S"), [self.NAN, 1.0], normalized=False)
         with pytest.raises(ValueError, match="basis vector not normalized"):
