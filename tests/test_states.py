@@ -302,7 +302,7 @@ class TestDensityMatrixInvariants:
 
 
 class TestNotANumberRejected:
-    """Every bound fails on NaN: no NaN entry gets through a constructor."""
+    """Every bound fails on NaN: no NaN gets through a constructor or a Born probability."""
 
     NAN = float("nan")
 
