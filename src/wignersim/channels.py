@@ -9,16 +9,19 @@ point of that agent's measurement; everything else stays unitary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .registry import Subsystem, SubsystemRegistry
-from .states import StateVector, ZeroProbabilityError
+from .states import StateVector, ZeroProbabilityError, _check_unit_rows, _row_norms_sq
 
 ATOL_ISOMETRY = 1e-12
+# A branch this improbable is dropped: renormalizing it would blow rounding
+# noise up into a unit-norm state.
+BRANCH_CUT = 1e-12
 ATOL_ORTHO = 1e-9
 COMPLETION_RESIDUAL = 1e-6
 
@@ -54,8 +57,18 @@ def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     return mat
 
 
+class _OutcomeMajor:
+    """The matrix layout the stacked kernel multiplies by, cached per isometry."""
+
+    @cached_property
+    def outcome_major(self) -> np.ndarray:
+        """``matrix`` with its rows reordered from (domain, fresh) to (fresh, domain)."""
+        d, k = self.domain_registry.total_dimension, self.appended.dimension
+        return self.matrix.reshape(d, k, d).transpose(1, 0, 2).reshape(k * d, d)
+
+
 @dataclass(frozen=True)
-class MeasurementIsometry:
+class MeasurementIsometry(_OutcomeMajor):
     """V mapping the measured factor into itself tensored with a memory record."""
 
     agent: str
@@ -93,7 +106,7 @@ class MeasurementIsometry:
 
 
 @dataclass(frozen=True)
-class PreparationIsometry:
+class PreparationIsometry(_OutcomeMajor):
     """Controlled preparation of a fresh subsystem, one state per control outcome."""
 
     agent: str
@@ -282,160 +295,178 @@ def build_preparation_isometry(
     )
 
 
-def _check_application(state: StateVector, iso: Isometry) -> None:
+def _check_application(registry: SubsystemRegistry, iso: Isometry) -> None:
     for sub in iso.domain_registry.subsystems:
-        if sub.label not in state.registry:
+        if sub.label not in registry:
             raise ValueError(
                 f"state has no subsystem {sub.label!r} for {iso.agent}'s step"
             )
-        host = state.registry.subsystem(sub.label)
+        host = registry.subsystem(sub.label)
         if host.basis_labels != sub.basis_labels:
             raise ValueError(
                 f"subsystem {sub.label!r} bases differ between the state and "
                 f"{iso.agent}'s step"
             )
-    if iso.appended.label in state.registry:
+    if iso.appended.label in registry:
         raise ValueError(
             f"appended label {iso.appended.label!r} already present in the registry"
         )
 
 
+def _isometry_image(
+    registry: SubsystemRegistry,
+    layout: SubsystemRegistry,
+    amps: np.ndarray,
+    iso: Isometry,
+) -> tuple[SubsystemRegistry, np.ndarray]:
+    """V applied to every row of ``amps`` at once, in the matmul's axis order.
+
+    ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
+    ``layout`` order; ``registry`` lists the same subsystems in registry
+    order.  An axis may be shorter than its subsystem (a record factor, see
+    :class:`_Ensemble`), but not on the step's domain.  The image has
+    shape (B, k, domain…, rest…): the fresh factor, the step's domain, then
+    the other axes in registry order, which keeps the factors a readout sums
+    over together.  The returned layout names that order; nothing is
+    transposed back.  One transpose and one matmul per call, whatever the
+    number of rows.
+    """
+    _check_application(registry, iso)
+    domain = [layout.axis(label) + 1 for label in iso.domain_labels]
+    for axis, sub in zip(domain, iso.domain_registry.subsystems):
+        if amps.shape[axis] != sub.dimension:
+            raise ValueError(
+                f"subsystem {sub.label!r} bases differ between the state and "
+                f"{iso.agent}'s step: it is held as a record factor"
+            )
+    rest = [l for l in registry.labels if l not in iso.domain_labels]
+    order = domain + [layout.axis(label) + 1 for label in rest]
+    d, k = iso.domain_registry.total_dimension, iso.appended.dimension
+    rows = amps.transpose([0] + order).reshape(len(amps), d, -1)
+    image = np.matmul(iso.outcome_major, rows)
+    out = SubsystemRegistry(
+        (iso.appended,) + tuple(layout.subsystems[i - 1] for i in order)
+    )
+    return out, image.reshape((len(amps), k) + tuple(amps.shape[i] for i in order))
+
+
+@dataclass(frozen=True)
+class _Ensemble:
+    """A weighted pure-state ensemble stacked into one array, row b = branch b.
+
+    ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
+    ``layout`` order: the order the last :func:`_isometry_image` left, not
+    registry order, so axes are looked up with ``layout.axis``.  ``registry``
+    lists the same subsystems in registry order.  Every row has unit norm,
+    checked wherever new amplitudes are computed (a step, a renormalization);
+    ``weights`` holds the branch probabilities.
+
+    ``records`` maps a memory label to each row's recorded outcome index: the
+    outcome a collapsed measurement observed, or the one the ensemble was
+    conditioned on.  That is what the agent observed at its step; a later
+    superobserver step may act coherently on the memory.  Until a step acts
+    on it, a recorded memory is a record factor: its axis has length 1 and
+    holds the amplitude at the row's outcome, while ``layout`` keeps the full
+    subsystem.  So rows carry only the factors that are still quantum, and
+    every row shares one layout.
+    """
+
+    registry: SubsystemRegistry
+    layout: SubsystemRegistry
+    amps: np.ndarray
+    weights: np.ndarray
+    records: Mapping[str, np.ndarray]
+
+    @classmethod
+    def of(cls, state: StateVector) -> "_Ensemble":
+        return cls(state.registry, state.registry, state.tensored()[None], np.ones(1), {})
+
+    @classmethod
+    def renormalized(cls, registry, layout, rows, weights, records) -> "_Ensemble":
+        """Rows scaled to unit norm, their probabilities folded into the weights.
+
+        A row of probability ≤ BRANCH_CUT is dropped.  A NaN probability is
+        kept, so the norm check rejects it.
+        """
+        p = _row_norms_sq(rows)
+        keep = ~(p <= BRANCH_CUT)
+        if not keep.all():
+            rows, weights = rows[keep], weights[keep]
+            records = {label: r[keep] for label, r in records.items()}
+        p = p[keep]
+        rows = rows / np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
+        _check_unit_rows(rows)
+        return cls(registry, layout, rows, weights * p, records)
+
+    def is_record(self, label: str) -> bool:
+        axis = self.layout.axis(label)
+        return self.amps.shape[axis + 1] != self.layout.subsystems[axis].dimension
+
+    def expanded(self, labels: Iterable[str]) -> "_Ensemble":
+        """Record factors among ``labels`` back at full length, one-hot at the record.
+
+        One scatter over all rows.
+        """
+        axes = [self.layout.axis(label) + 1 for label in labels if self.is_record(label)]
+        if not axes:
+            return self
+        shape = list(self.amps.shape)
+        where: list = [np.arange(len(self.amps))] + [slice(None)] * (len(shape) - 1)
+        for axis in axes:
+            sub = self.layout.subsystems[axis - 1]
+            shape[axis] = sub.dimension
+            where[axis] = self.records[sub.label]
+        out = np.zeros(shape, dtype=np.complex128)
+        out[tuple(where)] = self.amps.squeeze(axis=tuple(axes))
+        return _Ensemble(self.registry, self.layout, out, self.weights, self.records)
+
+    def stepped(self, iso: Isometry, collapses: bool) -> "_Ensemble":
+        """One step on every row; a collapse splits each row into its outcomes."""
+        ens = self.expanded(iso.domain_labels)
+        registry = ens.registry.extended(iso.appended)
+        layout, image = _isometry_image(ens.registry, ens.layout, ens.amps, iso)
+        if not collapses:
+            _check_unit_rows(image)
+            return _Ensemble(registry, layout, image, ens.weights, ens.records)
+        # Row b·k + i is row b's outcome i; the memory is left a record factor.
+        b, k = image.shape[:2]
+        parent = np.repeat(np.arange(b), k)
+        records = {label: r[parent] for label, r in ens.records.items()}
+        records[iso.appended.label] = np.tile(np.arange(k), b)
+        rows = image.reshape((b * k, 1) + image.shape[2:])
+        return _Ensemble.renormalized(
+            registry, layout, rows, ens.weights[parent], records
+        )
+
+    def selected(self, mask: np.ndarray) -> "_Ensemble":
+        records = {label: r[mask] for label, r in self.records.items()}
+        amps, weights = self.amps[mask], self.weights[mask]
+        return _Ensemble(self.registry, self.layout, amps, weights, records)
+
+    def projected(self, label: str, index: int) -> "_Ensemble":
+        """Memory ``label`` projected onto basis state ``index``, left a record factor."""
+        ens = self.expanded([label])
+        rows = np.take(ens.amps, [index], axis=ens.layout.axis(label) + 1)
+        records = dict(ens.records)
+        records[label] = np.full(len(rows), index)
+        return _Ensemble.renormalized(
+            ens.registry, ens.layout, rows, ens.weights, records
+        )
+
+    def states(self) -> list[StateVector]:
+        """Every row on the full registry: records expanded, axes in registry order."""
+        full = self.expanded(self.registry.labels)
+        perm = [0] + [full.layout.axis(label) + 1 for label in self.registry.labels]
+        return [StateVector(self.registry, row) for row in full.amps.transpose(perm)]
+
+
 def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
     """Apply an isometry; the fresh factor lands at the end of the registry."""
-    out = _isometry_image(state, iso).reshape(-1)
-    return StateVector(
-        state.registry.extended(iso.appended), out, normalized=state.normalized
-    )
-
-
-def _isometry_image(state: StateVector, iso: Isometry) -> np.ndarray:
-    """V|state⟩ as an amplitude tensor: the state's axes, then the fresh factor."""
-    _check_application(state, iso)
-    registry = state.registry
-    dims = list(registry.dims)
-    n = len(dims)
-    domain_axes = [registry.axis(l) for l in iso.domain_labels]
-    rest_axes = [i for i in range(n) if i not in domain_axes]
-    d_in = math.prod(dims[a] for a in domain_axes)
-    k = iso.appended.dimension
-
-    tens = state.tensored().transpose(rest_axes + domain_axes)
-    flat = tens.reshape(-1, d_in) @ iso.matrix.T  # rows: rest, cols: (domain, new)
-    shaped = flat.reshape(
-        [dims[a] for a in rest_axes] + [dims[a] for a in domain_axes] + [k]
-    )
-    cur_axes = rest_axes + domain_axes
-    perm_back = [cur_axes.index(i) for i in range(n)] + [n]
-    return shaped.transpose(perm_back)
-
-
-def _record_slice(
-    subsystems: tuple[Subsystem, ...], tens: np.ndarray, axis: int, index: int
-) -> tuple[float, StateVector | None]:
-    """Project factor ``axis`` of ``tens`` onto basis state ``index``, renormalized.
-
-    ``tens`` is an amplitude tensor over ``subsystems``.  The projected
-    factor is kept as a record factor: the one-dimensional
-    ``Subsystem(label, 1, (basis_label,))`` at the same axis, so no zero
-    slices are stored.  Returns (probability, state), or (0.0, None) below
-    probability 1e-12.
-    """
-    where: list = [slice(None)] * tens.ndim
-    where[axis] = index
-    projected = tens[tuple(where)]
-    p = float(np.sum(np.abs(projected) ** 2))
-    if p <= 1e-12:
-        return 0.0, None
-    sub = subsystems[axis]
-    record = Subsystem(sub.label, 1, (sub.basis_labels[index],))
-    registry = SubsystemRegistry(subsystems[:axis] + (record,) + subsystems[axis + 1 :])
-    return p, StateVector(registry, projected / math.sqrt(p))
-
-
-def _record_branches(
-    state: StateVector, iso: MeasurementIsometry
-) -> list[tuple[str, float, StateVector | None]]:
-    """Outcome branches of one measurement, each memory kept as a record factor.
-
-    Branch i stores the measurement's memory as the one-dimensional
-    ``Subsystem(memory_label, 1, (label_i,))`` at the end of the registry, so
-    a collapse adds no axis length and no zero slices.  Probabilities and
-    ``None`` branches are as in :func:`branch_decomposition`.
-    """
-    tens = _isometry_image(state, iso)
-    subsystems = state.registry.subsystems + (iso.memory,)
-    return [
-        (label, *_record_slice(subsystems, tens, tens.ndim - 1, i))
-        for i, label in enumerate(iso.outcome_labels)
-    ]
-
-
-def _record_index(held: Subsystem, full: Subsystem) -> slice:
-    """Where ``held`` sits inside ``full``: all of it, or one recorded basis state.
-
-    ``held`` is either ``full`` itself or a record factor of it, the
-    one-dimensional subsystem that :func:`_record_slice` leaves for a
-    collapsed or conditioned memory.
-    """
-    if held == full:
-        return slice(None)
-    if (
-        held.label != full.label
-        or held.dimension != 1
-        or held.basis_labels[0] not in full.basis_labels
-    ):
-        raise ValueError(f"subsystem {held.label!r} is not a record of {full}")
-    index = full.basis_index(held.basis_labels[0])
-    return slice(index, index + 1)
-
-
-def _record_rows(held: Sequence[Subsystem], full: SubsystemRegistry) -> np.ndarray:
-    """Flat indices, in ``full``, of the basis states that ``held`` spans.
-
-    ``held`` lists one subsystem per factor of ``full``, in order: the factor
-    itself or a record factor of it.  A flattened amplitude tensor over
-    ``held`` is the vector over ``full`` restricted to these rows.
-    """
-    where = tuple(_record_index(h, f) for h, f in zip(held, full.subsystems))
-    return np.arange(full.total_dimension).reshape(full.dims)[where].reshape(-1)
-
-
-def _project_record(
-    state: StateVector, memory: Subsystem, outcome: str
-) -> tuple[float, StateVector | None]:
-    """Project ``memory`` onto ``outcome``, renormalized, leaving a record factor.
-
-    Returns (probability, state), or (0.0, None) below probability 1e-12, as
-    :func:`_record_slice` does.  A memory already held as a record factor is
-    expanded first.
-    """
-    state = _expand_records(state, [memory])
-    return _record_slice(
-        state.registry.subsystems,
-        state.tensored(),
-        state.registry.axis(memory.label),
-        memory.basis_index(outcome),
-    )
-
-
-def _expand_records(state: StateVector, full: Sequence[Subsystem]) -> StateVector:
-    """Expand the record factors of the ``full`` subsystems back to full length.
-
-    An expanded memory is one-hot at the recorded outcome.  The state is
-    returned unchanged when it holds every subsystem of ``full`` already.
-    """
-    if all(sub in state.registry.subsystems for sub in full):
-        return state
-    subsystems = list(state.registry.subsystems)
-    where: list[slice] = [slice(None)] * len(subsystems)
-    for sub in full:
-        axis = state.registry.axis(sub.label)
-        where[axis] = _record_index(subsystems[axis], sub)
-        subsystems[axis] = sub
-    expanded = SubsystemRegistry(tuple(subsystems))
-    out = np.zeros(expanded.dims, dtype=np.complex128)
-    out[tuple(where)] = state.tensored()
-    return StateVector(expanded, out, normalized=state.normalized)
+    amps = state.tensored()[None]
+    layout, image = _isometry_image(state.registry, state.registry, amps, iso)
+    registry = state.registry.extended(iso.appended)
+    perm = [layout.axis(label) for label in registry.labels]
+    return StateVector(registry, image[0].transpose(perm), normalized=state.normalized)
 
 
 def branch_decomposition(
@@ -443,17 +474,18 @@ def branch_decomposition(
 ) -> list[tuple[str, float, StateVector | None]]:
     """Outcome branches of one measurement: (label, probability, branch).
 
-    Branches below probability 1e-12 are reported with probability 0.0 and a
-    ``None`` branch.  For a normalized input the probabilities sum to 1.
-    Every branch lives on the input registry extended by the full memory
-    factor, one-hot at the branch's outcome.
+    Branches of probability ≤ BRANCH_CUT (1e-12) are reported with
+    probability 0.0 and a ``None`` branch.  For a normalized input the
+    probabilities sum to 1.  Every branch lives on the input registry
+    extended by the full memory factor, one-hot at the branch's outcome.
     """
-    out = []
-    for label, p, branch in _record_branches(state, iso):
-        if branch is not None:
-            branch = _expand_records(branch, [iso.memory])
-        out.append((label, p, branch))
-    return out
+    ens = _Ensemble.of(state).stepped(iso, collapses=True)
+    records = ens.records[iso.memory_label].tolist()
+    found = dict(zip(records, zip(ens.weights.tolist(), ens.states())))
+    return [
+        (label, *found.get(i, (0.0, None)))
+        for i, label in enumerate(iso.outcome_labels)
+    ]
 
 
 def collapse(

@@ -5,7 +5,8 @@ Subcommands: ``tables`` (joint/marginal/conditional distributions),
 the exact joint), ``export-preset`` (experiment JSON).
 
 Exit codes: 0 success or consistent, 1 contradiction found, 2 usage or
-config error, 3 conditioning on a zero-probability event.
+config error, 3 conditioning on a zero-probability event, 4 internal failure
+(any other exception, such as running out of memory).
 
 Output is deterministic: same inputs, byte-identical bytes.  Tables are
 ordered by memory-basis position, never alphabetically, and floats use a
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONTRADICTION = 1
 EXIT_USAGE = 2
 EXIT_IMPOSSIBLE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -422,6 +424,10 @@ def main(argv: list[str] | None = None) -> int:
     except ZeroProbabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
+    except Exception as err:  # a fault, never a verdict: exit 1 means a contradiction
+        message = " ".join(str(err).split())
+        print(f"error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

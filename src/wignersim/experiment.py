@@ -16,6 +16,7 @@ distribution it is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -23,16 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channels import (
-    CollapseModel,
-    Isometry,
-    MeasurementIsometry,
-    _expand_records,
-    _project_record,
-    _record_branches,
-    _record_rows,
-    apply_isometry,
-)
+from .channels import CollapseModel, Isometry, MeasurementIsometry, _Ensemble
 from .registry import SubsystemRegistry
 from .states import DensityMatrix, StateVector, ZeroProbabilityError
 
@@ -92,11 +84,11 @@ class ExperimentSpec:
                         f"halting outcome {outcome!r} is not an outcome of {agent!r}"
                     )
 
-    @property
+    @cached_property
     def measuring_steps(self) -> tuple[Step, ...]:
         return tuple(s for s in self.steps if s.is_measurement)
 
-    @property
+    @cached_property
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(s.agent for s in self.measuring_steps)
 
@@ -240,131 +232,88 @@ class ConditionalTable:
         return tuple(g for g in self.given_alphabet if g in self.columns)
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """One collapsed-evolution branch: state plus the outcomes observed so far.
-
-    ``records`` holds the results of measurements the model collapsed.  Those
-    are what the agents actually observed at their steps; reading the memory
-    factor again at the end of the circuit can differ, because a later
-    superobserver measurement acts coherently on the record.  A conditioned
-    ensemble also records each outcome it was projected onto.
-
-    A collapsed measurement's memory stays in ``state`` as a record factor:
-    the one-dimensional ``Subsystem(memory_label, 1, (outcome,))`` at the
-    memory's usual registry position, as does a memory the ensemble was
-    conditioned on (see :func:`_condition_branches`).  ``state`` therefore
-    only carries the factors that are still quantum, and every
-    ``registry.axis`` lookup holds.  A record is expanded back to the full
-    memory, one-hot at the outcome (:func:`_expand_records`), before a step
-    acts on it; :func:`_reduced_density` adds a kept record's block at the
-    rows of its outcome.
-    """
-
-    weight: float
-    state: StateVector
-    records: tuple[tuple[str, str], ...]
-
-
 def _evolved_branches(
     spec: ExperimentSpec,
     model: CollapseModel,
     through_time: int | None = None,
-) -> list[_Branch]:
-    """Weighted pure-state ensemble after evolving under the model.
+) -> _Ensemble:
+    """The ensemble after evolving under the model, stacked (see :class:`_Ensemble`).
 
-    Collapsed memories are record factors (see :class:`_Branch`), so a branch
-    scales with the factors that are still quantum, not with the full
-    registry; a collapse divides the applied state into its outcome slices.
-    Records are expanded against the experiment's registry, so a step whose
-    domain basis differs from it fails the same check with or without collapse.
+    Each step is one transpose and one matmul over all rows, and its output
+    axis order is kept (see :func:`~wignersim.channels._isometry_image`):
+    only a result that needs registry order, such as ``_Ensemble.states`` or
+    :func:`_reduced_density`, permutes.
+    Collapsed memories are record factors, so a row scales with the factors
+    that are still quantum, not with the full registry; a collapse divides
+    every row into its outcome rows.  Records are expanded against the
+    ensemble's layout, which holds the experiment's subsystems, so a step
+    whose domain basis differs from it fails the same check with or without
+    collapse.
     """
     if model.kind == "subjective" and model.agent not in spec.measuring_agents:
         raise ValueError(
             f"collapse model names unknown agent {model.agent!r} for {spec.name!r}"
         )
-    registry = spec.registry_after(through_time)
-    branches = [_Branch(1.0, spec.initial, ())]
+    ens = _Ensemble.of(spec.initial)
     for step in spec.steps:
         if through_time is not None and step.time > through_time:
             break
-        domain = [registry.subsystem(label) for label in step.iso.domain_labels]
-        states = [_expand_records(b.state, domain) for b in branches]
-        if step.is_measurement and model.collapses_at(step.agent):
-            nxt = []
-            for b, state in zip(branches, states):
-                for label, p, branch in _record_branches(state, step.iso):
-                    if branch is not None:
-                        nxt.append(
-                            _Branch(
-                                b.weight * p,
-                                branch,
-                                b.records + ((step.agent, label),),
-                            )
-                        )
-            branches = nxt
-        else:
-            branches = [
-                _Branch(b.weight, apply_isometry(state, step.iso), b.records)
-                for b, state in zip(branches, states)
-            ]
-    return branches
-
-
-def _memory_readout(state: StateVector, memory_axes: list[int]) -> np.ndarray:
-    """Joint outcome probabilities over the given memory axes."""
-    probs = np.abs(state.tensored()) ** 2
-    return probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in memory_axes))
+        collapses = step.is_measurement and model.collapses_at(step.agent)
+        ens = ens.stepped(step.iso, collapses)
+    return ens
 
 
 def _condition_branches(
-    branches: list[_Branch],
+    ens: _Ensemble,
     spec: ExperimentSpec,
     model: CollapseModel,
     condition: Mapping[str, str],
-) -> list[_Branch]:
+) -> _Ensemble:
     """Condition the ensemble on memory outcomes, renormalizing the weights.
 
-    If the model collapsed an agent's measurement, conditioning selects the
-    matching branches (the outcome was decided at the step).  Otherwise the
-    record still lives coherently in the memory factor and conditioning is a
-    projective update on the final state, which leaves that memory as a
-    record factor too and adds the outcome to the branch's records.
+    If the model collapsed an agent's measurement, conditioning keeps the
+    rows with the matching record (the outcome was decided at the step).
+    Otherwise the record still lives coherently in the memory factor and
+    conditioning is a projective update on every row, which leaves that
+    memory a record factor too and records the outcome.
     """
-    work = branches
     for agent, outcome in condition.items():
         step = spec.step_for(agent)
         if outcome not in step.iso.outcome_labels:
             raise KeyError(f"{outcome!r} is not an outcome of {agent!r}")
+        label, index = step.iso.memory_label, step.iso.outcome_labels.index(outcome)
         if model.collapses_at(agent):
-            work = [b for b in work if (agent, outcome) in b.records]
+            ens = ens.selected(ens.records[label] == index)
         else:
-            projected = []
-            for b in work:
-                p, state = _project_record(b.state, step.iso.memory, outcome)
-                if state is not None:
-                    records = b.records + ((agent, outcome),)
-                    projected.append(_Branch(b.weight * p, state, records))
-            work = projected
-    total = sum(b.weight for b in work)
+            ens = ens.projected(label, index)
+    total = float(ens.weights.sum())
     if total <= CONDITION_EPS:
         raise ZeroProbabilityError(
             f"conditioning on {dict(condition)} has zero probability"
         )
-    return [_Branch(b.weight / total, b.state, b.records) for b in work]
+    return _Ensemble(ens.registry, ens.layout, ens.amps, ens.weights / total, ens.records)
+
+
+def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.ndarray:
+    """Each row's records as one flat index into an array of shape ``dims``."""
+    key = np.zeros(rows, dtype=np.intp)
+    for record, dim in zip(records, dims):
+        key = key * dim + record
+    return key
 
 
 def _joint(
-    branches: list[_Branch],
+    ens: _Ensemble,
     spec: ExperimentSpec,
     model: CollapseModel,
     through_time: int | None,
 ) -> JointDistribution:
-    """Joint distribution of what a branch ensemble observed by ``through_time``.
+    """Joint distribution of what an ensemble observed by ``through_time``.
 
-    An agent with a record in the branch (a collapsed measurement, or an
-    outcome the ensemble was conditioned on) contributes that outcome; every
-    other agent contributes the diagonal readout of its memory factor.
+    An agent with a record (a collapsed measurement, or an outcome the
+    ensemble was conditioned on) contributes that outcome; every other agent
+    contributes the diagonal readout of its memory factor.  The readout is
+    one |ψ|² reduction over all rows; rows are then summed by record.
     """
     steps = [
         s
@@ -373,21 +322,28 @@ def _joint(
     ]
     agents = tuple(s.agent for s in steps)
     alphabets = {s.agent: s.iso.outcome_labels for s in steps}
-    memories = {s.agent: s.iso.memory_label for s in steps}
-    array = np.zeros(tuple(len(s.iso.outcome_labels) for s in steps))
-    for b in branches:
-        records = dict(b.records)
-        memory_axes = [
-            b.state.registry.axis(memories[a]) for a in agents if a not in records
-        ]
-        readout = b.weight * _memory_readout(b.state, memory_axes)
-        # An agent with a record sits at it; every other agent spans its axis.
-        cells = tuple(
-            alphabets[a].index(records[a]) if a in records else slice(None)
-            for a in agents
-        )
-        array[cells] += np.where(readout > SUPPORT_EPS, readout, 0.0)
-    return JointDistribution(agents, alphabets, array, model.tag)
+    memories = [s.iso.memory_label for s in steps]
+    recorded = [i for i, m in enumerate(memories) if m in ens.records]
+    # Free agents in axis order, so the readout needs no transpose.
+    free = sorted(
+        (ens.layout.axis(m) + 1, i) for i, m in enumerate(memories) if m not in ens.records
+    )
+    axes = [axis for axis, _ in free]
+    free = [i for _, i in free]
+    probs = np.abs(ens.amps) ** 2
+    readout = probs.sum(axis=tuple(a for a in range(1, probs.ndim) if a not in axes))
+    readout *= ens.weights.reshape((-1,) + (1,) * len(free))
+    readout[readout <= SUPPORT_EPS] = 0.0
+    # Each row lands on the cells of its records.  No two rows share their
+    # records: a collapse gives its outcome rows distinct records, and
+    # selecting or projecting rows keeps them distinct.
+    dims = [len(alphabets[agents[i]]) for i in recorded]
+    array = np.zeros((math.prod(dims),) + readout.shape[1:])
+    array[_record_keys([ens.records[memories[i]] for i in recorded], dims, len(readout))] = readout
+    array = array.reshape(dims + list(readout.shape[1:]))
+    order = recorded + free
+    array = array.transpose([order.index(i) for i in range(len(agents))])
+    return JointDistribution(agents, alphabets, array.copy(), model.tag)
 
 
 def evolve(
@@ -396,8 +352,7 @@ def evolve(
     through_time: int | None = None,
 ) -> JointDistribution:
     """Exact joint distribution of the outcomes observed by ``through_time``."""
-    branches = _evolved_branches(spec, model, through_time)
-    return _joint(branches, spec, model, through_time)
+    return _joint(_evolved_branches(spec, model, through_time), spec, model, through_time)
 
 
 def evolved_density(
@@ -414,9 +369,8 @@ def evolved_density(
     for the density's rank r ≤ B; the O(d³) ``eigvalsh`` runs only if that
     proof fails.
     """
-    branches = _evolved_branches(spec, model, through_time)
-    registry = spec.registry_after(through_time)
-    return _reduced_density(branches, registry, registry.labels)
+    ens = _evolved_branches(spec, model, through_time)
+    return _reduced_density(ens, ens.registry.labels)
 
 
 def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
@@ -488,34 +442,46 @@ def conditional_via_renormalized_state(
     Bayes' rule on the joint distribution of the same model.
     """
     through = max(spec.step_for(target).time, spec.step_for(given).time)
-    branches = _evolved_branches(spec, model, through_time=through)
-    conditioned = _condition_branches(branches, spec, model, {given: given_outcome})
+    ens = _evolved_branches(spec, model, through_time=through)
+    conditioned = _condition_branches(ens, spec, model, {given: given_outcome})
     return marginal(_joint(conditioned, spec, model, through), target)
 
 
-def _reduced_density(
-    branches: list[_Branch], registry: SubsystemRegistry, keep: Iterable[str]
-) -> DensityMatrix:
+def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:
     """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
 
-    Ψ_b is branch b's amplitude tensor with the kept axes moved first and
-    reshaped to (kept, discarded), so the discarded factors are contracted
-    away branch by branch and no d×d matrix is ever formed.  A kept record
-    factor has length 1: Ψ_b Ψ_b† then fills only the rows and columns of
-    the recorded outcome, and is added there.  Discarded records cost nothing.
+    Ψ_b is row b with its kept quantum axes moved first and reshaped to
+    (kept, discarded), so the discarded factors are contracted away and no
+    d×d matrix is ever formed.  A kept record factor has length 1: row b then
+    fills only the block of its recorded outcomes.  Rows that share those
+    records are one matmul over all of them, scaled by √w_b, so with no kept
+    record the whole ensemble is one contraction.  Discarded records cost
+    nothing.  The kept axes are permuted to registry order once, at the end.
     """
-    sub_registry = registry.restricted(keep)
-    keep_axes = [registry.axis(label) for label in sub_registry.labels]
-    order = keep_axes + [i for i in range(len(registry.dims)) if i not in keep_axes]
+    sub_registry = ens.registry.restricted(keep)
+    layout = ens.layout
+    held = [label for label in sub_registry.labels if ens.is_record(label)]
+    quantum = [label for label in sub_registry.labels if label not in held]
+    axes = [layout.axis(label) + 1 for label in quantum]
+    other = [a for a in range(1, ens.amps.ndim) if a not in axes]
+    rows = len(ens.amps)
+    perm = axes + [0] + other
+    scale = np.sqrt(ens.weights).reshape((-1,) + (1,) * (ens.amps.ndim - 1))
+    psi = np.multiply(ens.amps.transpose(perm), scale.transpose(perm), order="C")
+    q = math.prod(psi.shape[: len(axes)])
+    psi = psi.reshape(q, rows, -1)
+    held_dims = [layout.subsystem(label).dimension for label in held]
+    key = _record_keys([ens.records[label] for label in held], held_dims, rows)
+    rho = np.zeros((math.prod(held_dims), q, math.prod(held_dims), q), dtype=np.complex128)
+    for k in sorted(set(key.tolist())):
+        block = (psi[:, key == k] if held else psi).reshape(q, -1)
+        rho[k, :, k, :] = block @ block.conj().T
+    dims = held_dims + [layout.subsystem(label).dimension for label in quantum]
+    order = held + quantum
+    perm = [order.index(label) for label in sub_registry.labels]
+    rho = rho.reshape(dims + dims).transpose(perm + [len(perm) + i for i in perm])
     d_keep = sub_registry.total_dimension
-    rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
-    for b in branches:
-        held = b.state.registry.subsystems
-        rows = _record_rows([held[a] for a in keep_axes], sub_registry)
-        psi = b.state.tensored().transpose(order).reshape(rows.size, -1)
-        at = np.ix_(rows, rows) if rows.size < d_keep else (slice(None), slice(None))
-        rho[at] += b.weight * (psi @ psi.conj().T)
-    return DensityMatrix(sub_registry, rho)
+    return DensityMatrix(sub_registry, rho.reshape(d_keep, d_keep))
 
 
 def memory_state(
@@ -533,7 +499,7 @@ def memory_state(
 
     The reduced state is built from the branch ensemble directly, in
     O(B·d·d_keep) time for B branches over total dimension d.  Beyond the
-    branch states it holds one reshaped branch and the d_keep×d_keep result,
+    ensemble it holds one reordered copy of it and the d_keep×d_keep result,
     so the cost scales with the kept factors.  The returned matrix passes the full
     :class:`DensityMatrix` checks (Hermitian, unit trace, positive
     semidefinite).  Positivity is proved by a pivoted Cholesky in
@@ -548,10 +514,10 @@ def memory_state(
     keep = [l for l in registry.labels if l not in discard]
     if not keep:
         raise ValueError("discard names every subsystem; nothing is left to keep")
-    branches = _evolved_branches(spec, model)
+    ens = _evolved_branches(spec, model)
     if given:
-        branches = _condition_branches(branches, spec, model, given)
-    return _reduced_density(branches, registry, keep)
+        ens = _condition_branches(ens, spec, model, given)
+    return _reduced_density(ens, keep)
 
 
 def post_select(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -50,8 +51,10 @@ class SubsystemRegistry:
 
     def __post_init__(self) -> None:
         labels = [s.label for s in self.subsystems]
-        if len(set(labels)) != len(labels):
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError(f"duplicate subsystem labels in {labels}")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(cls, spec: Iterable[tuple[str, Iterable[str]]]) -> "SubsystemRegistry":
@@ -62,11 +65,11 @@ class SubsystemRegistry:
             subs.append(Subsystem(label, len(basis), basis))
         return cls(tuple(subs))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.subsystems)
+        return tuple(self._index)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dimension for s in self.subsystems)
 
@@ -75,13 +78,13 @@ class SubsystemRegistry:
         return math.prod(self.dims) if self.subsystems else 1
 
     def __contains__(self, label: str) -> bool:
-        return any(s.label == label for s in self.subsystems)
+        return label in self._index
 
     def axis(self, label: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.label == label:
-                return i
-        raise KeyError(f"unknown subsystem label {label!r}")
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"unknown subsystem label {label!r}") from None
 
     def subsystem(self, label: str) -> Subsystem:
         return self.subsystems[self.axis(label)]

@@ -51,6 +51,27 @@ def _format_coefficient(z: complex) -> str:
     return f"({z.real:.8g}{z.imag:+.8g}j)"
 
 
+def _not_normalized(norm_sq: float) -> ValueError:
+    return ValueError(
+        f"state not normalized: |psi|^2 = {norm_sq!r} "
+        "(pass normalized=False for an unnormalized branch)"
+    )
+
+
+def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
+    """|row|² for every row of a complex array (B, …)."""
+    real = rows.reshape(len(rows), math.prod(rows.shape[1:])).view(np.float64)
+    return (real[:, None, :] @ real[:, :, None]).reshape(len(rows))
+
+
+def _check_unit_rows(rows: np.ndarray) -> None:
+    """Raise as :class:`StateVector` does unless every row has unit norm."""
+    norm_sq = _row_norms_sq(rows)
+    off = np.abs(norm_sq - 1.0)
+    if not off.max(initial=0.0) <= ATOL_CONSTRUCT:
+        raise _not_normalized(float(norm_sq[~(off <= ATOL_CONSTRUCT)][0]))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state over a registry; amplitudes are flat in canonical C-order."""
@@ -70,10 +91,7 @@ class StateVector:
         if self.normalized:
             norm_sq = float(np.vdot(amps, amps).real)
             if not abs(norm_sq - 1.0) <= ATOL_CONSTRUCT:
-                raise ValueError(
-                    f"state not normalized: |psi|^2 = {norm_sq!r} "
-                    "(pass normalized=False for an unnormalized branch)"
-                )
+                raise _not_normalized(norm_sq)
 
     @classmethod
     def from_terms(

@@ -62,19 +62,23 @@ def test_superobserver_outcome_projectors():
     # and reproduce the halting probability directly from the final state.
     from wignersim.experiment import _evolved_branches
 
-    (branch,) = _evolved_branches(spec, NO_COLLAPSE)
+    ensemble = _evolved_branches(spec, NO_COLLAPSE)
+    assert ensemble.weights.tolist() == [1.0]
+    (state,) = ensemble.states()
+    registry = state.registry
+    assert registry == spec.registry_after()
     p_both = born_probability(
-        branch.state,
+        state,
         projector_from_basis_vector(assistant.basis[0]),
     )
     assert p_both == pytest.approx(1 / 6, abs=1e-9)  # P(a=o), memory untouched
     p_o_then_O = float(
         np.real(
             np.vdot(
-                branch.state.amplitudes,
-                o_proj.matrix_on(branch.state.registry)
-                @ big_o_proj.matrix_on(branch.state.registry)
-                @ branch.state.amplitudes,
+                state.amplitudes,
+                o_proj.matrix_on(registry)
+                @ big_o_proj.matrix_on(registry)
+                @ state.amplitudes,
             )
         )
     )

@@ -221,6 +221,38 @@ class TestSample:
         assert b"--seed must be in [0, 2**128)" in result.stderr
 
 
+class TestInternalFailure:
+    """Any exception ``main`` does not map to 2 or 3 exits 4, never 1.
+
+    The handler is replaced by one that raises, so no test allocates the
+    memory that, say, ``sample --shots 10000000000000`` would ask for.
+    """
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RuntimeError("boom\non two lines"),
+            MemoryError("Unable to allocate 72.8 TiB for an array"),
+        ],
+        ids=["RuntimeError", "MemoryError"],
+    )
+    def test_unhandled_exception_exits_4_with_one_error_line(
+        self, monkeypatch, capsys, exc
+    ):
+        from wignersim import cli
+
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_sample", fail)
+        code = cli.main(["sample", "--preset", "fr", "--shots", "10", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == f"error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+        assert "Traceback" not in err
+
+
 class TestExportPreset:
     def test_unwritable_out_path_exits_2(self, tmp_path):
         path = tmp_path / "missing" / "fr.json"

@@ -1,8 +1,8 @@
 """Collapsed memories as record factors, against the dense reference ensemble.
 
-Under a collapse model each branch keeps a collapsed memory as a
-one-dimensional record factor instead of a full factor that is one-hot at the
-outcome.  Here the record-factor ensemble, the ``evolve`` joint and the
+Under a collapse model each row of the stacked ensemble keeps a collapsed
+memory as a length-1 record factor instead of a full factor that is one-hot
+at the outcome.  Here the stacked ensemble, the ``evolve`` joint and the
 renormalized-state conditional are compared, for every preset and model, with
 :mod:`dense_ensemble`, which keeps every branch on the full registry.  The
 memory states and evolved densities built from the same ensemble are checked
@@ -11,6 +11,7 @@ against it in ``test_reduced_density.py``.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,8 @@ from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
-    _expand_records,
-    apply_isometry,
+    _Ensemble,
+    _isometry_image,
     build_measurement_isometry,
 )
 from wignersim.experiment import (
@@ -30,7 +31,6 @@ from wignersim.experiment import (
     OutcomeAssignment,
     Step,
     _evolved_branches,
-    _memory_readout,
     conditional_via_renormalized_state,
     evolve,
     marginal,
@@ -53,6 +53,15 @@ def through_times(spec):
     return [None] + [s.time for s in spec.steps]
 
 
+def row_records(ensemble, spec, row):
+    """Row ``row``'s records as (agent, outcome) pairs, in the order recorded."""
+    agent_of = {s.iso.memory_label: s.agent for s in spec.measuring_steps}
+    return tuple(
+        (agent_of[label], ensemble.layout.subsystem(label).basis_labels[r[row]])
+        for label, r in ensemble.records.items()
+    )
+
+
 @pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
 def test_branches_are_the_dense_branches_with_records_folded(name, model):
     spec = presets()[name]()
@@ -60,19 +69,21 @@ def test_branches_are_the_dense_branches_with_records_folded(name, model):
         registry = spec.registry_after(through)
         got = _evolved_branches(spec, model, through)
         want = dense_ensemble(spec, model, through)
-        assert len(got) == len(want)
-        for b, w in zip(got, want):
-            assert b.records == w.records
-            assert abs(b.weight - w.weight) < ORACLE_ATOL
-            # Labels never move; a record factor holds exactly its outcome.
-            assert b.state.registry.labels == registry.labels
-            for agent, outcome in b.records:
-                label = spec.step_for(agent).iso.memory_label
-                held = b.state.registry.subsystem(label)
-                assert held in (Subsystem(label, 1, (outcome,)), registry.subsystem(label))
-            full = _expand_records(b.state, registry.subsystems)
-            assert full.registry == registry
-            assert np.max(np.abs(full.amplitudes - w.state.amplitudes)) < ORACLE_ATOL
+        assert len(got.amps) == len(got.weights) == len(want)
+        # Labels never move; a record factor holds exactly its outcome.
+        assert sorted(got.layout.subsystems, key=registry.subsystems.index) == list(
+            registry.subsystems
+        )
+        for label in registry.labels:
+            held = got.amps.shape[got.layout.axis(label) + 1]
+            assert held == registry.subsystem(label).dimension or (
+                held == 1 and label in got.records
+            )
+        for row, (state, w) in enumerate(zip(got.states(), want)):
+            assert row_records(got, spec, row) == w.records
+            assert abs(got.weights[row] - w.weight) < ORACLE_ATOL
+            assert state.registry == registry
+            assert np.max(np.abs(state.amplitudes - w.state.amplitudes)) < ORACLE_ATOL
 
 
 def joint_array(joint, agents, alphabets):
@@ -136,8 +147,8 @@ def test_renormalized_state_conditional_matches_dense_ensemble(name, model):
 
 
 def ndindex_joint(spec, model):
-    """The readout loop over every cell, as ``evolve`` had it before."""
-    branches = _evolved_branches(spec, model)
+    """The readout loop over every cell, row by row, as ``evolve`` had it before."""
+    ensemble = _evolved_branches(spec, model)
     registry = spec.registry_after()
     steps = spec.measuring_steps
     agents = tuple(s.agent for s in steps)
@@ -145,13 +156,15 @@ def ndindex_joint(spec, model):
     memory_axes = [registry.axis(s.iso.memory_label) for s in readout_steps]
     mem_dims = tuple(registry.dims[a] for a in memory_axes)
     probs = {}
-    for b in branches:
-        readout = b.weight * _memory_readout(b.state, memory_axes)
+    for row, (weight, state) in enumerate(zip(ensemble.weights, ensemble.states())):
+        amps = state.tensored()
+        other = tuple(i for i in range(amps.ndim) if i not in memory_axes)
+        readout = weight * (np.abs(amps) ** 2).sum(axis=other)
         for idx in np.ndindex(*mem_dims):
             p = float(readout[idx])
             if p <= 1e-15:
                 continue
-            by_agent = dict(b.records)
+            by_agent = dict(row_records(ensemble, spec, row))
             for s, i in zip(readout_steps, idx):
                 by_agent[s.agent] = s.iso.outcome_labels[i]
             assignment = OutcomeAssignment.from_pairs((a, by_agent[a]) for a in agents)
@@ -181,9 +194,9 @@ GHZ_BETA = math.sqrt(0.65) * complex(math.cos(1.1), math.sin(1.1))
 def test_ghz44_objective_branches_hold_only_uncollapsed_factors():
     spec = ghz_spec(4, 4, GHZ_ALPHA, GHZ_BETA, (0.3, 0.6, 0.9, 1.2))
     assert spec.registry_after().total_dimension == 65536
-    branches = _evolved_branches(spec, OBJECTIVE_COLLAPSE)
-    assert len(branches) == 32
-    assert max(b.state.registry.total_dimension for b in branches) <= 256
+    ensemble = _evolved_branches(spec, OBJECTIVE_COLLAPSE)
+    assert len(ensemble.weights) == 32
+    assert ensemble.amps[0].size <= 256
     tracemalloc.start()
     try:
         joint = evolve(spec, OBJECTIVE_COLLAPSE)
@@ -199,10 +212,11 @@ def test_ghz44_objective_branches_hold_only_uncollapsed_factors():
 def test_step_on_an_unexpanded_record_factor_raises():
     spec = wigner_friend("superposition")
     friend, wigner = spec.steps
-    (branch, _) = _evolved_branches(spec, CollapseModel.subjective("F"), friend.time)
-    assert branch.state.registry.subsystem("F").dimension == 1
+    ensemble = _evolved_branches(spec, CollapseModel.subjective("F"), friend.time)
+    assert len(ensemble.weights) == 2
+    assert ensemble.is_record("F")
     with pytest.raises(ValueError, match="bases differ"):
-        apply_isometry(branch.state, wigner.iso)
+        _isometry_image(ensemble.registry, ensemble.layout, ensemble.amps, wigner.iso)
 
 
 @pytest.mark.parametrize("model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag)
@@ -217,3 +231,38 @@ def test_step_on_a_memory_in_another_basis_fails_when_applied(model):
     spec = ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
     with pytest.raises(ValueError, match="bases differ"):
         evolve(spec, model)
+
+
+NOT_NORMALIZED = re.compile(
+    r"state not normalized: \|psi\|\^2 = (\S+) "
+    r"\(pass normalized=False for an unnormalized branch\)"
+)
+
+
+@pytest.mark.parametrize("norm_sq", [1 + 2e-12, 1 - 2e-12, math.nan], ids=["high", "low", "nan"])
+@pytest.mark.parametrize("collapses", [False, True], ids=["step", "collapse"])
+def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapses):
+    spec = wigner_friend("superposition")
+    good = spec.initial.tensored()
+    rows = np.stack([good, good * math.sqrt(norm_sq)])
+    with pytest.raises(ValueError) as state_error:
+        StateVector(spec.registry, rows[1])
+    ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
+    if collapses and not math.isnan(norm_sq):
+        # A collapse renormalizes its outcome rows, so only NaN survives it.
+        assert len(ensemble.stepped(spec.steps[0].iso, collapses).weights) == 4
+        return
+    with pytest.raises(ValueError) as ensemble_error, np.errstate(invalid="ignore"):
+        ensemble.stepped(spec.steps[0].iso, collapses)
+    want = NOT_NORMALIZED.fullmatch(str(state_error.value))
+    got = NOT_NORMALIZED.fullmatch(str(ensemble_error.value))
+    assert want and got
+    assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-15, nan_ok=True)
+
+
+def test_row_norm_check_accepts_rows_within_the_bound():
+    spec = wigner_friend("superposition")
+    good = spec.initial.tensored()
+    rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)])
+    ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
+    assert len(ensemble.stepped(spec.steps[0].iso, False).weights) == 2
