@@ -5,6 +5,11 @@ basis into a fresh memory factor: the i-th measurement-basis vector is mapped
 to itself tensored with the i-th memory record.  Collapse, when a model calls
 for it, is the projective update rule with renormalization applied at the
 point of that agent's measurement; everything else stays unitary.
+
+Both run on one kernel, :class:`_Ensemble`: a weighted branch ensemble
+stacked into one array, stepped by one matmul over all its rows.  The public
+:func:`apply_isometry` and :func:`branch_decomposition` use it on a single
+state, and ``experiment.evolve`` on a whole ensemble.
 """
 
 from __future__ import annotations
@@ -350,7 +355,7 @@ def _isometry_image(
     return out, image.reshape((len(amps), k) + tuple(amps.shape[i] for i in order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Ensemble:
     """A weighted pure-state ensemble stacked into one array, row b = branch b.
 

@@ -17,7 +17,7 @@ distribution it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -291,7 +291,7 @@ def _condition_branches(
         raise ZeroProbabilityError(
             f"conditioning on {dict(condition)} has zero probability"
         )
-    return _Ensemble(ens.registry, ens.layout, ens.amps, ens.weights / total, ens.records)
+    return replace(ens, weights=ens.weights / total)
 
 
 def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.ndarray:
@@ -324,12 +324,12 @@ def _joint(
     alphabets = {s.agent: s.iso.outcome_labels for s in steps}
     memories = [s.iso.memory_label for s in steps]
     recorded = [i for i, m in enumerate(memories) if m in ens.records]
-    # Free agents in axis order, so the readout needs no transpose.
+    # The other agents in axis order, which the readout's axes keep.
     free = sorted(
-        (ens.layout.axis(m) + 1, i) for i, m in enumerate(memories) if m not in ens.records
+        (i for i, m in enumerate(memories) if m not in ens.records),
+        key=lambda i: ens.layout.axis(memories[i]),
     )
-    axes = [axis for axis, _ in free]
-    free = [i for _, i in free]
+    axes = [ens.layout.axis(memories[i]) + 1 for i in free]
     probs = np.abs(ens.amps) ** 2
     readout = probs.sum(axis=tuple(a for a in range(1, probs.ndim) if a not in axes))
     readout *= ens.weights.reshape((-1,) + (1,) * len(free))

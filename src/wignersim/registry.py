@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -65,11 +64,11 @@ class SubsystemRegistry:
             subs.append(Subsystem(label, len(basis), basis))
         return cls(tuple(subs))
 
-    @cached_property
+    @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self._index)
 
-    @cached_property
+    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dimension for s in self.subsystems)
 

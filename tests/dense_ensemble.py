@@ -2,10 +2,11 @@
 
 Every branch here is a full-registry ``StateVector``: a collapsed measurement
 keeps its memory factor at full length, one-hot at the outcome, exactly as
-``branch_decomposition`` returns it.  Nothing here calls the private branch
-code of ``wignersim.experiment``, so the record-factor ensemble can be checked
-against it.  :func:`ghz_spec` builds the GHZ friend/superobserver circuits
-that the size tests use.
+``branch_decomposition`` returns it.  It checks the stacked ensemble's
+branch order, record layout and record-factor bookkeeping.  The public
+functions run on the same stacked kernel, so for an oracle that shares no
+code with it see :mod:`numpy_oracle`.  :func:`ghz_spec` builds the GHZ
+friend/superobserver circuits that the size tests use.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ from the branch ensemble.  The reference kept here is the dense route they
 replaced: sum every branch's outer product into the full d×d density,
 validate it as a ``DensityMatrix``, then ``partial_trace`` it.  The branches
 come from :mod:`dense_ensemble`, which builds full-registry states from the
-public ``apply_isometry`` and ``branch_decomposition``, so the reference
-shares no code with the record-factor ensemble it checks.
+public ``apply_isometry`` and ``branch_decomposition``.  Those share the
+stacked kernel, but not its record factors or its reduction;
+``test_numpy_oracle.py`` checks the same states against plain numpy.
 """
 
 import itertools
