@@ -7,9 +7,11 @@ for it, is the projective update rule with renormalization applied at the
 point of that agent's measurement; everything else stays unitary.
 
 Both run on one kernel, :class:`_Ensemble`: a weighted branch ensemble
-stacked into one array, stepped by one matmul over all its rows.  The public
-:func:`apply_isometry` and :func:`branch_decomposition` use it on a single
-state, and ``experiment.evolve`` on a whole ensemble.
+stacked into one array, stepped by one matmul over all its rows as a
+:class:`_StepPlan` lays the step out.  The public :func:`apply_isometry` and
+:func:`branch_decomposition` build a one-step plan and use the kernel on a
+single state; ``experiment.evolve`` replays the plans its spec keeps on a
+whole ensemble.
 """
 
 from __future__ import annotations
@@ -237,11 +239,11 @@ def build_measurement_isometry(
 
     k = len(completed)
     memory_sub = Subsystem(memory, k, tuple(memory_labels))
-    mat = np.zeros((d * k, d), dtype=np.complex128)
-    for i, b in enumerate(completed):
-        record = np.zeros(k, dtype=np.complex128)
-        record[i] = 1.0
-        mat += np.outer(np.kron(b, record), b.conj())
+    # Row x·k + i, column y holds b_i[x]·conj(b_i[y]): Σ_i |b_i⟩|i⟩⟨b_i|.
+    # Added onto zeros, as the sum of outer products was, so every zero is +0.
+    columns = np.array(completed).T
+    mat = np.zeros((d, k, d), dtype=np.complex128)
+    mat += columns[:, :, None] * columns.conj().T[None, :, :]
     basis_states = tuple(
         StateVector(measured, b, normalized=True) for b in completed
     )
@@ -252,7 +254,7 @@ def build_measurement_isometry(
         basis=basis_states,
         memory=memory_sub,
         given_outcomes=given,
-        matrix=mat,
+        matrix=mat.reshape(d * k, d),
     )
 
 
@@ -266,7 +268,9 @@ def build_preparation_isometry(
     d = control.total_dimension
     k = output.dimension
     table: list[tuple[tuple[str, ...], StateVector]] = []
-    mat = np.zeros((d * k, d), dtype=np.complex128)
+    # Entry (c, j, c) holds the j-th amplitude prepared for control outcome c,
+    # added onto zeros as in the sum of outer products, so every zero is +0.
+    blocks = np.zeros((d, k, d), dtype=np.complex128)
     seen = set()
     for key, state in prepared.items():
         labels = (key,) if isinstance(key, str) else tuple(key)
@@ -280,9 +284,7 @@ def build_preparation_isometry(
         if idx in seen:
             raise ValueError(f"duplicate control outcome {labels}")
         seen.add(idx)
-        control_vec = np.zeros(d, dtype=np.complex128)
-        control_vec[idx] = 1.0
-        mat += np.outer(np.kron(control_vec, state.amplitudes), control_vec.conj())
+        blocks[idx, :, idx] += state.amplitudes
         table.append((labels, state))
     if len(seen) != d:
         raise ValueError(
@@ -296,7 +298,7 @@ def build_preparation_isometry(
         control_registry=control,
         prepared=tuple(table),
         output=output,
-        matrix=mat,
+        matrix=blocks.reshape(d * k, d),
     )
 
 
@@ -318,41 +320,75 @@ def _check_application(registry: SubsystemRegistry, iso: Isometry) -> None:
         )
 
 
-def _isometry_image(
-    registry: SubsystemRegistry,
-    layout: SubsystemRegistry,
-    amps: np.ndarray,
-    iso: Isometry,
-) -> tuple[SubsystemRegistry, np.ndarray]:
-    """V applied to every row of ``amps`` at once, in the matmul's axis order.
+@dataclass(frozen=True, eq=False)
+class _StepPlan:
+    """What one step's place in a circuit fixes, built once and replayed per call.
 
-    ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
-    ``layout`` order; ``registry`` lists the same subsystems in registry
-    order.  An axis may be shorter than its subsystem (a record factor, see
-    :class:`_Ensemble`), but not on the step's domain.  The image has
-    shape (B, k, domain…, rest…): the fresh factor, the step's domain, then
-    the other axes in registry order, which keeps the factors a readout sums
-    over together.  The returned layout names that order; nothing is
-    transposed back.  One transpose and one matmul per call, whatever the
-    number of rows.
+    Building it runs the step's basis check (:func:`_check_application`) and
+    extends the registry.  ``perm`` moves a (B, layout before…) array to
+    (B, domain…, rest…), with the rest in registry order; the image
+    (B, k, domain…, rest…) is laid out as ``layout`` names, and ``registry``
+    is the registry after the step.  ``domain`` holds the domain's array
+    axes before the step (the row axis is 0) and ``domain_dims`` their
+    lengths.  A plan never holds amplitudes, weights, records or anything
+    computed from them, so one plan serves every ensemble and every collapse
+    model: a record factor only shortens an axis, never moves it.
     """
-    _check_application(registry, iso)
-    domain = [layout.axis(label) + 1 for label in iso.domain_labels]
-    for axis, sub in zip(domain, iso.domain_registry.subsystems):
-        if amps.shape[axis] != sub.dimension:
+
+    iso: Isometry
+    matrix: np.ndarray  # the isometry's rows in outcome-major order
+    perm: tuple[int, ...]
+    domain: tuple[int, ...]
+    domain_dims: tuple[int, ...]
+    registry: SubsystemRegistry
+    layout: SubsystemRegistry
+
+    @classmethod
+    def of(
+        cls, registry: SubsystemRegistry, layout: SubsystemRegistry, iso: Isometry
+    ) -> "_StepPlan":
+        """The plan of ``iso`` on arrays laid out as ``layout``.
+
+        ``registry`` lists the same subsystems in registry order.  Raises if
+        the step cannot act on that registry.
+        """
+        _check_application(registry, iso)
+        domain = tuple(layout.axis(label) + 1 for label in iso.domain_labels)
+        rest = [l for l in registry.labels if l not in iso.domain_labels]
+        order = domain + tuple(layout.axis(label) + 1 for label in rest)
+        return cls(
+            iso=iso,
+            matrix=iso.outcome_major,
+            perm=(0,) + order,
+            domain=domain,
+            domain_dims=tuple(s.dimension for s in iso.domain_registry.subsystems),
+            registry=registry.extended(iso.appended),
+            layout=SubsystemRegistry(
+                (iso.appended,) + tuple(layout.subsystems[i - 1] for i in order)
+            ),
+        )
+
+
+def _isometry_image(amps: np.ndarray, plan: _StepPlan) -> np.ndarray:
+    """V applied to every row of ``amps`` at once, laid out as ``plan.layout``.
+
+    ``amps`` has a row axis, then one axis per subsystem of the layout the
+    plan was built on.  An axis may be shorter than its subsystem (a record
+    factor, see :class:`_Ensemble`), but not on the step's domain.  The image
+    has shape (B, k, domain…, rest…): the fresh factor, the step's domain,
+    then the other axes in registry order, which keeps the factors a readout
+    sums over together.  Nothing is transposed back.  One transpose and one
+    matmul per call, whatever the number of rows.
+    """
+    for axis, dim, label in zip(plan.domain, plan.domain_dims, plan.iso.domain_labels):
+        if amps.shape[axis] != dim:
             raise ValueError(
-                f"subsystem {sub.label!r} bases differ between the state and "
-                f"{iso.agent}'s step: it is held as a record factor"
+                f"subsystem {label!r} bases differ between the state and "
+                f"{plan.iso.agent}'s step: it is held as a record factor"
             )
-    rest = [l for l in registry.labels if l not in iso.domain_labels]
-    order = domain + [layout.axis(label) + 1 for label in rest]
-    d, k = iso.domain_registry.total_dimension, iso.appended.dimension
-    rows = amps.transpose([0] + order).reshape(len(amps), d, -1)
-    image = np.matmul(iso.outcome_major, rows)
-    out = SubsystemRegistry(
-        (iso.appended,) + tuple(layout.subsystems[i - 1] for i in order)
-    )
-    return out, image.reshape((len(amps), k) + tuple(amps.shape[i] for i in order))
+    moved = amps.transpose(plan.perm)
+    image = np.matmul(plan.matrix, moved.reshape(len(amps), plan.matrix.shape[1], -1))
+    return image.reshape((len(amps), plan.iso.appended.dimension) + moved.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,11 +396,16 @@ class _Ensemble:
     """A weighted pure-state ensemble stacked into one array, row b = branch b.
 
     ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
-    ``layout`` order: the order the last :func:`_isometry_image` left, not
+    ``layout`` order: the order the last step's :class:`_StepPlan` left, not
     registry order, so axes are looked up with ``layout.axis``.  ``registry``
     lists the same subsystems in registry order.  Every row has unit norm,
     checked wherever new amplitudes are computed (a step, a renormalization);
     ``weights`` holds the branch probabilities.
+
+    A step replays its :class:`_StepPlan`, which supplies the next
+    ``registry`` and ``layout``, so a step builds no registry.  The plan
+    holds what the circuit fixes; the amplitudes, weights and records, and
+    every row-norm check and branch cut, stay here and are computed per call.
 
     ``records`` maps a memory label to each row's recorded outcome index: the
     outcome a collapsed measurement observed, or the one the ensemble was
@@ -396,9 +437,8 @@ class _Ensemble:
         p = _row_norms_sq(rows)
         keep = ~(p <= BRANCH_CUT)
         if not keep.all():
-            rows, weights = rows[keep], weights[keep]
+            rows, weights, p = rows[keep], weights[keep], p[keep]
             records = {label: r[keep] for label, r in records.items()}
-        p = p[keep]
         rows = rows / np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
         _check_unit_rows(rows)
         return cls(registry, layout, rows, weights * p, records)
@@ -407,40 +447,43 @@ class _Ensemble:
         axis = self.layout.axis(label)
         return self.amps.shape[axis + 1] != self.layout.subsystems[axis].dimension
 
-    def expanded(self, labels: Iterable[str]) -> "_Ensemble":
-        """Record factors among ``labels`` back at full length, one-hot at the record.
+    def expanded(self, axes: Iterable[int]) -> "_Ensemble":
+        """Record factors on array ``axes`` back at full length, one-hot at the record.
 
         One scatter over all rows.
         """
-        axes = [self.layout.axis(label) + 1 for label in labels if self.is_record(label)]
+        subs = self.layout.subsystems
+        axes = [a for a in axes if self.amps.shape[a] != subs[a - 1].dimension]
         if not axes:
             return self
         shape = list(self.amps.shape)
         where: list = [np.arange(len(self.amps))] + [slice(None)] * (len(shape) - 1)
         for axis in axes:
-            sub = self.layout.subsystems[axis - 1]
+            sub = subs[axis - 1]
             shape[axis] = sub.dimension
             where[axis] = self.records[sub.label]
         out = np.zeros(shape, dtype=np.complex128)
         out[tuple(where)] = self.amps.squeeze(axis=tuple(axes))
         return _Ensemble(self.registry, self.layout, out, self.weights, self.records)
 
-    def stepped(self, iso: Isometry, collapses: bool) -> "_Ensemble":
-        """One step on every row; a collapse splits each row into its outcomes."""
-        ens = self.expanded(iso.domain_labels)
-        registry = ens.registry.extended(iso.appended)
-        layout, image = _isometry_image(ens.registry, ens.layout, ens.amps, iso)
+    def stepped(self, plan: _StepPlan, collapses: bool) -> "_Ensemble":
+        """``plan``'s step on every row; a collapse splits each row into its outcomes.
+
+        The rows must be laid out as the layout ``plan`` was built on.
+        """
+        ens = self.expanded(plan.domain)
+        image = _isometry_image(ens.amps, plan)
         if not collapses:
             _check_unit_rows(image)
-            return _Ensemble(registry, layout, image, ens.weights, ens.records)
+            return _Ensemble(plan.registry, plan.layout, image, ens.weights, ens.records)
         # Row b·k + i is row b's outcome i; the memory is left a record factor.
         b, k = image.shape[:2]
-        parent = np.repeat(np.arange(b), k)
+        parent, outcome = np.divmod(np.arange(b * k), k)
         records = {label: r[parent] for label, r in ens.records.items()}
-        records[iso.appended.label] = np.tile(np.arange(k), b)
+        records[plan.iso.appended.label] = outcome
         rows = image.reshape((b * k, 1) + image.shape[2:])
         return _Ensemble.renormalized(
-            registry, layout, rows, ens.weights[parent], records
+            plan.registry, plan.layout, rows, ens.weights[parent], records
         )
 
     def selected(self, mask: np.ndarray) -> "_Ensemble":
@@ -450,8 +493,9 @@ class _Ensemble:
 
     def projected(self, label: str, index: int) -> "_Ensemble":
         """Memory ``label`` projected onto basis state ``index``, left a record factor."""
-        ens = self.expanded([label])
-        rows = np.take(ens.amps, [index], axis=ens.layout.axis(label) + 1)
+        axis = self.layout.axis(label) + 1
+        ens = self.expanded([axis])
+        rows = np.take(ens.amps, [index], axis=axis)
         records = dict(ens.records)
         records[label] = np.full(len(rows), index)
         return _Ensemble.renormalized(
@@ -460,18 +504,17 @@ class _Ensemble:
 
     def states(self) -> list[StateVector]:
         """Every row on the full registry: records expanded, axes in registry order."""
-        full = self.expanded(self.registry.labels)
+        full = self.expanded(range(1, self.amps.ndim))
         perm = [0] + [full.layout.axis(label) + 1 for label in self.registry.labels]
         return [StateVector(self.registry, row) for row in full.amps.transpose(perm)]
 
 
 def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
     """Apply an isometry; the fresh factor lands at the end of the registry."""
-    amps = state.tensored()[None]
-    layout, image = _isometry_image(state.registry, state.registry, amps, iso)
-    registry = state.registry.extended(iso.appended)
-    perm = [layout.axis(label) for label in registry.labels]
-    return StateVector(registry, image[0].transpose(perm), normalized=state.normalized)
+    plan = _StepPlan.of(state.registry, state.registry, iso)
+    image = _isometry_image(state.tensored()[None], plan)
+    perm = [plan.layout.axis(label) for label in plan.registry.labels]
+    return StateVector(plan.registry, image[0].transpose(perm), normalized=state.normalized)
 
 
 def branch_decomposition(
@@ -484,7 +527,8 @@ def branch_decomposition(
     probabilities sum to 1.  Every branch lives on the input registry
     extended by the full memory factor, one-hot at the branch's outcome.
     """
-    ens = _Ensemble.of(state).stepped(iso, collapses=True)
+    plan = _StepPlan.of(state.registry, state.registry, iso)
+    ens = _Ensemble.of(state).stepped(plan, collapses=True)
     records = ens.records[iso.memory_label].tolist()
     found = dict(zip(records, zip(ens.weights.tolist(), ens.states())))
     return [

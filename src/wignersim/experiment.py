@@ -17,6 +17,7 @@ distribution it is given.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channels import CollapseModel, Isometry, MeasurementIsometry, _Ensemble
+from .channels import CollapseModel, Isometry, MeasurementIsometry, _Ensemble, _StepPlan
 from .registry import SubsystemRegistry
 from .states import DensityMatrix, StateVector, ZeroProbabilityError
 
@@ -49,7 +50,16 @@ class Step:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Initial state plus ordered steps, with an optional halting condition."""
+    """Initial state plus ordered steps, with an optional halting condition.
+
+    On first use a spec builds one :class:`~wignersim.channels._StepPlan` per
+    step it is evolved through: the step's outcome-major matrix, transpose,
+    domain axes and the registry and layout after it, with the step's basis
+    check already passed.  Every later evolution, under any collapse model,
+    replays them.  A plan is derived from the frozen fields alone, like
+    :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
+    or tables, so every answer is still computed in full on every call.
+    """
 
     name: str
     registry: SubsystemRegistry
@@ -91,6 +101,35 @@ class ExperimentSpec:
     @cached_property
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(s.agent for s in self.measuring_steps)
+
+    @cached_property
+    def _step_times(self) -> tuple[int, ...]:
+        return tuple(s.time for s in self.steps)
+
+    def _plans(self, through_time: int | None) -> tuple[_StepPlan, ...]:
+        """The plans of the steps up to ``through_time``, built on first use.
+
+        They are built in step order and published as one tuple, a prefix of
+        the steps, so a spec shared between threads never shows a partly
+        built plan.  A step whose plan cannot be built (its basis check
+        fails) is never published: every call that reaches it raises again,
+        and a call truncated before it still answers.
+        """
+        stop = len(self.steps)
+        if through_time is not None:
+            stop = bisect_right(self._step_times, through_time)
+        plans = self.__dict__.get("_step_plans", ())
+        if len(plans) < stop:
+            built = list(plans)
+            registry, layout = self.registry, self.registry
+            if built:
+                registry, layout = built[-1].registry, built[-1].layout
+            for step in self.steps[len(built):stop]:
+                built.append(_StepPlan.of(registry, layout, step.iso))
+                registry, layout = built[-1].registry, built[-1].layout
+            plans = tuple(built)
+            object.__setattr__(self, "_step_plans", plans)
+        return plans[:stop]
 
     def step_for(self, agent: str) -> Step:
         for s in self.measuring_steps:
@@ -239,27 +278,29 @@ def _evolved_branches(
 ) -> _Ensemble:
     """The ensemble after evolving under the model, stacked (see :class:`_Ensemble`).
 
-    Each step is one transpose and one matmul over all rows, and its output
-    axis order is kept (see :func:`~wignersim.channels._isometry_image`):
-    only a result that needs registry order, such as ``_Ensemble.states`` or
+    The steps replay the spec's step plans (see ``ExperimentSpec._plans``),
+    one plan per step whatever the model: the plan fixes the axis orders,
+    the registries and the outcome-major matrix, and holds nothing computed
+    from amplitudes.  Per call, each step expands any record on its domain,
+    then makes one transpose and one matmul over all rows, then checks every
+    row's norm or splits the rows by outcome.  The output axis order is kept
+    (see :func:`~wignersim.channels._isometry_image`): only a result that
+    needs registry order, such as ``_Ensemble.states`` or
     :func:`_reduced_density`, permutes.
     Collapsed memories are record factors, so a row scales with the factors
     that are still quantum, not with the full registry; a collapse divides
-    every row into its outcome rows.  Records are expanded against the
-    ensemble's layout, which holds the experiment's subsystems, so a step
-    whose domain basis differs from it fails the same check with or without
-    collapse.
+    every row into its outcome rows.  A step whose domain basis differs from
+    the experiment's fails when its plan is built, with or without collapse,
+    on every call that reaches it.
     """
     if model.kind == "subjective" and model.agent not in spec.measuring_agents:
         raise ValueError(
             f"collapse model names unknown agent {model.agent!r} for {spec.name!r}"
         )
     ens = _Ensemble.of(spec.initial)
-    for step in spec.steps:
-        if through_time is not None and step.time > through_time:
-            break
+    for step, plan in zip(spec.steps, spec._plans(through_time)):
         collapses = step.is_measurement and model.collapses_at(step.agent)
-        ens = ens.stepped(step.iso, collapses)
+        ens = ens.stepped(plan, collapses)
     return ens
 
 

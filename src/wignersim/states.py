@@ -33,6 +33,18 @@ from .registry import Subsystem, SubsystemRegistry
 ATOL_CONSTRUCT = 1e-12
 ATOL_PSD = 1e-10
 ATOL_PROB = 1e-9
+# Amplitudes and imaginary parts this small print as zero: they are rounding
+# noise at the construction tolerance, not terms of the state.
+PRINT_ZERO = 1e-12
+# A state this short is numerically zero: renormalizing it would blow
+# rounding noise up into a unit vector.
+RENORMALIZE_FLOOR = 1e-12
+# A projector's basis vector may come from a caller's arithmetic (a measured
+# basis is checked orthonormal to 1e-9), so its norm is held to that bound.
+ATOL_BASIS_NORM = 1e-9
+# The Hermitian check reads this many rows of the upper triangle at a time,
+# so its temporaries are that many rows long, not d×d.
+HERMITIAN_BLOCK_ROWS = 64
 
 
 class ZeroProbabilityError(ValueError):
@@ -46,7 +58,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _format_coefficient(z: complex) -> str:
-    if abs(z.imag) < 1e-12:
+    if abs(z.imag) < PRINT_ZERO:
         return f"{z.real:.8g}"
     return f"({z.real:.8g}{z.imag:+.8g}j)"
 
@@ -62,6 +74,23 @@ def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
     """|row|² for every row of a complex array (B, …)."""
     real = rows.reshape(len(rows), math.prod(rows.shape[1:])).view(np.float64)
     return (real[:, None, :] @ real[:, :, None]).reshape(len(rows))
+
+
+def _hermitian(mat: np.ndarray) -> bool:
+    """Whether max |a_ij − conj(a_ji)| ≤ ATOL_CONSTRUCT, failing on NaN.
+
+    Rows are read in blocks of the upper triangle, each against its
+    transposed columns, which covers every pair (i, j): the maximum is the
+    one over the whole matrix, with temporaries of HERMITIAN_BLOCK_ROWS rows.
+    Each block is tested on its own, so a NaN in any block fails.
+    """
+    d = len(mat)
+    for start in range(0, d, HERMITIAN_BLOCK_ROWS):
+        stop = start + HERMITIAN_BLOCK_ROWS
+        skew = mat[start:stop, start:] - mat[start:, start:stop].conj().T
+        if not np.max(np.abs(skew)) <= ATOL_CONSTRUCT:
+            return False
+    return True
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:
@@ -122,7 +151,7 @@ class StateVector:
 
     def renormalized(self) -> "StateVector":
         n = self.norm()
-        if n <= 1e-12:
+        if n <= RENORMALIZE_FLOOR:
             raise ZeroProbabilityError("cannot renormalize a numerically zero state")
         return StateVector(self.registry, self.amplitudes / n, normalized=True)
 
@@ -147,7 +176,7 @@ class StateVector:
     def __str__(self) -> str:
         parts = []
         for i, amp in enumerate(self.amplitudes):
-            if abs(amp) <= 1e-12:
+            if abs(amp) <= PRINT_ZERO:
                 continue
             labels = ",".join(self.registry.basis_tuple(i))
             parts.append(f"{_format_coefficient(complex(amp))} |{labels}⟩")
@@ -174,7 +203,7 @@ class DensityMatrix:
         d = self.registry.total_dimension
         if mat.shape != (d, d):
             raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL_CONSTRUCT:
+        if not _hermitian(mat):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if not self.subnormalized:
             tr = complex(np.trace(mat))
@@ -253,7 +282,7 @@ class Projector:
             raise ValueError("target_labels must match the target registry order")
         if op.shape != (d, d):
             raise ValueError(f"operator shape {op.shape} does not match dimension {d}")
-        if not np.max(np.abs(op - op.conj().T)) <= ATOL_CONSTRUCT:
+        if not _hermitian(op):
             raise ValueError("projector is not Hermitian within 1e-12")
         if not np.max(np.abs(op @ op - op)) <= ATOL_CONSTRUCT:
             raise ValueError("projector is not idempotent within 1e-12")
@@ -337,7 +366,7 @@ def projector_from_basis_vector(
             f"targets {sorted(set(targets))} do not match the vector's labels {labels}"
         )
     norm = v.norm()
-    if not abs(norm - 1.0) <= 1e-9:
+    if not abs(norm - 1.0) <= ATOL_BASIS_NORM:
         raise ValueError(f"basis vector not normalized: |v| = {norm!r}")
     op = np.outer(v.amplitudes, v.amplitudes.conj())
     return Projector(labels, v.registry, op)

@@ -24,6 +24,7 @@ from wignersim.channels import (
     CollapseModel,
     _Ensemble,
     _isometry_image,
+    _StepPlan,
     build_measurement_isometry,
 )
 from wignersim.experiment import (
@@ -216,7 +217,8 @@ def test_step_on_an_unexpanded_record_factor_raises():
     assert len(ensemble.weights) == 2
     assert ensemble.is_record("F")
     with pytest.raises(ValueError, match="bases differ"):
-        _isometry_image(ensemble.registry, ensemble.layout, ensemble.amps, wigner.iso)
+        plan = _StepPlan.of(ensemble.registry, ensemble.layout, wigner.iso)
+        _isometry_image(ensemble.amps, plan)
 
 
 @pytest.mark.parametrize("model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag)
@@ -250,10 +252,10 @@ def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapse
     ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
     if collapses and not math.isnan(norm_sq):
         # A collapse renormalizes its outcome rows, so only NaN survives it.
-        assert len(ensemble.stepped(spec.steps[0].iso, collapses).weights) == 4
+        assert len(ensemble.stepped(spec._plans(None)[0], collapses).weights) == 4
         return
     with pytest.raises(ValueError) as ensemble_error, np.errstate(invalid="ignore"):
-        ensemble.stepped(spec.steps[0].iso, collapses)
+        ensemble.stepped(spec._plans(None)[0], collapses)
     want = NOT_NORMALIZED.fullmatch(str(state_error.value))
     got = NOT_NORMALIZED.fullmatch(str(ensemble_error.value))
     assert want and got
@@ -265,4 +267,4 @@ def test_row_norm_check_accepts_rows_within_the_bound():
     good = spec.initial.tensored()
     rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)])
     ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
-    assert len(ensemble.stepped(spec.steps[0].iso, False).weights) == 2
+    assert len(ensemble.stepped(spec._plans(None)[0], False).weights) == 2

@@ -10,6 +10,7 @@ from wignersim.experiment import evolved_density
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
+    HERMITIAN_BLOCK_ROWS,
     DensityMatrix,
     Projector,
     StateVector,
@@ -288,6 +289,25 @@ class TestDensityMatrixInvariants:
         mat = np.outer(u[:, 0], u[:, 0].conj()) - 2e-10 * np.outer(u[:, 1], u[:, 1].conj())
         with pytest.raises(ValueError, match="negative eigenvalue -2.0000"):
             DensityMatrix(reg, (mat + mat.conj().T) / 2, subnormalized=True)
+
+    @pytest.mark.parametrize(
+        "where,value,accepted",
+        [((5, 200), 2e-12, False), ((5, 200), 5e-13, True), ((200, 5), math.nan, False)],
+        ids=["skew-2e-12", "skew-5e-13", "nan-lower-triangle"],
+    )
+    def test_hermitian_check_reads_pairs_across_row_blocks(self, where, value, accepted):
+        """d = 256, rank 1: the entry and its mirror lie in different row blocks."""
+        assert 5 // HERMITIAN_BLOCK_ROWS != 200 // HERMITIAN_BLOCK_ROWS
+        reg = SubsystemRegistry.build([(f"q{i}", ("0", "1")) for i in range(8)])
+        mat = np.zeros((256, 256), dtype=np.complex128)
+        mat[0, 0] = 1.0
+        mat[where] = value
+        if accepted:
+            DensityMatrix(reg, mat)
+            return
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(reg, mat)
+        assert str(err.value) == "density matrix is not Hermitian within 1e-12"
 
     def test_subnormalized_block_allowed(self):
         DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
