@@ -380,11 +380,11 @@ def _isometry_image(amps: np.ndarray, plan: _StepPlan) -> np.ndarray:
     sums over together.  Nothing is transposed back.  One transpose and one
     matmul per call, whatever the number of rows.
     """
-    for axis, dim, label in zip(plan.domain, plan.domain_dims, plan.iso.domain_labels):
-        if amps.shape[axis] != dim:
+    for i, axis in enumerate(plan.domain):
+        if amps.shape[axis] != plan.domain_dims[i]:
             raise ValueError(
-                f"subsystem {label!r} bases differ between the state and "
-                f"{plan.iso.agent}'s step: it is held as a record factor"
+                f"subsystem {plan.iso.domain_labels[i]!r} bases differ between the "
+                f"state and {plan.iso.agent}'s step: it is held as a record factor"
             )
     moved = amps.transpose(plan.perm)
     image = np.matmul(plan.matrix, moved.reshape(len(amps), plan.matrix.shape[1], -1))

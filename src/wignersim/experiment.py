@@ -102,10 +102,6 @@ class ExperimentSpec:
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(s.agent for s in self.measuring_steps)
 
-    @cached_property
-    def _step_times(self) -> tuple[int, ...]:
-        return tuple(s.time for s in self.steps)
-
     def _plans(self, through_time: int | None) -> tuple[_StepPlan, ...]:
         """The plans of the steps up to ``through_time``, built on first use.
 
@@ -117,7 +113,7 @@ class ExperimentSpec:
         """
         stop = len(self.steps)
         if through_time is not None:
-            stop = bisect_right(self._step_times, through_time)
+            stop = bisect_right(self.steps, through_time, key=lambda s: s.time)
         plans = self.__dict__.get("_step_plans", ())
         if len(plans) < stop:
             built = list(plans)

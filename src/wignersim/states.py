@@ -39,8 +39,8 @@ PRINT_ZERO = 1e-12
 # A state this short is numerically zero: renormalizing it would blow
 # rounding noise up into a unit vector.
 RENORMALIZE_FLOOR = 1e-12
-# A projector's basis vector may come from a caller's arithmetic (a measured
-# basis is checked orthonormal to 1e-9), so its norm is held to that bound.
+# A projector's basis vector may come from a caller's own arithmetic, so its
+# norm is held only to the 1e-9 at which computed probabilities are compared.
 ATOL_BASIS_NORM = 1e-9
 # The Hermitian check reads this many rows of the upper triangle at a time,
 # so its temporaries are that many rows long, not d×d.

@@ -18,7 +18,12 @@ import pytest
 
 import numpy_oracle as oracle
 from dense_ensemble import ghz_spec, models_for
-from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel, build_measurement_isometry
+from wignersim.channels import (
+    NO_COLLAPSE,
+    OBJECTIVE_COLLAPSE,
+    CollapseModel,
+    build_measurement_isometry,
+)
 from wignersim.experiment import (
     ExperimentSpec,
     Step,
@@ -46,13 +51,20 @@ def flipped_spec():
     """
     spec = ghz_spec(1, 1, GHZ_ALPHA, GHZ_BETA, (0.5,))
     friend = spec.steps[0]
-    flipped = SubsystemRegistry((spec.registry.subsystem("Q0"), Subsystem("F0", 2, ("b", "a"))))
-    basis = [StateVector.basis_state(flipped, ("0", "a")), StateVector.basis_state(flipped, ("1", "b"))]
+    flipped = SubsystemRegistry(
+        (spec.registry.subsystem("Q0"), Subsystem("F0", 2, ("b", "a")))
+    )
+    basis = [
+        StateVector.basis_state(flipped, ("0", "a")),
+        StateVector.basis_state(flipped, ("1", "b")),
+    ]
     iso = build_measurement_isometry("W0", flipped, basis, memory="W0")
     return ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
 
 
-@pytest.mark.parametrize("model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag)
+@pytest.mark.parametrize(
+    "model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag
+)
 @pytest.mark.parametrize("full_first", [False, True], ids=["truncated-first", "full-first"])
 def test_truncated_before_a_bad_step_answers_and_the_bad_step_always_fails(model, full_first):
     spec = flipped_spec()
@@ -118,7 +130,7 @@ def test_plans_are_built_lazily_as_a_prefix_and_hold_no_amplitudes(name):
 
 
 def test_threads_sharing_one_fresh_spec_get_the_answers_of_one_thread():
-    cases = [(model, through) for model, through in joint_cases(BUILDERS["fr"]())]
+    cases = joint_cases(BUILDERS["fr"]())
     want = {(m.tag, t): evolve(BUILDERS["fr"](), m, t).array for m, t in cases}
     for _ in range(5):
         spec = BUILDERS["fr"]()

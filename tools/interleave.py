@@ -38,11 +38,11 @@ SIDES = ("old", "new")
 def load(alias: str, root: Path):
     """Import ``root/src/wignersim`` as package ``alias``, with ``alias.cli``."""
     package = root / "src" / "wignersim"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"error: no wignersim package under {root / 'src'}")
     spec = importlib.util.spec_from_file_location(
         alias, package / "__init__.py", submodule_search_locations=[str(package)]
     )
-    if spec is None or not (package / "__init__.py").is_file():
-        raise SystemExit(f"error: no wignersim package under {root / 'src'}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[alias] = module
     spec.loader.exec_module(module)
