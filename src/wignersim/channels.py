@@ -145,50 +145,49 @@ Isometry = Union[MeasurementIsometry, PreparationIsometry]
 
 @dataclass(frozen=True)
 class CollapseModel:
-    """Which measurements trigger the projective update rule.
+    """The measurements described as collapse, named by their agents.
 
-    ``none``       every measurement stays a memory-entangling isometry,
-    ``objective``  the update rule fires at every measurement,
-    ``subjective`` the update rule fires only at the named agent's measurement.
+    ``agents`` holds the agents whose measurements fire the projective update
+    rule; every other measurement stays a memory-entangling isometry.  The
+    empty set is pure isometry (``ism``) and ``None`` stands for every
+    measuring agent (``objective``).
     """
 
-    kind: str
-    agent: str | None = None
+    agents: frozenset[str] | None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "objective", "subjective"):
-            raise ValueError(f"unknown collapse model kind {self.kind!r}")
-        if self.kind == "subjective" and not self.agent:
-            raise ValueError("subjective collapse requires an agent label")
-        if self.kind != "subjective" and self.agent is not None:
-            raise ValueError(f"{self.kind!r} collapse takes no agent")
+        if self.agents is None:
+            return
+        if isinstance(self.agents, str):
+            raise ValueError(f"collapse model takes a set of agents, not {self.agents!r}")
+        agents = frozenset(self.agents)
+        for agent in agents:
+            if not isinstance(agent, str) or not agent:
+                raise ValueError(f"collapse model agent {agent!r} is not a label")
+        object.__setattr__(self, "agents", agents)
 
     @classmethod
     def none(cls) -> "CollapseModel":
-        return cls("none")
+        return cls(frozenset())
 
     @classmethod
     def objective(cls) -> "CollapseModel":
-        return cls("objective")
+        return cls(None)
 
     @classmethod
     def subjective(cls, agent: str) -> "CollapseModel":
-        return cls("subjective", agent)
+        return cls((agent,))
 
     def collapses_at(self, agent: str) -> bool:
-        if self.kind == "none":
-            return False
-        if self.kind == "objective":
-            return True
-        return agent == self.agent
+        return self.agents is None or agent in self.agents
 
     @property
     def tag(self) -> str:
-        if self.kind == "none":
-            return "ism"
-        if self.kind == "objective":
+        if self.agents is None:
             return "objective"
-        return f"clps:{self.agent}"
+        if not self.agents:
+            return "ism"
+        return "clps:" + "+".join(sorted(self.agents))
 
 
 NO_COLLAPSE = CollapseModel.none()

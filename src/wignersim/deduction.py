@@ -33,6 +33,7 @@ from .storyplot import (
     Plot,
     Slot,
     Value,
+    _claims,
     check_compatibility,
     make_event,
     plot_from_distribution,
@@ -164,6 +165,20 @@ def chain(rules: list[DeductionRule], start: tuple[str, str]) -> DeductionChain:
         current = (match.target, match.outcome)
 
 
+def _chain_to_json(the_chain: DeductionChain) -> list[dict]:
+    return [
+        {
+            "reasoner": r.reasoner,
+            "given": r.given_outcome,
+            "target": r.target,
+            "outcome": r.outcome,
+            "model": r.model_tag,
+            "certainty": r.certainty,
+        }
+        for r in the_chain.rules
+    ]
+
+
 @dataclass(frozen=True)
 class ContradictionReport:
     """A compatibility clash, with the chain and model that produced it."""
@@ -220,17 +235,7 @@ class ContradictionReport:
                 "observed_by": self.observed_by,
                 "model": self.offending_model,
             },
-            "chain": [
-                {
-                    "reasoner": r.reasoner,
-                    "given": r.given_outcome,
-                    "target": r.target,
-                    "outcome": r.outcome,
-                    "model": r.model_tag,
-                    "certainty": r.certainty,
-                }
-                for r in self.chain.rules
-            ],
+            "chain": _chain_to_json(self.chain),
         }
 
 
@@ -253,18 +258,11 @@ class ScenarioOutcome:
         if self.report is not None:
             raw = self.report.to_json()
         else:
-            raw = {"scenario": self.scenario, "consistent": True}
-            raw["chain"] = [
-                {
-                    "reasoner": r.reasoner,
-                    "given": r.given_outcome,
-                    "target": r.target,
-                    "outcome": r.outcome,
-                    "model": r.model_tag,
-                    "certainty": r.certainty,
-                }
-                for r in self.chain.rules
-            ]
+            raw = {
+                "scenario": self.scenario,
+                "consistent": True,
+                "chain": _chain_to_json(self.chain),
+            }
         raw["plots"] = {name: plot_to_json(plot) for name, plot in self.plots.items()}
         return raw
 
@@ -343,16 +341,18 @@ def _report_from_verdicts(
         if verdict.consistent:
             continue
         violation = verdict.violations[0]
-        left_plot, right_plot = plots[left], plots[right]
+        cell = (violation.time, violation.slot)
         # Orient the clash: the side whose entry is a deduction produced the
-        # offending prediction.
-        deduced_side, observed_side = (left, right)
-        deduced_vals, observed_vals = violation.left, violation.right
-        if not any("=" in v for v in deduced_vals):
+        # offending prediction.  Each side's first claim in value order is
+        # the one the violation lists first.
+        deduced_side, observed_side = left, right
+        deduced, observed = _claims(plots[left], *cell), _claims(plots[right], *cell)
+        if not any(isinstance(e, Deduced) for e in deduced.values()):
             deduced_side, observed_side = right, left
-            deduced_vals, observed_vals = observed_vals, deduced_vals
-        deduced_value = deduced_vals[0].split("=")[-1]
-        observed_value = observed_vals[0].split("=")[-1]
+            deduced, observed = observed, deduced
+        deduced_entry = deduced[min(deduced)]
+        observed_entry = observed[min(observed)]
+        deduced_value, observed_value = deduced_entry.v, observed_entry.v
 
         def rule_targets_clash(rule: DeductionRule) -> bool:
             if rule.outcome != deduced_value:
@@ -360,10 +360,7 @@ def _report_from_verdicts(
             if rule.target == violation.slot:
                 return True
             try:
-                return schema.agent_cell(rule.target) == (
-                    violation.time,
-                    violation.slot,
-                )
+                return schema.agent_cell(rule.target) == cell
             except KeyError:
                 return False
 
@@ -372,12 +369,12 @@ def _report_from_verdicts(
             the_chain.rules[-1].model_tag if the_chain.rules else "n/a",
         )
 
-        def event_render(plot: Plot, value_text: str) -> str:
-            for event in plot.at_time(violation.time):
-                entry = event.entry(plot.schema, violation.slot)
-                if entry.render(violation.slot) == value_text:
-                    return event.render(plot.schema)
-            return "(?)"
+        def event_render(plot: Plot, claim) -> str:
+            return next(
+                event.render(plot.schema)
+                for event in plot.at_time(violation.time)
+                if event.entry(plot.schema, violation.slot) == claim
+            )
 
         return ContradictionReport(
             scenario=scenario,
@@ -393,8 +390,8 @@ def _report_from_verdicts(
             observed_by=observed_side,
             offending_model=offending,
             chain=the_chain,
-            deduced_event=event_render(plots[deduced_side], deduced_vals[0]),
-            observed_event=event_render(plots[observed_side], observed_vals[0]),
+            deduced_event=event_render(plots[deduced_side], deduced_entry),
+            observed_event=event_render(plots[observed_side], observed_entry),
         )
     return None
 

@@ -59,6 +59,8 @@ class ExperimentSpec:
     replays them.  A plan is derived from the frozen fields alone, like
     :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
     or tables, so every answer is still computed in full on every call.
+    Construction extends the registry once per step and keeps that chain, so
+    :meth:`registry_after` is a lookup.
     """
 
     name: str
@@ -75,15 +77,16 @@ class ExperimentSpec:
         times = [s.time for s in self.steps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")
-        reg = self.registry
+        registries = [self.registry]
         for step in self.steps:
             for label in step.iso.domain_labels:
-                if label not in reg:
+                if label not in registries[-1]:
                     raise ValueError(
                         f"step at t={step.time} ({step.agent}) references unknown "
                         f"subsystem {label!r}"
                     )
-            reg = reg.extended(step.iso.appended)
+            registries.append(registries[-1].extended(step.iso.appended))
+        object.__setattr__(self, "_registries", tuple(registries))
         if self.halting is not None:
             measuring = {s.agent: s for s in self.steps if s.is_measurement}
             for agent, outcome in self.halting:
@@ -111,9 +114,7 @@ class ExperimentSpec:
         fails) is never published: every call that reaches it raises again,
         and a call truncated before it still answers.
         """
-        stop = len(self.steps)
-        if through_time is not None:
-            stop = bisect_right(self.steps, through_time, key=lambda s: s.time)
+        stop = self._stop(through_time)
         plans = self.__dict__.get("_step_plans", ())
         if len(plans) < stop:
             built = list(plans)
@@ -133,13 +134,14 @@ class ExperimentSpec:
                 return s
         raise KeyError(f"no measuring agent {agent!r} in experiment {self.name!r}")
 
+    def _stop(self, through_time: int | None) -> int:
+        """How many steps run by ``through_time`` (all of them for None)."""
+        if through_time is None:
+            return len(self.steps)
+        return bisect_right(self.steps, through_time, key=lambda s: s.time)
+
     def registry_after(self, through_time: int | None = None) -> SubsystemRegistry:
-        reg = self.registry
-        for step in self.steps:
-            if through_time is not None and step.time > through_time:
-                break
-            reg = reg.extended(step.iso.appended)
-        return reg
+        return self._registries[self._stop(through_time)]
 
 
 @dataclass(frozen=True)
@@ -289,9 +291,10 @@ def _evolved_branches(
     the experiment's fails when its plan is built, with or without collapse,
     on every call that reaches it.
     """
-    if model.kind == "subjective" and model.agent not in spec.measuring_agents:
+    if model.agents is not None and not model.agents.issubset(spec.measuring_agents):
+        unknown = min(model.agents.difference(spec.measuring_agents))
         raise ValueError(
-            f"collapse model names unknown agent {model.agent!r} for {spec.name!r}"
+            f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
     ens = _Ensemble.of(spec.initial)
     for step, plan in zip(spec.steps, spec._plans(through_time)):

@@ -443,24 +443,6 @@ def plot_from_distribution(
 
 # JSON forms ------------------------------------------------------------------
 
-def _entry_to_json(entry: Entry):
-    if isinstance(entry, Value):
-        return {"v": entry.v}
-    if isinstance(entry, Deduced):
-        return {"deduced": entry.v}
-    return "wild"
-
-
-def _entry_from_json(raw) -> Entry:
-    if raw == "wild":
-        return WILDCARD
-    if "v" in raw:
-        return Value(raw["v"])
-    if "deduced" in raw:
-        return Deduced(raw["deduced"])
-    raise ValueError(f"unrecognized entry encoding {raw!r}")
-
-
 def schema_to_json(schema: EventSetSchema) -> dict:
     return {
         "times": list(schema.times),
@@ -475,38 +457,13 @@ def plot_to_json(plot: Plot) -> dict:
             {
                 "t": e.time,
                 "entries": {
-                    slot.name: _entry_to_json(entry)
+                    slot.name: {"v": entry.v}
+                    if isinstance(entry, Value)
+                    else {"deduced": entry.v}
                     for slot, entry in zip(plot.schema.slots, e.entries)
                     if not isinstance(entry, Wildcard)
                 },
             }
             for e in plot.events
-        ],
-    }
-
-
-def plot_from_json(raw: dict, agent_slots=()) -> Plot:
-    schema = EventSetSchema(
-        times=tuple(raw["schema"]["times"]),
-        slots=tuple(
-            Slot(s["name"], tuple(s["alphabet"])) for s in raw["schema"]["slots"]
-        ),
-        agent_slots=tuple(agent_slots),
-    )
-    events = []
-    for item in raw["events"]:
-        entries = {
-            name: _entry_from_json(enc) for name, enc in item["entries"].items()
-        }
-        events.append(make_event(schema, item["t"], entries))
-    return Plot(schema, tuple(events))
-
-
-def verdict_to_json(verdict: CompatibilityVerdict) -> dict:
-    return {
-        "consistent": verdict.consistent,
-        "violations": [
-            {"time": v.time, "slot": v.slot, "left": list(v.left), "right": list(v.right)}
-            for v in verdict.violations
         ],
     }

@@ -273,9 +273,19 @@ class TestCollapseModel:
         assert model.collapses_at("F1") and not model.collapses_at("W")
 
     def test_validation(self):
+        for bad in ("", 3, None):
+            with pytest.raises(ValueError):
+                CollapseModel.subjective(bad)
         with pytest.raises(ValueError):
-            CollapseModel("subjective")
+            CollapseModel(frozenset({"F1", ""}))
         with pytest.raises(ValueError):
-            CollapseModel("none", agent="F")
-        with pytest.raises(ValueError):
-            CollapseModel("weird")
+            CollapseModel("F1")  # a string, not a set of labels
+
+    def test_a_model_is_its_set_of_collapsing_agents(self):
+        assert CollapseModel(frozenset()) == CollapseModel.none()
+        assert CollapseModel(None) == CollapseModel.objective()
+        assert CollapseModel({"F1"}) == CollapseModel.subjective("F1")
+        model = CollapseModel(["W", "F2", "F1"])
+        assert model.agents == frozenset({"F1", "F2", "W"})
+        assert model.tag == "clps:F1+F2+W"
+        assert model.collapses_at("F2") and not model.collapses_at("A")

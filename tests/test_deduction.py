@@ -5,6 +5,8 @@ from wignersim.deduction import (
     ChainCycleError,
     DeductionChain,
     DeductionRule,
+    _pairwise_verdicts,
+    _report_from_verdicts,
     build_deutsch_scenario,
     build_fr_scenario,
     certainty_deductions,
@@ -14,7 +16,7 @@ from wignersim.deduction import (
 )
 from wignersim.experiment import conditional_table
 from wignersim.presets import frauchiger_renner
-from wignersim.storyplot import Deduced, Value
+from wignersim.storyplot import Deduced, EventSetSchema, Plot, Slot, Value, make_event
 
 
 class TestCertaintyDeductions:
@@ -160,6 +162,23 @@ class TestFrContradiction:
         }
         text = report.to_text()
         assert "clash !!" in text and "clps:F1" in text
+
+
+def test_clash_is_oriented_by_entry_kind_not_by_label_text():
+    # An observed label that contains "=" must not pass for a deduction.
+    schema = EventSetSchema(times=("t1",), slots=(Slot("z", ("u=1", "d")),))
+    plots = {
+        "F": Plot(schema, (make_event(schema, "t1", {"z": Value("u=1")}),)),
+        "W": Plot(schema, (make_event(schema, "t1", {"z": Deduced("d")}),)),
+    }
+    report = _report_from_verdicts(
+        "toy", schema, plots, _pairwise_verdicts(schema, plots),
+        DeductionChain(("W", "d"), ()), (), (),
+    )
+    assert (report.deduced_by, report.deduced_value) == ("W", "d")
+    assert (report.observed_by, report.observed_value) == ("F", "u=1")
+    assert report.deduced_event == "(t1, z=d)"
+    assert report.observed_event == "(t1, u=1)"
 
 
 class TestDeutschContradiction:

@@ -17,11 +17,8 @@ from wignersim.storyplot import (
     check_compatibility,
     make_event,
     plot_from_distribution,
-    plot_from_json,
-    plot_to_json,
     project,
     validate_relations,
-    verdict_to_json,
 )
 
 
@@ -346,37 +343,6 @@ class TestPlotFromDistribution:
         )
         values = {e.entry(plot.schema, "z") for e in plot.at_time("t1")}
         assert values == {Value("u"), Value("d")}
-
-
-def test_plot_json_roundtrip():
-    schema = fr_schema()
-    plot = Plot(
-        schema,
-        (
-            make_event(schema, "t1", {"r": Value("T")}),
-            make_event(schema, "t4", {"w": Deduced("F")}),
-        ),
-    )
-    encoded = plot_to_json(plot)
-    assert encoded["events"][0] == {"t": "t1", "entries": {"r": {"v": "T"}}}
-    decoded = plot_from_json(encoded, agent_slots=schema.agent_slots)
-    assert decoded.events == plot.events
-
-
-def test_verdict_json():
-    schema = two_slot_schema()
-    a = Plot(schema, (make_event(schema, "t1", {"z": Value("0")}),))
-    b = Plot(schema, (make_event(schema, "t1", {"z": Value("1")}),))
-    verdict = check_compatibility(
-        CompatibilityConstraint("a", "b", ("z",)), a, b
-    )
-    raw = verdict_to_json(verdict)
-    assert raw == {
-        "consistent": False,
-        "violations": [
-            {"time": "t1", "slot": "z", "left": ["0"], "right": ["1"]}
-        ],
-    }
 
 
 def test_event_rendering_conventions():
