@@ -110,10 +110,10 @@ def flags(data, command, doc, workdir):
         maybe("--format", ["text", "json"], ["csv"])
         return args
     if command == "export-preset":
-        maybe("--out", ["out.json"], ["missing/out.json"])
-        return [
-            os.path.join(workdir, a) if a.endswith(".json") else a for a in args
-        ]
+        if data.draw(st.booleans()):
+            name = pick(data, ["out.json"], ["missing/out.json"])
+            args += ["--out", os.path.join(workdir, name)]
+        return args
     models = ["ism", "objective"] + [f"clps:{a.lower()}" for a in agents]
     maybe("--model", models, ["clps:", "clps:nobody", "nope", "clps:F1+F2"])
     maybe("--digits", ["1", "5", "17"], ["-1", "0", "18", "x"])
