@@ -12,6 +12,11 @@ a superobserver step that comes afterwards acts coherently on the earlier
 memories and would alter the answer.  :func:`conditional_table` applies that
 truncation; :func:`conditional` itself is plain Bayes on whatever joint
 distribution it is given.
+
+Of the truncated circuit, the two pair routes evolve only the backward cone
+of the two memories (see ``ExperimentSpec._cone``): a step that acts only on
+other labs is a channel on factors the pair never reads, so by no-signalling
+it cannot change what X can infer about Y.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ class ExperimentSpec:
     :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
     or tables, so every answer is still computed in full on every call.
     Construction extends the registry once per step and keeps that chain, so
-    :meth:`registry_after` is a lookup.
+    :meth:`registry_after` is a lookup.  A pair's backward cone
+    (:meth:`_cone`) is built on first use and kept the same way.
     """
 
     name: str
@@ -87,6 +93,7 @@ class ExperimentSpec:
                     )
             registries.append(registries[-1].extended(step.iso.appended))
         object.__setattr__(self, "_registries", tuple(registries))
+        object.__setattr__(self, "_cones", {})
         if self.halting is not None:
             measuring = {s.agent: s for s in self.steps if s.is_measurement}
             for agent, outcome in self.halting:
@@ -127,6 +134,35 @@ class ExperimentSpec:
             plans = tuple(built)
             object.__setattr__(self, "_step_plans", plans)
         return plans[:stop]
+
+    def _cone(self, target: str, given: str, through_time: int | None) -> "ExperimentSpec":
+        """The steps up to ``through_time`` that the two agents' memories can feel.
+
+        Walking the steps backwards from the two memory labels, a step is
+        kept when its domain or its appended factor meets the relevant set,
+        and its domain then joins that set.  A step left out acts only on
+        factors that no later kept step and neither memory touches; under
+        any collapse model it is a channel on those factors, so the pair's
+        joint distribution is the same on the cone.  The cone is a spec with
+        this spec's name, registry and initial state, the kept steps and no
+        halting.  It is built on first use, keyed by the unordered pair and
+        the number of steps run, and published whole; like a plan it holds
+        no amplitudes or answers.
+        """
+        stop = self._stop(through_time)
+        key = (frozenset((target, given)), stop)
+        cone = self._cones.get(key)
+        if cone is None:
+            relevant = {self.step_for(a).iso.memory_label for a in (target, given)}
+            kept = []
+            for step in reversed(self.steps[:stop]):
+                iso = step.iso
+                if iso.appended.label in relevant or not relevant.isdisjoint(iso.domain_labels):
+                    kept.append(step)
+                    relevant.update(iso.domain_labels)
+            cone = ExperimentSpec(self.name, self.registry, self.initial, tuple(kept[::-1]))
+            cone = self._cones.setdefault(key, cone)
+        return cone
 
     def step_for(self, agent: str) -> Step:
         for s in self.measuring_steps:
@@ -291,16 +327,45 @@ def _evolved_branches(
     the experiment's fails when its plan is built, with or without collapse,
     on every call that reaches it.
     """
+    _check_model(spec, model)
+    return _replayed(spec, model, spec._plans(through_time))
+
+
+def _check_model(spec: ExperimentSpec, model: CollapseModel) -> None:
     if model.agents is not None and not model.agents.issubset(spec.measuring_agents):
         unknown = min(model.agents.difference(spec.measuring_agents))
         raise ValueError(
             f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
+
+
+def _replayed(
+    spec: ExperimentSpec, model: CollapseModel, plans: tuple[_StepPlan, ...]
+) -> _Ensemble:
+    """The initial state stepped through ``plans``, the first steps of ``spec``."""
     ens = _Ensemble.of(spec.initial)
-    for step, plan in zip(spec.steps, spec._plans(through_time)):
+    for step, plan in zip(spec.steps, plans):
         collapses = step.is_measurement and model.collapses_at(step.agent)
         ens = ens.stepped(plan, collapses)
     return ens
+
+
+def _pair_branches(
+    spec: ExperimentSpec, model: CollapseModel, target: str, given: str
+) -> tuple[_Ensemble, ExperimentSpec]:
+    """The ensemble of the pair's cone at the later of its two measurements.
+
+    Every check runs on the full spec first, in the order a full evolution
+    runs them: the agents, the model, then every step plan up to the later
+    measurement, so a step whose basis check fails raises even when it lies
+    outside the cone.  Only the cone is evolved; the model passes unchanged
+    and its agents outside the cone never appear.
+    """
+    through = max(spec.step_for(target).time, spec.step_for(given).time)
+    _check_model(spec, model)
+    spec._plans(through)
+    cone = spec._cone(target, given, through)
+    return _replayed(cone, model, cone._plans(None)), cone
 
 
 def _condition_branches(
@@ -462,9 +527,12 @@ def conditional_table(
     Later steps are excluded: a subsequent superobserver measurement acts
     coherently on the earlier memory records, and including it would answer a
     different question than "what can ``given`` infer about ``target``".
+    Of the earlier steps only the backward cone of the two memories is
+    evolved (``ExperimentSpec._cone``): by no-signalling, a step acting only
+    on other labs cannot change the pair's joint distribution.
     """
-    through = max(spec.step_for(target).time, spec.step_for(given).time)
-    return conditional(evolve(spec, model, through_time=through), target, given)
+    ens, cone = _pair_branches(spec, model, target, given)
+    return conditional(_joint(ens, cone, model, None), target, given)
 
 
 def conditional_via_renormalized_state(
@@ -479,12 +547,13 @@ def conditional_via_renormalized_state(
     When the model collapses the conditioning agent's measurement this picks
     the collapsed branch at that step (the per-branch prediction); otherwise
     it is a projective update on the final state.  Either way it agrees with
-    Bayes' rule on the joint distribution of the same model.
+    Bayes' rule on the joint distribution of the same model.  Like
+    :func:`conditional_table`, it evolves only the backward cone of the two
+    memories, truncated at the later of the two measurements.
     """
-    through = max(spec.step_for(target).time, spec.step_for(given).time)
-    ens = _evolved_branches(spec, model, through_time=through)
-    conditioned = _condition_branches(ens, spec, model, {given: given_outcome})
-    return marginal(_joint(conditioned, spec, model, through), target)
+    ens, cone = _pair_branches(spec, model, target, given)
+    conditioned = _condition_branches(ens, cone, model, {given: given_outcome})
+    return marginal(_joint(conditioned, cone, model, None), target)
 
 
 def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:

@@ -45,6 +45,9 @@ ATOL_BASIS_NORM = 1e-9
 # The Hermitian check reads this many rows of the upper triangle at a time,
 # so its temporaries are that many rows long, not d×d.
 HERMITIAN_BLOCK_ROWS = 64
+# At or below this dimension eigvalsh is cheaper than the positivity proof,
+# whose every pivot costs about 17 µs of call overhead, so it decides alone.
+EIGVALSH_MAX_DIM = 8
 
 
 class ZeroProbabilityError(ValueError):
@@ -191,7 +194,8 @@ class DensityMatrix:
 
     Positivity is proved by :func:`_psd_certified` in O(d²·r) for rank r.
     ``eigvalsh`` decides only what that proof does not settle, such as an
-    eigenvalue below -5e-11 or a skew part near the 1e-12 tolerance.
+    eigenvalue below -5e-11 or a skew part near the 1e-12 tolerance, and
+    every matrix of dimension at most ``EIGVALSH_MAX_DIM``.
     """
 
     registry: SubsystemRegistry
@@ -209,7 +213,7 @@ class DensityMatrix:
             tr = complex(np.trace(mat))
             if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
                 raise ValueError(f"density matrix trace {tr!r} != 1 within 1e-12")
-        if not _psd_certified(mat):
+        if d <= EIGVALSH_MAX_DIM or not _psd_certified(mat):
             eigmin = float(np.min(np.linalg.eigvalsh(mat)))
             if not eigmin >= -ATOL_PSD:
                 raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")

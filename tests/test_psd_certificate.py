@@ -8,13 +8,15 @@ the 1e-12 Hermitian tolerance.  Dimensions stay at or below 64.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignersim.registry import SubsystemRegistry
-from wignersim.states import ATOL_PSD, DensityMatrix, _psd_certified
+from wignersim import states
+from wignersim.states import ATOL_PSD, EIGVALSH_MAX_DIM, DensityMatrix, _psd_certified
 
 BAND = 1e-13  # verdicts this close to -ATOL_PSD may go either way
 
@@ -115,6 +117,19 @@ def test_a_negative_direction_is_never_proved(d):
     mat = from_spectrum(spectrum, seed=d)
     assert not _psd_certified(mat)
     assert not accepts(mat)
+
+
+def test_a_small_density_goes_straight_to_the_spectrum_with_the_same_verdict(monkeypatch):
+    spectrum = np.array([0.5, 0.3, 0.2 + 2 * ATOL_PSD, -2 * ATOL_PSD])
+    mat = from_spectrum(spectrum, seed=4)
+    assert len(mat) <= EIGVALSH_MAX_DIM
+    eigmin = float(np.min(np.linalg.eigvalsh(mat)))
+    assert eigmin == pytest.approx(-2 * ATOL_PSD, abs=1e-15)
+    monkeypatch.setattr(states, "_psd_certified", lambda _: pytest.fail("the proof ran"))
+    message = f"density matrix has negative eigenvalue {eigmin!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(one_factor(4), mat)
+    assert accepts(from_spectrum(np.array([0.5, 0.3, 0.2, 0.0]), seed=4))
 
 
 def test_the_zero_matrix_is_proved_at_rank_zero():
