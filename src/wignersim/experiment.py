@@ -145,9 +145,11 @@ class ExperimentSpec:
         any collapse model it is a channel on those factors, so the pair's
         joint distribution is the same on the cone.  The cone is a spec with
         this spec's name, registry and initial state, the kept steps and no
-        halting.  It is built on first use, keyed by the unordered pair and
-        the number of steps run, and published whole; like a plan it holds
-        no amplitudes or answers.
+        halting, to be evolved through ``through_time`` like this one.  When
+        no step is left out it is this spec itself, so the plans it already
+        built serve the pair.  It is built on first use, keyed by the
+        unordered pair and the number of steps run, and published whole;
+        like a plan it holds no amplitudes or answers.
         """
         stop = self._stop(through_time)
         key = (frozenset((target, given)), stop)
@@ -160,7 +162,10 @@ class ExperimentSpec:
                 if iso.appended.label in relevant or not relevant.isdisjoint(iso.domain_labels):
                     kept.append(step)
                     relevant.update(iso.domain_labels)
-            cone = ExperimentSpec(self.name, self.registry, self.initial, tuple(kept[::-1]))
+            if len(kept) == stop:
+                cone = self
+            else:
+                cone = ExperimentSpec(self.name, self.registry, self.initial, tuple(kept[::-1]))
             cone = self._cones.setdefault(key, cone)
         return cone
 
@@ -328,7 +333,7 @@ def _evolved_branches(
     on every call that reaches it.
     """
     _check_model(spec, model)
-    return _replayed(spec, model, spec._plans(through_time))
+    return _replayed(spec, model, through_time)
 
 
 def _check_model(spec: ExperimentSpec, model: CollapseModel) -> None:
@@ -340,11 +345,11 @@ def _check_model(spec: ExperimentSpec, model: CollapseModel) -> None:
 
 
 def _replayed(
-    spec: ExperimentSpec, model: CollapseModel, plans: tuple[_StepPlan, ...]
+    spec: ExperimentSpec, model: CollapseModel, through_time: int | None
 ) -> _Ensemble:
-    """The initial state stepped through ``plans``, the first steps of ``spec``."""
+    """The initial state stepped through the spec's plans up to ``through_time``."""
     ens = _Ensemble.of(spec.initial)
-    for step, plan in zip(spec.steps, plans):
+    for step, plan in zip(spec.steps, spec._plans(through_time)):
         collapses = step.is_measurement and model.collapses_at(step.agent)
         ens = ens.stepped(plan, collapses)
     return ens
@@ -352,8 +357,10 @@ def _replayed(
 
 def _pair_branches(
     spec: ExperimentSpec, model: CollapseModel, target: str, given: str
-) -> tuple[_Ensemble, ExperimentSpec]:
+) -> tuple[_Ensemble, ExperimentSpec, int]:
     """The ensemble of the pair's cone at the later of its two measurements.
+
+    Returns the ensemble, the cone and the time of that measurement.
 
     Every check runs on the full spec first, in the order a full evolution
     runs them: the agents, the model, then every step plan up to the later
@@ -365,7 +372,7 @@ def _pair_branches(
     _check_model(spec, model)
     spec._plans(through)
     cone = spec._cone(target, given, through)
-    return _replayed(cone, model, cone._plans(None)), cone
+    return _replayed(cone, model, through), cone, through
 
 
 def _condition_branches(
@@ -531,8 +538,8 @@ def conditional_table(
     evolved (``ExperimentSpec._cone``): by no-signalling, a step acting only
     on other labs cannot change the pair's joint distribution.
     """
-    ens, cone = _pair_branches(spec, model, target, given)
-    return conditional(_joint(ens, cone, model, None), target, given)
+    ens, cone, through = _pair_branches(spec, model, target, given)
+    return conditional(_joint(ens, cone, model, through), target, given)
 
 
 def conditional_via_renormalized_state(
@@ -551,9 +558,9 @@ def conditional_via_renormalized_state(
     :func:`conditional_table`, it evolves only the backward cone of the two
     memories, truncated at the later of the two measurements.
     """
-    ens, cone = _pair_branches(spec, model, target, given)
+    ens, cone, through = _pair_branches(spec, model, target, given)
     conditioned = _condition_branches(ens, cone, model, {given: given_outcome})
-    return marginal(_joint(conditioned, cone, model, None), target)
+    return marginal(_joint(conditioned, cone, model, through), target)
 
 
 def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:

@@ -112,3 +112,5 @@ def test_the_cone_keeps_what_the_memories_can_feel_and_is_shared_by_both_orders(
     assert spec._cone("F1", "W2", through) is cone
     # W1 comes before W2 but reads only Q1 and F1.
     assert [s.agent for s in spec._cone("W0", "W2", through).steps] == ["F0", "F2", "W0", "W2"]
+    # A cone that leaves no step out is the spec itself, which has the plans.
+    assert spec._cone("F1", "F0", spec.step_for("F1").time) is spec
