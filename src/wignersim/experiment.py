@@ -556,7 +556,9 @@ def conditional_via_renormalized_state(
     it is a projective update on the final state.  Either way it agrees with
     Bayes' rule on the joint distribution of the same model.  Like
     :func:`conditional_table`, it evolves only the backward cone of the two
-    memories, truncated at the later of the two measurements.
+    memories, truncated at the later of the two measurements: a step outside
+    the cone acts only on other labs, so by no-signalling it cannot change
+    the answer.
     """
     ens, cone, through = _pair_branches(spec, model, target, given)
     conditioned = _condition_branches(ens, cone, model, {given: given_outcome})
