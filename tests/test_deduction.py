@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel
@@ -211,6 +214,47 @@ class TestDeutschContradiction:
             if v.slot == "x"
         ]
         assert x_verdicts == []
+
+
+# Scenarios the CLI cannot reach: FR without post-selection and Deutsch from
+# the friend's d record.  Each digest covers the JSON form (every plot entry,
+# the chain, any clash), the rules and the pairwise verdicts.
+LIBRARY_SCENARIO_DIGESTS = {
+    ("fr", "ism"): "e9cbeb887942c627127610c023ccb3e07ffb2ca284a37b834f279d216cb69b72",
+    ("fr", "objective"): "e9cbeb887942c627127610c023ccb3e07ffb2ca284a37b834f279d216cb69b72",
+    ("fr", "clps:F1"): "78d0b4c98abd4ce89a33c10937df6edeed24b97f38bfd915d9f1c8d6c4ba702b",
+    (True, "superposition"): "a2b036c895889bb04adb08e96a19822d0a880fc277505ef266316e2de7176d0b",
+    (True, "product"): "0240c41668cfeb11a22a3b08075ce31e275494ad5b00ec2fc83d00b093a25ac0",
+    (False, "superposition"): "a6a7e1b53cd49b03b937c63e21bfac0bdc59549424988c390a55d8cb84d41ff1",
+    (False, "product"): "0240c41668cfeb11a22a3b08075ce31e275494ad5b00ec2fc83d00b093a25ac0",
+}
+
+
+def _scenario_digest(outcome) -> str:
+    raw = {
+        "outcome": outcome.to_json(),
+        "rules": [r.render() for r in outcome.rules],
+        "verdicts": [
+            [left, right, [v.render() for v in verdict.violations]]
+            for left, right, verdict in outcome.verdicts
+        ],
+    }
+    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(LIBRARY_SCENARIO_DIGESTS, key=repr))
+def test_library_scenarios_match_their_digests(key):
+    first, second = key
+    if first == "fr":
+        model = {
+            "ism": NO_COLLAPSE,
+            "objective": OBJECTIVE_COLLAPSE,
+            "clps:F1": CollapseModel.subjective("F1"),
+        }[second]
+        outcome = build_fr_scenario(model, post_select=False)
+    else:
+        outcome = build_deutsch_scenario(first, second, friend_outcome="d")
+    assert _scenario_digest(outcome) == LIBRARY_SCENARIO_DIGESTS[key]
 
 
 def test_single_consistent_model_never_contradicts():

@@ -13,7 +13,9 @@ changed their bytes.  The set is:
 * on every preset under ``ism``, ``objective`` and every ``clps:<agent>``:
   ``tables --joint``, and ``tables --target T --given G --given-outcome O``
   for every ordered agent pair (T == G included), every outcome O of G and
-  the outcome ``bogus``.
+  the outcome ``bogus``;
+* ``check deutsch`` under each ``--friend-model`` and ``--wigner-basis``, as
+  text and as JSON.
 
 ``--digits N`` adds ``--digits N`` to every ``tables`` command; without it
 the tables print at the default digits.  ``tests/cli_goldens.txt`` holds the
@@ -59,6 +61,11 @@ def commands(digits: int | None = None) -> list[tuple[str, ...]]:
                     for outcome in outcomes:
                         table = ("--target", target, "--given", given, "--given-outcome", outcome)
                         out.append(source + table + digit_args)
+    for friend_model in ("ism", "clps"):
+        for basis in ("superposition", "product"):
+            for output_format in ("text", "json"):
+                out.append(("check", "deutsch", "--friend-model", friend_model,
+                            "--wigner-basis", basis, "--format", output_format))
     return out
 
 
