@@ -23,7 +23,13 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .registry import Subsystem, SubsystemRegistry
-from .states import StateVector, ZeroProbabilityError, _check_unit_rows, _row_norms_sq
+from .states import (
+    StateVector,
+    ZeroProbabilityError,
+    _check_unit_rows,
+    _row_norms_sq,
+    _spelled,
+)
 
 ATOL_ISOMETRY = 1e-12
 # A branch this improbable is dropped: renormalizing it would blow rounding
@@ -59,7 +65,9 @@ def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     if mat.shape != (d * k, d):
         raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
     if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_ISOMETRY:
-        raise ValueError("V†V differs from the identity beyond 1e-12")
+        raise ValueError(
+            f"V†V differs from the identity beyond {_spelled(ATOL_ISOMETRY)}"
+        )
     mat.setflags(write=False)
     return mat
 
@@ -221,7 +229,9 @@ def build_measurement_isometry(
         raise ValueError(f"need between 1 and {d} basis vectors, got {len(vecs)}")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     if np.max(np.abs(gram - np.eye(len(vecs)))) > ATOL_ORTHO:
-        raise ValueError("measurement basis is not orthonormal within 1e-9")
+        raise ValueError(
+            f"measurement basis is not orthonormal within {_spelled(ATOL_ORTHO)}"
+        )
 
     if memory_labels is None:
         memory_labels = [f"z{i}" for i in range(len(vecs))]

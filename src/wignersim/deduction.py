@@ -6,9 +6,14 @@ Rules of that shape are read off conditional tables, chained across agents,
 and turned into deduced plot events; compatibility checking then compares the
 deduced events against what the deduced-about agents actually observed.
 
-Both scenario builders work the same way.  Every link records the collapse
-model that produced it, so when a clash is found the report can say exactly
-which modeling assumption manufactured the offending prediction.
+A certainty scenario is data: the conditional tables each reasoner consults,
+each under its collapse set, the record the chain starts from, and the slot
+name of each measuring agent's outcome.  The event schema follows from the
+spec (time ``t<i>`` for the i-th measuring agent), and one path builds every
+agent's plot and checks every pair; Deutsch's reported bits x and y are a
+small explicit extension of it.  Every link records the collapse model that
+produced it, so when a clash is found the report can say exactly which
+modeling assumption manufactured the offending prediction.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from typing import Mapping
 from .channels import NO_COLLAPSE, CollapseModel
 from .experiment import (
     ConditionalTable,
+    ExperimentSpec,
     conditional_table,
     conditional_via_renormalized_state,
     evolve,
     marginal,
 )
 from .presets import deutsch_variant, frauchiger_renner, wigner_friend
+from .states import _spelled
 from .storyplot import (
     CompatibilityConstraint,
     CompatibilityVerdict,
@@ -40,7 +47,9 @@ from .storyplot import (
     plot_to_json,
 )
 
-CERTAINTY = 1.0 - 1e-9
+# A rule needs its column's point mass within this of 1.
+CERTAINTY_SLACK = 1e-9
+CERTAINTY = 1.0 - CERTAINTY_SLACK
 # A Deutsch answer bit reads 1 when P(phi-) exceeds this: far above the
 # float noise of an exact zero, far below every possible outcome's weight.
 POSSIBILITY = 1e-9
@@ -68,7 +77,8 @@ class DeductionRule:
     def __post_init__(self) -> None:
         if self.certainty < CERTAINTY:
             raise ValueError(
-                f"certainty {self.certainty!r} below the 1 - 1e-9 threshold"
+                f"certainty {self.certainty!r} below the "
+                f"1 - {_spelled(CERTAINTY_SLACK)} threshold"
             )
 
     def render(self) -> str:
@@ -267,65 +277,22 @@ class ScenarioOutcome:
         return raw
 
 
-def fr_event_schema() -> EventSetSchema:
-    """Times t1..t4, slots r (F1), z (F2), a (assistant), w (Wigner)."""
-    return EventSetSchema(
-        times=("t1", "t2", "t3", "t4"),
-        slots=(
-            Slot("r", ("H", "T")),
-            Slot("z", ("U", "D")),
-            Slot("a", ("o", "f", "perp2", "perp3")),
-            Slot("w", ("O", "F", "perp2", "perp3")),
-        ),
-        agent_slots=(
-            ("F1", ("t1", "r")),
-            ("F2", ("t2", "z")),
-            ("A", ("t3", "a")),
-            ("W", ("t4", "w")),
-        ),
-    )
+def _schema(
+    spec: ExperimentSpec, slots: Mapping[str, str], bits: tuple[str, ...] = ()
+) -> EventSetSchema:
+    """Time ``t<i>`` and slot ``slots[agent]`` for the i-th measuring agent.
 
-
-def deutsch_event_schema(wigner_basis: str = "superposition") -> EventSetSchema:
-    """Times t1/t2; slots z (friend), w (Wigner), plus reported bits x and y.
-
-    x encodes "the friend observed a definite outcome" (0 = definite) and y
-    encodes the friend's answer to "can Wigner's second outcome occur".
+    A slot's alphabet is its agent's outcome labels; each name in ``bits``
+    adds a slot for a reported bit, with alphabet ("0", "1").
     """
-    if wigner_basis == "superposition":
-        w_alphabet = ("phi+", "phi-", "perp2", "perp3")
-    else:
-        w_alphabet = ("U", "D", "perp2", "perp3")
+    agents = spec.measuring_agents
+    times = tuple(f"t{i}" for i in range(1, len(agents) + 1))
     return EventSetSchema(
-        times=("t1", "t2"),
-        slots=(
-            Slot("z", ("u", "d")),
-            Slot("w", w_alphabet),
-            Slot("x", ("0", "1")),
-            Slot("y", ("0", "1")),
-        ),
-        agent_slots=(("F", ("t1", "z")), ("W", ("t2", "w"))),
+        times=times,
+        slots=tuple(Slot(slots[a], spec.step_for(a).iso.outcome_labels) for a in agents)
+        + tuple(Slot(bit, ("0", "1")) for bit in bits),
+        agent_slots=tuple((a, (t, slots[a])) for a, t in zip(agents, times)),
     )
-
-
-def _pairwise_verdicts(
-    schema: EventSetSchema, plots: Mapping[str, Plot]
-) -> tuple[tuple[str, str, CompatibilityVerdict], ...]:
-    names = list(plots)
-    out = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            constraint = CompatibilityConstraint(
-                f"s^{names[i]}", f"s^{names[j]}", schema.slot_names
-            )
-            out.append(
-                (
-                    names[i],
-                    names[j],
-                    check_compatibility(constraint, plots[names[i]], plots[names[j]]),
-                )
-            )
-    return tuple(out)
 
 
 def _report_from_verdicts(
@@ -396,6 +363,79 @@ def _report_from_verdicts(
     return None
 
 
+def _outcome(
+    scenario: str,
+    schema: EventSetSchema,
+    plots: dict[str, Plot],
+    the_chain: DeductionChain,
+    rules: tuple[DeductionRule, ...],
+    post_selection: tuple[tuple[str, str], ...],
+) -> ScenarioOutcome:
+    """Check every pair of plots on all slots and report the first clash."""
+    names = list(plots)
+    verdicts = tuple(
+        (left, right, check_compatibility(
+            CompatibilityConstraint(f"s^{left}", f"s^{right}", schema.slot_names),
+            plots[left],
+            plots[right],
+        ))
+        for i, left in enumerate(names)
+        for right in names[i + 1:]
+    )
+    report = _report_from_verdicts(
+        scenario, schema, plots, verdicts, the_chain, rules, post_selection
+    )
+    return ScenarioOutcome(scenario, plots, the_chain, rules, verdicts, report)
+
+
+def _certainty_scenario(
+    scenario: str,
+    spec: ExperimentSpec,
+    schema: EventSetSchema,
+    tables: tuple[tuple[str, str, CollapseModel], ...],
+    start: tuple[str, str],
+    post_selection: tuple[tuple[str, str], ...],
+) -> ScenarioOutcome:
+    """One plot per measuring agent from consulted tables and a start record.
+
+    Each ``(target, given, model)`` table gives the ``given`` agent's
+    certainty rules under that collapse set.  With post-selection the rules
+    are chained from ``start``; a rule about the start agent is left out of
+    the chain, since that record is given, not deduced.  Each agent's plot
+    then holds its record (post-selected, else concluded by the chain), the
+    conclusion of every rule it fires on that record, and the post-selected
+    records of the agents that measured before it.  Without post-selection
+    nothing is chained and each plot lists its agent's possible outcomes.
+    """
+    rules = tuple(
+        rule
+        for target, given, model in tables
+        for rule in certainty_deductions(conditional_table(spec, model, target, given))
+    )
+    joint = evolve(spec, NO_COLLAPSE)
+    agents = spec.measuring_agents
+    if not post_selection:
+        plots = {
+            agent: plot_from_distribution(schema, joint, {}, alternatives=(agent,))
+            for agent in agents
+        }
+        return _outcome(scenario, schema, plots, DeductionChain(start, ()), rules, ())
+
+    the_chain = chain([r for r in rules if r.target != start[0]], start)
+    records = {**the_chain.conclusions(), **dict(post_selection)}
+    plots = {}
+    for i, agent in enumerate(agents):
+        own = {agent: records[agent]} if agent in records else {}
+        known = [
+            (r.target, r.outcome)
+            for r in rules
+            if r.reasoner == agent and r.given_outcome == records.get(agent)
+        ] + [(a, o) for a, o in post_selection if a in agents[:i]]
+        deductions = [(*schema.agent_cell(a), o) for a, o in known]
+        plots[agent] = plot_from_distribution(schema, joint, own, deductions)
+    return _outcome(scenario, schema, plots, the_chain, rules, post_selection)
+
+
 def build_fr_scenario(
     model_for_f1: CollapseModel | None = None,
     post_select: bool = True,
@@ -405,74 +445,23 @@ def build_fr_scenario(
     The assistant's and F2's certainty rules always come from the
     no-collapse tables; ``model_for_f1`` (default: F1 applies the update rule
     to his own measurement) controls how F1 predicts Wigner's result.  With
-    post-selection on the halting round {A: o, W: O} the chain fixes every
-    agent's observed outcome; without it the plots carry OR-alternatives and
-    nothing clashes.
+    post-selection on the halting round {A: o, W: O} the chain from A's
+    record fixes every agent's outcome, and W learns A's result; without it
+    the plots carry OR-alternatives and nothing clashes.
     """
     if model_for_f1 is None:
         model_for_f1 = CollapseModel.subjective("F1")
     spec = frauchiger_renner()
-    schema = fr_event_schema()
-
-    table_a = conditional_table(spec, NO_COLLAPSE, "F2", "A")
-    table_f2 = conditional_table(spec, NO_COLLAPSE, "F1", "F2")
-    table_f1 = conditional_table(spec, model_for_f1, "W", "F1")
-    rules = tuple(
-        certainty_deductions(table_a)
-        + certainty_deductions(table_f2)
-        + certainty_deductions(table_f1)
+    tables = (
+        ("F2", "A", NO_COLLAPSE),
+        ("F1", "F2", NO_COLLAPSE),
+        ("W", "F1", model_for_f1),
     )
-    joint = evolve(spec, NO_COLLAPSE)
-
-    if not post_select:
-        the_chain = DeductionChain(("A", "o"), ())
-        plots = {
-            agent: plot_from_distribution(
-                schema, joint, {}, alternatives=(agent,)
-            )
-            for agent in ("F1", "F2", "A", "W")
-        }
-        verdicts = _pairwise_verdicts(schema, plots)
-        report = _report_from_verdicts(
-            "fr", schema, plots, verdicts, the_chain, rules, ()
-        )
-        return ScenarioOutcome("fr", plots, the_chain, rules, verdicts, report)
-
-    halting = dict(spec.halting)
-    the_chain = chain(list(rules), ("A", halting["A"]))
-    conclusions = the_chain.conclusions()
-
-    observed = {
-        "A": halting["A"],
-        "W": halting["W"],
-        "F2": conclusions.get("F2"),
-        "F1": conclusions.get("F1"),
-    }
-    observed = {k: v for k, v in observed.items() if v is not None}
-
-    def deductions_for(agent: str) -> list[tuple[str, str, str]]:
-        out = []
-        for rule in the_chain.rules:
-            if rule.reasoner == agent:
-                time, slot = schema.agent_cell(rule.target)
-                out.append((time, slot, rule.outcome))
-        return out
-
-    plots = {}
-    for agent in ("F1", "F2", "A", "W"):
-        own = {agent: observed[agent]} if agent in observed else {}
-        deductions = deductions_for(agent)
-        if agent == "W":
-            # In the halting round W learns A's result by direct comparison.
-            time, slot = schema.agent_cell("A")
-            deductions.append((time, slot, halting["A"]))
-        plots[agent] = plot_from_distribution(schema, joint, own, deductions)
-
-    verdicts = _pairwise_verdicts(schema, plots)
-    report = _report_from_verdicts(
-        "fr", schema, plots, verdicts, the_chain, rules, tuple(spec.halting)
+    schema = _schema(spec, {"F1": "r", "F2": "z", "A": "a", "W": "w"})
+    return _certainty_scenario(
+        "fr", spec, schema, tables, spec.halting[0],
+        spec.halting if post_select else (),
     )
-    return ScenarioOutcome("fr", plots, the_chain, rules, verdicts, report)
 
 
 def run_fr_contradiction(
@@ -492,9 +481,10 @@ def build_deutsch_scenario(
 
     The friend reports x=0 (a definite outcome was observed; this is fixed
     under every model here) and answers the question "can Wigner's phi-
-    outcome occur" with the bit y.  Applying the update rule to his own
-    measurement he finds probability 1/2 for phi- and answers y=1; treating
-    his measurement as an isometry, as Wigner does, gives probability 0 and
+    outcome occur" with the bit y, read off P(W | own record) under the
+    friend's collapse set.  Applying the update rule to his own measurement
+    he finds probability 1/2 for phi- and answers y=1; treating his
+    measurement as an isometry, as Wigner does, gives probability 0 and
     answer y=0.  Both answers are definite consequences of the respective
     model, so the y slot must satisfy the biconditional and the reports can
     be compared directly.
@@ -503,67 +493,28 @@ def build_deutsch_scenario(
         spec = deutsch_variant()
     else:
         spec = wigner_friend(wigner_basis)
-    schema = deutsch_event_schema(wigner_basis)
-    joint = evolve(spec, NO_COLLAPSE)
-
+    schema = _schema(spec, {"F": "z", "W": "w"}, bits=("x", "y"))
     if wigner_basis == "product":
         # No coherence probe, no y question: both directions are certainty
         # deductions of actual records and the accounts agree.
-        table_w_given_f = conditional_table(spec, NO_COLLAPSE, "W", "F")
-        table_f_given_w = conditional_table(spec, NO_COLLAPSE, "F", "W")
-        rules = tuple(
-            certainty_deductions(table_w_given_f)
-            + certainty_deductions(table_f_given_w)
-        )
-        the_chain = chain(
-            [r for r in rules if r.reasoner == "F"], ("F", friend_outcome)
-        )
-        wigner_outcome = the_chain.conclusions()["W"]
-        plots = {
-            "F": plot_from_distribution(
-                schema,
-                joint,
-                {"F": friend_outcome},
-                deductions=[("t2", "w", wigner_outcome)],
-            ),
-            "W": plot_from_distribution(
-                schema,
-                joint,
-                {"W": wigner_outcome},
-                deductions=[("t1", "z", friend_outcome)],
-            ),
-        }
-        verdicts = _pairwise_verdicts(schema, plots)
-        report = _report_from_verdicts(
-            "deutsch", schema, plots, verdicts, the_chain, rules,
-            (("F", friend_outcome),),
-        )
-        return ScenarioOutcome("deutsch", plots, the_chain, rules, verdicts, report)
+        tables = (("W", "F", NO_COLLAPSE), ("F", "W", NO_COLLAPSE))
+        record = ("F", friend_outcome)
+        return _certainty_scenario("deutsch", spec, schema, tables, record, (record,))
 
-    collapse_model = CollapseModel.subjective("F")
-    p_clps = conditional_via_renormalized_state(
-        spec, collapse_model, "W", "F", friend_outcome
+    friend_model = (
+        CollapseModel.subjective("F") if friend_assumes_collapse else NO_COLLAPSE
     )
-    p_ism = marginal(joint, "W")
-    if friend_assumes_collapse:
-        friend_answer = "1" if p_clps["phi-"] > POSSIBILITY else "0"
-        friend_tag = collapse_model.tag
-    else:
-        friend_answer = "1" if p_ism["phi-"] > POSSIBILITY else "0"
-        friend_tag = NO_COLLAPSE.tag
-    wigner_answer = "1" if p_ism["phi-"] > POSSIBILITY else "0"
-    wigner_record = max(p_ism, key=lambda k: p_ism[k])  # phi+ with certainty
-
+    p_friend = conditional_via_renormalized_state(
+        spec, friend_model, "W", "F", friend_outcome
+    )
+    p_wigner = marginal(evolve(spec, NO_COLLAPSE), "W")
+    friend_answer, wigner_answer = (
+        "1" if p["phi-"] > POSSIBILITY else "0" for p in (p_friend, p_wigner)
+    )
+    wigner_record = max(p_wigner, key=p_wigner.get)  # phi+ with certainty
     friend_rule = DeductionRule(
-        reasoner="F",
-        given_outcome=friend_outcome,
-        target="y",
-        outcome=friend_answer,
-        model_tag=friend_tag,
-        certainty=1.0,
+        "F", friend_outcome, "y", friend_answer, friend_model.tag, 1.0
     )
-    the_chain = DeductionChain(("F", friend_outcome), (friend_rule,))
-
     plots = {
         "F": Plot(
             schema,
@@ -584,11 +535,8 @@ def build_deutsch_scenario(
             ),
         ),
     }
-    verdicts = _pairwise_verdicts(schema, plots)
-    report = _report_from_verdicts(
-        "deutsch", schema, plots, verdicts, the_chain, (friend_rule,), ()
-    )
-    return ScenarioOutcome("deutsch", plots, the_chain, (friend_rule,), verdicts, report)
+    the_chain = DeductionChain(("F", friend_outcome), (friend_rule,))
+    return _outcome("deutsch", schema, plots, the_chain, (friend_rule,), ())
 
 
 def run_deutsch_contradiction(

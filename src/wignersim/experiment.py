@@ -32,7 +32,7 @@ import numpy as np
 
 from .channels import CollapseModel, Isometry, MeasurementIsometry, _Ensemble, _StepPlan
 from .registry import SubsystemRegistry
-from .states import DensityMatrix, StateVector, ZeroProbabilityError
+from .states import DensityMatrix, StateVector, ZeroProbabilityError, _spelled
 
 ATOL_DIST = 1e-9
 SUPPORT_EPS = 1e-15
@@ -296,7 +296,7 @@ class ConditionalTable:
             total = sum(column.values())
             if abs(total - 1.0) > ATOL_DIST:
                 raise ValueError(
-                    f"column {g!r} sums to {total!r}, not 1 within 1e-9"
+                    f"column {g!r} sums to {total!r}, not 1 within {_spelled(ATOL_DIST)}"
                 )
 
     def probability(self, target_outcome: str, given_outcome: str) -> float:

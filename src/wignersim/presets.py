@@ -72,9 +72,9 @@ def deutsch_variant() -> ExperimentSpec:
 
     The defining additions of Deutsch's variant, the friend's definiteness
     report x and the "could Wigner see the minus outcome" answer y, are
-    classical reported bits: they live as extra slots in the event schema
-    built by :func:`wignersim.deduction.deutsch_event_schema`, not as quantum
-    steps of the circuit.
+    classical reported bits: :func:`wignersim.deduction.build_deutsch_scenario`
+    adds them as extra slots to the event schema it derives from this spec,
+    not as quantum steps of the circuit.
     """
     base = wigner_friend("superposition")
     return ExperimentSpec(

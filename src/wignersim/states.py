@@ -50,6 +50,11 @@ HERMITIAN_BLOCK_ROWS = 64
 EIGVALSH_MAX_DIM = 8
 
 
+def _spelled(tol: float) -> str:
+    """A tolerance as error messages spell it: ``1e-9`` where repr gives ``1e-09``."""
+    return repr(tol).replace("e-0", "e-")
+
+
 class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an event of (numerically) zero probability."""
 
@@ -208,11 +213,15 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
         if not _hermitian(mat):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
+            raise ValueError(
+                f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+            )
         if not self.subnormalized:
             tr = complex(np.trace(mat))
             if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
-                raise ValueError(f"density matrix trace {tr!r} != 1 within 1e-12")
+                raise ValueError(
+                    f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}"
+                )
         if d <= EIGVALSH_MAX_DIM or not _psd_certified(mat):
             eigmin = float(np.min(np.linalg.eigvalsh(mat)))
             if not eigmin >= -ATOL_PSD:
@@ -287,9 +296,13 @@ class Projector:
         if op.shape != (d, d):
             raise ValueError(f"operator shape {op.shape} does not match dimension {d}")
         if not _hermitian(op):
-            raise ValueError("projector is not Hermitian within 1e-12")
+            raise ValueError(
+                f"projector is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+            )
         if not np.max(np.abs(op @ op - op)) <= ATOL_CONSTRUCT:
-            raise ValueError("projector is not idempotent within 1e-12")
+            raise ValueError(
+                f"projector is not idempotent within {_spelled(ATOL_CONSTRUCT)}"
+            )
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -413,7 +426,7 @@ def born_probability(
         reduced = np.einsum(tens, list(range(n)) + cols, out)
         value = float(np.real(np.sum(reduced.reshape(k, k) * proj.operator.T)))
     if not value >= -ATOL_PSD:
-        raise ValueError(f"Born probability {value!r} below -1e-10")
+        raise ValueError(f"Born probability {value!r} below -{_spelled(ATOL_PSD)}")
     if value > 1.0 + ATOL_PROB:
         raise ValueError(f"Born probability {value!r} above 1")
     return min(max(value, 0.0), 1.0)

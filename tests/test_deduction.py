@@ -8,8 +8,7 @@ from wignersim.deduction import (
     ChainCycleError,
     DeductionChain,
     DeductionRule,
-    _pairwise_verdicts,
-    _report_from_verdicts,
+    _outcome,
     build_deutsch_scenario,
     build_fr_scenario,
     certainty_deductions,
@@ -174,10 +173,7 @@ def test_clash_is_oriented_by_entry_kind_not_by_label_text():
         "F": Plot(schema, (make_event(schema, "t1", {"z": Value("u=1")}),)),
         "W": Plot(schema, (make_event(schema, "t1", {"z": Deduced("d")}),)),
     }
-    report = _report_from_verdicts(
-        "toy", schema, plots, _pairwise_verdicts(schema, plots),
-        DeductionChain(("W", "d"), ()), (), (),
-    )
+    report = _outcome("toy", schema, plots, DeductionChain(("W", "d"), ()), (), ()).report
     assert (report.deduced_by, report.deduced_value) == ("W", "d")
     assert (report.observed_by, report.observed_value) == ("F", "u=1")
     assert report.deduced_event == "(t1, z=d)"

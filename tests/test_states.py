@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dense_ensemble import dense_ensemble, ghz_spec
-from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE
-from wignersim.experiment import evolved_density
+from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, build_measurement_isometry
+from wignersim.deduction import DeductionRule
+from wignersim.experiment import ConditionalTable, evolved_density
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
@@ -255,6 +256,45 @@ class TestBornByContraction:
         # The padded 1024×1024 matrix alone is 16 MiB.
         assert peak < 2**20
         assert abs(value - born_via_matrix_on(psi, proj)) < 1e-12
+
+
+def _non_hermitian_density():
+    DensityMatrix(qubit("S"), np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def _skewed_basis():
+    reg = qubit("S")
+    basis = [StateVector.basis_state(reg, "0"), StateVector.from_terms(reg, {"0": 0.6, "1": 0.8})]
+    build_measurement_isometry("F", reg, basis, memory="F")
+
+
+def _unnormalized_column():
+    ConditionalTable("A", "B", ("a", "b"), ("x",), {"x": {"a": 0.5, "b": 1.0}}, "ism")
+
+
+def _uncertain_rule():
+    DeductionRule("A", "o", "F2", "U", "ism", 0.5)
+
+
+# Each message spells its tolerance from the constant, so moving the
+# constant moves the message.
+@pytest.mark.parametrize(
+    "module, constant, default, trigger",
+    [
+        ("states", "ATOL_CONSTRUCT", "not Hermitian within 1e-12", _non_hermitian_density),
+        ("channels", "ATOL_ORTHO", "not orthonormal within 1e-9", _skewed_basis),
+        ("experiment", "ATOL_DIST", "not 1 within 1e-9", _unnormalized_column),
+        ("deduction", "CERTAINTY_SLACK", "below the 1 - 1e-9 threshold", _uncertain_rule),
+    ],
+)
+def test_tolerance_messages_follow_their_constants(monkeypatch, module, constant, default, trigger):
+    with pytest.raises(ValueError) as err:
+        trigger()
+    assert default in str(err.value)
+    monkeypatch.setattr(f"wignersim.{module}.{constant}", 0.25)
+    with pytest.raises(ValueError) as err:
+        trigger()
+    assert default.replace("1e-12", "0.25").replace("1e-9", "0.25") in str(err.value)
 
 
 class TestDensityMatrixInvariants:
