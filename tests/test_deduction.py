@@ -238,7 +238,7 @@ def _scenario_digest(outcome) -> str:
     return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("key", sorted(LIBRARY_SCENARIO_DIGESTS, key=repr))
+@pytest.mark.parametrize("key", list(LIBRARY_SCENARIO_DIGESTS), ids=str)
 def test_library_scenarios_match_their_digests(key):
     first, second = key
     if first == "fr":
