@@ -16,6 +16,7 @@ fixed number of decimal digits (default 5).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .experiment import (
     evolve,
     marginal,
 )
-from .presets import presets
+from .presets import _shared, presets
 from .serialize import dumps_canonical, experiment_to_document, load_experiment
 from .states import ZeroProbabilityError
 
@@ -76,13 +77,13 @@ class RunConfig:
 
 def _load_spec(config: RunConfig) -> ExperimentSpec:
     if config.preset is not None:
-        constructors = presets()
-        if config.preset not in constructors:
+        names = presets()
+        if config.preset not in names:
             raise UsageError(
                 f"unknown preset {config.preset!r}; choose from "
-                f"{', '.join(sorted(constructors))}"
+                f"{', '.join(sorted(names))}"
             )
-        return constructors[config.preset]()
+        return _shared(config.preset)
     try:
         return load_experiment(config.config_path)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
@@ -95,9 +96,10 @@ def _parse_model(text: str, spec: ExperimentSpec) -> CollapseModel:
     if text == "objective":
         return OBJECTIVE_COLLAPSE
     if text.startswith("clps:"):
-        return CollapseModel.subjective(_resolve_agent(text[5:], spec))
+        names = text[5:].split("+")
+        return CollapseModel(frozenset(_resolve_agent(name, spec) for name in names))
     raise UsageError(
-        f"unknown model {text!r}; use ism, objective, or clps:<agent>"
+        f"unknown model {text!r}; use ism, objective, or clps:<agent>[+<agent>...]"
     )
 
 
@@ -343,6 +345,7 @@ def cmd_export_preset(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignersim",
@@ -356,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="print distribution tables")
     add_source(tables)
-    tables.add_argument("--model", default="ism", help="ism | objective | clps:<agent>")
+    tables.add_argument("--model", default="ism",
+                        help="ism | objective | clps:<agent>[+<agent>...]")
     tables.add_argument("--target", help="agent whose outcomes are tabulated")
     tables.add_argument("--given", help="conditioning agent")
     tables.add_argument(

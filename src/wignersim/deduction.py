@@ -30,7 +30,7 @@ from .experiment import (
     evolve,
     marginal,
 )
-from .presets import deutsch_variant, frauchiger_renner, wigner_friend
+from .presets import _check_wigner_basis, _shared
 from .states import _spelled
 from .storyplot import (
     CompatibilityConstraint,
@@ -451,7 +451,7 @@ def build_fr_scenario(
     """
     if model_for_f1 is None:
         model_for_f1 = CollapseModel.subjective("F1")
-    spec = frauchiger_renner()
+    spec = _shared("fr")
     tables = (
         ("F2", "A", NO_COLLAPSE),
         ("F1", "F2", NO_COLLAPSE),
@@ -489,10 +489,10 @@ def build_deutsch_scenario(
     model, so the y slot must satisfy the biconditional and the reports can
     be compared directly.
     """
-    if wigner_basis == "superposition":
-        spec = deutsch_variant()
-    else:
-        spec = wigner_friend(wigner_basis)
+    _check_wigner_basis(wigner_basis)
+    spec = _shared("deutsch" if wigner_basis == "superposition" else "wigner-product")
+    if friend_outcome not in spec.step_for("F").iso.outcome_labels:
+        raise KeyError(f"{friend_outcome!r} is not an outcome of 'F'")
     schema = _schema(spec, {"F": "z", "W": "w"}, bits=("x", "y"))
     if wigner_basis == "product":
         # No coherence probe, no y question: both directions are certainty

@@ -3,10 +3,18 @@ nested two-lab protocol of Frauchiger and Renner.
 
 All states and measurement bases are written out exactly; the only irrational
 numbers involved are sqrt(1/2) and sqrt(1/3).
+
+The public constructors, and the map :func:`presets` returns, build a fresh
+spec on every call.  The command line and the scenario builders of
+:mod:`wignersim.deduction` instead share one spec per preset name, built on
+first use (``_shared``).  A spec is frozen and its lazily built step plans and
+cones hold no amplitudes or answers, so sharing it changes no result; it only
+saves rebuilding the isometries, their basis completions and the plans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -21,6 +29,11 @@ SQ3 = math.sqrt(1.0 / 3.0)
 WIGNER_BASES = ("product", "superposition")
 
 
+def _check_wigner_basis(wigner_basis: str) -> None:
+    if wigner_basis not in WIGNER_BASES:
+        raise ValueError(f"wigner_basis must be one of {WIGNER_BASES}")
+
+
 def wigner_friend(wigner_basis: str = "product") -> ExperimentSpec:
     """Friend measures a spin superposition; Wigner measures spin plus memory.
 
@@ -29,8 +42,7 @@ def wigner_friend(wigner_basis: str = "product") -> ExperimentSpec:
     probes the coherence between the two records
     ({(|up,u> + |down,d>)/sqrt(2), (|up,u> - |down,d>)/sqrt(2)}).
     """
-    if wigner_basis not in WIGNER_BASES:
-        raise ValueError(f"wigner_basis must be one of {WIGNER_BASES}")
+    _check_wigner_basis(wigner_basis)
     spin = Subsystem("S", 2, ("up", "down"))
     registry = SubsystemRegistry((spin,))
     initial = StateVector.from_terms(registry, {"up": SQ2, "down": SQ2})
@@ -173,3 +185,13 @@ def presets() -> dict[str, Callable[[], ExperimentSpec]]:
         "wigner-product": lambda: wigner_friend("product"),
         "wigner-superposition": lambda: wigner_friend("superposition"),
     }
+
+
+@functools.cache
+def _shared(name: str) -> ExperimentSpec:
+    """The one spec of preset ``name`` this process shares; KeyError if unknown.
+
+    Two threads asking for a cold name may each build one; whichever is
+    cached, both are equal and every answer is the same.
+    """
+    return presets()[name]()

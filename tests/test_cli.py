@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from wignersim import cli
+from wignersim.channels import CollapseModel
+from wignersim.experiment import conditional_table
+from wignersim.presets import frauchiger_renner
 
 
 def run_cli(*args):
@@ -11,6 +18,14 @@ def run_cli(*args):
         capture_output=True,
         timeout=120,
     )
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``cli.main`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestTables:
@@ -48,6 +63,33 @@ class TestTables:
         assert lines[0] == "W,F1=H,F1=T"
         assert lines[1] == "O,0.16667,0.16667"
         assert lines[2] == "F,0.83333,0.83333"
+
+    def test_collapse_set_model_reads_back_its_tag(self):
+        code, out, _ = run_main([
+            "tables", "--preset", "fr", "--model", "clps:F1+F2",
+            "--target", "w", "--given", "f1", "--format", "json",
+        ])
+        assert code == 0
+        payload = json.loads(out)
+        table = conditional_table(
+            frauchiger_renner(), CollapseModel({"F1", "F2"}), "W", "F1"
+        )
+        assert payload["model"] == table.model_tag == "clps:F1+F2"
+        assert payload["columns"] == {
+            g: {t: round(table.columns[g][t], 5) for t in table.target_alphabet}
+            for g in table.present_columns()
+        }
+        # Members fold case and may come in any order.
+        assert run_main([
+            "tables", "--preset", "fr", "--model", "clps:f2+f1",
+            "--target", "w", "--given", "f1", "--format", "json",
+        ])[1] == out
+
+    @pytest.mark.parametrize("model", ["clps:", "clps:F1+", "clps:+F2", "clps:F1+nobody"])
+    def test_collapse_set_with_an_empty_or_unknown_member_exits_2(self, model):
+        code, out, err = run_main(["tables", "--preset", "fr", "--model", model, "--target", "w"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown agent ")
 
     def test_marginal_and_joint(self):
         marginal = run_cli("tables", "--preset", "fr", "--target", "w")
@@ -251,6 +293,28 @@ class TestInternalFailure:
         assert out == ""
         assert err == f"error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
         assert "Traceback" not in err
+
+
+class TestReusedParser:
+    SEQUENCE = [
+        ["tables", "--preset", "nope"],
+        ["tables", "--preset", "fr", "--target", "w", "--digits", "99"],
+        ["tables", "--preset", "fr", "--target", "w", "--given", "f1"],
+        ["tables", "--presett", "fr"],
+        ["check", "fr", "--format", "csv"],
+        ["check", "fr", "--f1-model", "ism", "--format", "json"],
+        ["tables", "--preset", "fr", "--joint", "--format", "csv"],
+    ]
+
+    def test_a_sequence_in_one_process_reads_as_with_a_fresh_parser_each(
+        self, monkeypatch
+    ):
+        reused = [run_main(argv) for argv in self.SEQUENCE]
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_main(argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 2, 0, 2, 2, 0, 0]
 
 
 class TestExportPreset:

@@ -201,6 +201,21 @@ class TestDeutschContradiction:
         w_plot = outcome.plots["W"]
         assert w_plot.at_time("t1")[0].entry(w_plot.schema, "z") == Deduced("u")
 
+    @pytest.mark.parametrize("basis", ["superposition", "product"])
+    def test_unknown_friend_outcome_raises_before_any_evolution(self, monkeypatch, basis):
+        def evolved(*args, **kwargs):
+            pytest.fail("the scenario evolved before checking friend_outcome")
+
+        for name in ("evolve", "conditional_table", "conditional_via_renormalized_state"):
+            monkeypatch.setattr(f"wignersim.deduction.{name}", evolved)
+        with pytest.raises(KeyError) as caught:
+            build_deutsch_scenario(wigner_basis=basis, friend_outcome="x")
+        assert caught.value.args == ("'x' is not an outcome of 'F'",)
+
+    def test_unknown_basis_raises_value_error(self):
+        with pytest.raises(ValueError, match="wigner_basis must be one of"):
+            build_deutsch_scenario(wigner_basis="nope")
+
     def test_definiteness_bit_agrees_under_all_runs(self):
         outcome = build_deutsch_scenario()
         x_verdicts = [

@@ -114,8 +114,9 @@ def flags(data, command, doc, workdir):
             name = pick(data, ["out.json"], ["missing/out.json"])
             args += ["--out", os.path.join(workdir, name)]
         return args
-    models = ["ism", "objective"] + [f"clps:{a.lower()}" for a in agents]
-    maybe("--model", models, ["clps:", "clps:nobody", "nope", "clps:F1+F2"])
+    models = ["ism", "objective", "clps:" + "+".join(agents[:2])]
+    models += [f"clps:{a.lower()}" for a in agents]
+    maybe("--model", models, ["clps:", "clps:nobody", "nope", "clps:F1+"])
     maybe("--digits", ["1", "5", "17"], ["-1", "0", "18", "x"])
     if command == "sample":
         args += ["--seed", pick(data, ["0", "7", str(2**128 - 1)], ["-1", str(2**128), "x"])]
