@@ -295,6 +295,38 @@ class TestInternalFailure:
         assert "Traceback" not in err
 
 
+class TestUsageErrorLines:
+    SOURCE = "error: exactly one of --preset / --config is required\n"
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["tables", "--target", "w"], SOURCE),
+            (["tables", "--preset", "fr", "--config", "x.json", "--target", "w"], SOURCE),
+            (["sample", "--shots", "5", "--seed", "1"], SOURCE),
+            (["export-preset"], SOURCE),
+            (["export-preset", "--preset", "fr", "--config", "x.json"], SOURCE),
+            (["tables", "--target", "w", "--digits", "0"], SOURCE),
+            (["tables", "--preset", "fr", "--target", "w", "--digits", "0"],
+             "error: --digits must be in [1, 17], got 0\n"),
+            (["tables", "--preset", "fr", "--target", "w", "--digits", "18"],
+             "error: --digits must be in [1, 17], got 18\n"),
+            (["sample", "--preset", "fr", "--shots", "5", "--seed", "1", "--digits", "0"],
+             "error: --digits must be in [1, 17], got 0\n"),
+            (["sample", "--preset", "fr", "--shots", "5", "--seed", "1", "--digits", "18"],
+             "error: --digits must be in [1, 17], got 18\n"),
+            (["sample", "--preset", "fr", "--digits", "0"],
+             "error: --digits must be in [1, 17], got 0\n"),
+            (["check", "fr", "--f1-model", "bad"], "error: unknown --f1-model 'bad'\n"),
+            (["check", "deutsch", "--friend-model", "bad"],
+             "error: unknown --friend-model 'bad'\n"),
+            (["check", "nope"], "error: unknown scenario 'nope'; use fr or deutsch\n"),
+        ],
+    )
+    def test_exits_2_with_one_exact_error_line(self, argv, line):
+        assert run_main(argv) == (2, "", line)
+
+
 class TestReusedParser:
     SEQUENCE = [
         ["tables", "--preset", "nope"],

@@ -1,7 +1,7 @@
 """CLI bytes at the default digits, against the committed digest.
 
 ``tests/cli_goldens.txt`` is the output of ``tools/cli_goldens.py``: exit code
-and stdout SHA-256 of about 600 in-process CLI commands.  A change that moves
+and stdout SHA-256 of about 1150 in-process CLI commands.  A change that moves
 any of those bytes must regenerate the file and say why.
 """
 

@@ -15,7 +15,14 @@ changed their bytes.  The set is:
   for every ordered agent pair (T == G included), every outcome O of G and
   the outcome ``bogus``;
 * ``check deutsch`` under each ``--friend-model`` and ``--wigner-basis``, as
-  text and as JSON.
+  text and as JSON;
+* on every preset under ``ism`` and ``objective``: ``tables --target T`` (the
+  marginal) in text for every agent; in ``--format csv`` and ``--format json``,
+  every ``tables`` mode: ``--joint``, the marginal of every agent, the
+  conditional table of every ordered agent pair (T == G included) and
+  ``--given-outcome O`` for every outcome O of G; and
+  ``sample --seed 7 --shots 500``;
+* ``export-preset`` of every preset.
 
 ``--digits N`` adds ``--digits N`` to every ``tables`` command; without it
 the tables print at the default digits.  ``tests/cli_goldens.txt`` holds the
@@ -66,6 +73,25 @@ def commands(digits: int | None = None) -> list[tuple[str, ...]]:
             for output_format in ("text", "json"):
                 out.append(("check", "deutsch", "--friend-model", friend_model,
                             "--wigner-basis", basis, "--format", output_format))
+    for name, build in sorted(presets().items()):
+        spec = build()
+        agents = spec.measuring_agents
+        for model in ("ism", "objective"):
+            source = ("tables", "--preset", name, "--model", model)
+            for target in agents:
+                out.append(source + ("--target", target) + digit_args)
+            for output_format in ("csv", "json"):
+                tail = ("--format", output_format) + digit_args
+                out.append(source + ("--joint",) + tail)
+                for target in agents:
+                    out.append(source + ("--target", target) + tail)
+                    for given in agents:
+                        out.append(source + ("--target", target, "--given", given) + tail)
+                        for outcome in spec.step_for(given).iso.outcome_labels:
+                            table = ("--target", target, "--given", given, "--given-outcome", outcome)
+                            out.append(source + table + tail)
+            out.append(("sample", "--preset", name, "--model", model, "--seed", "7", "--shots", "500"))
+        out.append(("export-preset", "--preset", name))
     return out
 
 
