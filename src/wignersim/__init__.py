@@ -10,6 +10,10 @@ The package has three layers:
   :mod:`wignersim.serialize`),
 * the event/plot/story formalism and multi-agent deduction scenarios
   (:mod:`wignersim.storyplot`, :mod:`wignersim.deduction`).
+
+The attribute ``wignersim.presets`` is the function :func:`presets` (the
+name-to-builder map), which shadows the submodule of the same name; reach the
+module with ``importlib.import_module("wignersim.presets")``.
 """
 
 from .channels import (

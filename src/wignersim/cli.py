@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,35 +46,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    preset: str | None = None
-    config_path: str | None = None
-    model: str = "ism"
-    target: str | None = None
-    given: str | None = None
-    given_outcome: str | None = None
-    joint: bool = False
-    output_format: str = "text"
-    digits: int = 5
-    seed: int | None = None
-    shots: int | None = None
-    scenario: str | None = None
-    f1_model: str = "clps"
-    friend_model: str = "clps"
-    wigner_basis: str = "superposition"
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.command in ("tables", "sample", "export-preset"):
-            if (self.preset is None) == (self.config_path is None):
-                raise UsageError("exactly one of --preset / --config is required")
-        if not 1 <= self.digits <= 17:
-            raise UsageError(f"--digits must be in [1, 17], got {self.digits}")
-
-
-def _load_spec(config: RunConfig) -> ExperimentSpec:
+def _load_spec(config: argparse.Namespace) -> ExperimentSpec:
     if config.preset is not None:
         names = presets()
         if config.preset not in names:
@@ -128,130 +99,78 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def cmd_tables(config: RunConfig) -> int:
+def _emit(config: argparse.Namespace, spec: ExperimentSpec, tag: str, what: str,
+          header: list[str], rows: list[list[str]], payload: dict) -> int:
+    """Print one ``tables`` result in the chosen format: JSON, CSV or a text table."""
+    if config.output_format == "json":
+        doc = {"experiment": spec.name, "model": tag, **payload}
+        print(json.dumps(doc, sort_keys=True, ensure_ascii=False))
+    elif config.output_format == "csv":
+        print("\n".join([",".join(header)] + [",".join(r) for r in rows]))
+    else:
+        print(f"P({what})  model={tag}  experiment={spec.name}\n" + _text_table(header, rows))
+    return EXIT_OK
+
+
+def cmd_tables(config: argparse.Namespace) -> int:
     spec = _load_spec(config)
     model = _parse_model(config.model, spec)
     digits = config.digits
-    out: list[str] = []
 
     if config.joint:
         if (config.target, config.given, config.given_outcome) != (None, None, None):
             raise UsageError("--joint takes no --target, --given or --given-outcome")
         joint = evolve(spec, model)
-        title = f"P({','.join(joint.agents)})  model={joint.model_tag}  experiment={spec.name}"
-        if config.output_format == "json":
-            payload = {
-                "experiment": spec.name,
-                "model": joint.model_tag,
-                "agents": list(joint.agents),
-                "probabilities": [
-                    {"assignment": str(a), "p": round(p, digits)}
-                    for a, p in joint.probs.items()
-                ],
-            }
-            print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-            return EXIT_OK
-        rows = [[str(a), _fmt(p, digits)] for a, p in joint.probs.items()]
-        if config.output_format == "csv":
-            out.append("assignment,p")
-            out.extend(",".join(r) for r in rows)
-        else:
-            out.append(title)
-            out.append(_text_table(["assignment", "p"], rows))
-        print("\n".join(out))
-        return EXIT_OK
+        items = [(str(a), p) for a, p in joint.probs.items()]
+        return _emit(
+            config, spec, joint.model_tag, ",".join(joint.agents), ["assignment", "p"],
+            [[a, _fmt(p, digits)] for a, p in items],
+            {"agents": list(joint.agents),
+             "probabilities": [{"assignment": a, "p": round(p, digits)} for a, p in items]},
+        )
 
     if config.target is None:
         raise UsageError("tables needs --target (with optional --given) or --joint")
     target = _resolve_agent(config.target, spec)
     if config.given is None and config.given_outcome is not None:
         raise UsageError("--given-outcome needs --given")
+    alphabet = spec.step_for(target).iso.outcome_labels
 
     if config.given is None:
         dist = marginal(evolve(spec, model), target)
-        alphabet = spec.step_for(target).iso.outcome_labels
-        rows = [[o, _fmt(dist[o], digits)] for o in alphabet]
-        if config.output_format == "json":
-            payload = {
-                "experiment": spec.name,
-                "model": model.tag,
-                "target": target,
-                "marginal": {o: round(dist[o], digits) for o in alphabet},
-            }
-            print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-        elif config.output_format == "csv":
-            print("\n".join([f"{target},p"] + [",".join(r) for r in rows]))
-        else:
-            print(
-                f"P({target})  model={model.tag}  experiment={spec.name}\n"
-                + _text_table([target, "p"], rows)
-            )
-        return EXIT_OK
+        return _emit(
+            config, spec, model.tag, target, [target, "p"],
+            [[o, _fmt(dist[o], digits)] for o in alphabet],
+            {"target": target, "marginal": {o: round(dist[o], digits) for o in alphabet}},
+        )
 
     given = _resolve_agent(config.given, spec)
-    target_alphabet = spec.step_for(target).iso.outcome_labels
-
-    if config.given_outcome is not None:
-        dist = conditional_via_renormalized_state(
-            spec, model, target, given, config.given_outcome
+    outcome = config.given_outcome
+    if outcome is not None:
+        dist = conditional_via_renormalized_state(spec, model, target, given, outcome)
+        return _emit(
+            config, spec, model.tag, f"{target} | {given}={outcome}",
+            [target, f"{given}={outcome}"], [[o, _fmt(dist[o], digits)] for o in alphabet],
+            {"target": target, "given": {given: outcome},
+             "distribution": {o: round(dist[o], digits) for o in alphabet}},
         )
-        rows = [[o, _fmt(dist[o], digits)] for o in target_alphabet]
-        if config.output_format == "json":
-            payload = {
-                "experiment": spec.name,
-                "model": model.tag,
-                "target": target,
-                "given": {given: config.given_outcome},
-                "distribution": {o: round(dist[o], digits) for o in target_alphabet},
-            }
-            print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-        elif config.output_format == "csv":
-            print(
-                "\n".join(
-                    [f"{target},{given}={config.given_outcome}"]
-                    + [",".join(r) for r in rows]
-                )
-            )
-        else:
-            print(
-                f"P({target} | {given}={config.given_outcome})  model={model.tag}"
-                f"  experiment={spec.name}\n"
-                + _text_table([target, f"{given}={config.given_outcome}"], rows)
-            )
-        return EXIT_OK
 
     if given == target:
         raise UsageError("--target and --given name the same agent; add --given-outcome")
     table = conditional_table(spec, model, target, given)
     columns = table.present_columns()
-    header = [target] + [f"{given}={g}" for g in columns]
-    rows = [
-        [t] + [_fmt(table.columns[g][t], digits) for g in columns]
-        for t in table.target_alphabet
-    ]
-    if config.output_format == "json":
-        payload = {
-            "experiment": spec.name,
-            "model": table.model_tag,
-            "target": target,
-            "given": given,
-            "columns": {
-                g: {t: round(table.columns[g][t], digits) for t in table.target_alphabet}
-                for g in columns
-            },
-        }
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    elif config.output_format == "csv":
-        print("\n".join([",".join(header)] + [",".join(r) for r in rows]))
-    else:
-        print(
-            f"P({target} | {given})  model={table.model_tag}  experiment={spec.name}\n"
-            + _text_table(header, rows)
-        )
-    return EXIT_OK
+    return _emit(
+        config, spec, table.model_tag, f"{target} | {given}",
+        [target] + [f"{given}={g}" for g in columns],
+        [[t] + [_fmt(table.columns[g][t], digits) for g in columns]
+         for t in table.target_alphabet],
+        {"target": target, "given": given,
+         "columns": {g: {t: round(table.columns[g][t], digits) for t in table.target_alphabet}
+                     for g in columns}},
+    )
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(config: argparse.Namespace) -> int:
     if config.scenario == "fr":
         if config.f1_model == "ism":
             model = NO_COLLAPSE
@@ -286,7 +205,7 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK if outcome.consistent else EXIT_CONTRADICTION
 
 
-def cmd_sample(config: RunConfig) -> int:
+def cmd_sample(config: argparse.Namespace) -> int:
     if config.seed is None:
         raise UsageError("sample requires --seed for reproducibility")
     if not 0 <= config.seed < 2**128:
@@ -331,7 +250,7 @@ def cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export_preset(config: RunConfig) -> int:
+def cmd_export_preset(config: argparse.Namespace) -> int:
     spec = _load_spec(config)
     text = dumps_canonical(experiment_to_document(spec))
     if config.out_path:
@@ -410,15 +329,11 @@ def main(argv: list[str] | None = None) -> int:
         "export-preset": cmd_export_preset,
     }
     try:
-        config = RunConfig(
-            command=args.command,
-            **{
-                k: v
-                for k, v in vars(args).items()
-                if k != "command" and v is not None
-            },
-        )
-        return handlers[args.command](config)
+        if "preset" in args and (args.preset is None) == (args.config_path is None):
+            raise UsageError("exactly one of --preset / --config is required")
+        if "digits" in args and not 1 <= args.digits <= 17:
+            raise UsageError(f"--digits must be in [1, 17], got {args.digits}")
+        return handlers[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -232,7 +232,7 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
         agent = _label(h["agent"], f"{where}.agent")
         halting.append((agent, _label(h["outcome"], f"{where}.outcome")))
     return ExperimentSpec(
-        name=doc.get("name", "experiment"),
+        name=_label(doc.get("name", "experiment"), "name"),
         registry=registry,
         initial=initial,
         steps=tuple(steps),

@@ -141,7 +141,10 @@ class Event:
     entries: tuple[Entry, ...]
 
     def entry(self, schema: EventSetSchema, slot: str) -> Entry:
-        return self.entries[schema.slot_names.index(slot)]
+        try:
+            return self.entries[schema.slot_names.index(slot)]
+        except ValueError:
+            raise KeyError(f"unknown slot {slot!r}") from None
 
     def render(self, schema: EventSetSchema) -> str:
         parts = [self.time]

@@ -208,6 +208,17 @@ class TestTables:
         assert message in result.stderr
 
 
+    def test_non_string_experiment_name_exits_2(self, tmp_path):
+        doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)
+        doc["name"] = 5
+        path = tmp_path / "bad-name.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("tables", "--config", str(path), "--target", "w")
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: cannot load experiment config: name: expected a label, got 5\n"
+
+
 class TestCheck:
     def test_fr_subjective_collapse_exits_1(self):
         result = run_cli("check", "fr", "--f1-model", "clps", "--format", "json")

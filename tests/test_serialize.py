@@ -131,6 +131,10 @@ def _set(doc, path, value):
         (("steps",), None, "steps: expected a list of steps, got None"),
         (("halting",), {"A": "o"}, "halting: expected a list of conditions"),
         (("halting", 0, "outcome"), 1, "halting[0].outcome: expected a label, got 1"),
+        (("name",), 5, "name: expected a label, got 5"),
+        (("name",), None, "name: expected a label, got None"),
+        (("name",), ["x"], "name: expected a label, got ['x']"),
+        (("name",), {}, "name: expected a label, got {}"),
     ],
 )
 def test_wrong_field_types_raise_path_qualified_errors(path, value, message):

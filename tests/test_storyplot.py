@@ -112,6 +112,14 @@ class TestProject:
             project(Plot(schema, ()), {"nope"})
 
 
+def test_event_entry_on_an_unknown_slot_names_it():
+    schema = two_slot_schema()
+    event = make_event(schema, "t1", {"z": Value("0")})
+    assert event.entry(schema, "z") == Value("0")
+    with pytest.raises(KeyError, match="unknown slot 'zz'"):
+        event.entry(schema, "zz")
+
+
 class TestCheckCompatibility:
     def test_disagreeing_answers_clash(self):
         schema = EventSetSchema(
