@@ -8,7 +8,7 @@ The package has three layers:
 * experiments and their exact outcome distributions under pluggable collapse
   models (:mod:`wignersim.experiment`, :mod:`wignersim.presets`,
   :mod:`wignersim.serialize`),
-* the event/plot/story formalism and multi-agent deduction scenarios
+* the event/plot formalism and multi-agent deduction scenarios
   (:mod:`wignersim.storyplot`, :mod:`wignersim.deduction`).
 
 The attribute ``wignersim.presets`` is the function :func:`presets` (the
@@ -37,8 +37,6 @@ from .deduction import (
     build_fr_scenario,
     certainty_deductions,
     chain,
-    run_deutsch_contradiction,
-    run_fr_contradiction,
 )
 from .experiment import (
     ConditionalTable,
@@ -74,22 +72,17 @@ from .states import (
     tensor,
 )
 from .storyplot import (
-    CompatibilityConstraint,
     CompatibilityVerdict,
     Deduced,
     Event,
     EventSetSchema,
     Plot,
-    RelationGroup,
     Slot,
-    Story,
     Value,
     WILDCARD,
     check_compatibility,
     make_event,
     plot_from_distribution,
-    project,
-    validate_relations,
 )
 
 __version__ = "0.1.0"

@@ -170,7 +170,24 @@ def cmd_tables(config: argparse.Namespace) -> int:
     )
 
 
+# The flags each scenario reads, with their defaults.  The parser leaves
+# every flag at None, so one given to the other scenario shows.
+_CHECK_FLAGS = {
+    "fr": {"f1_model": "clps"},
+    "deutsch": {"friend_model": "clps", "wigner_basis": "superposition"},
+}
+
+
 def cmd_check(config: argparse.Namespace) -> int:
+    if config.scenario not in _CHECK_FLAGS:
+        raise UsageError(f"unknown scenario {config.scenario!r}; use fr or deutsch")
+    reads = _CHECK_FLAGS[config.scenario]
+    for dest in ("f1_model", "friend_model", "wigner_basis"):
+        if getattr(config, dest) is None:
+            setattr(config, dest, reads.get(dest))
+        elif dest not in reads:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"check {config.scenario} does not read {flag}")
     if config.scenario == "fr":
         if config.f1_model == "ism":
             model = NO_COLLAPSE
@@ -181,15 +198,13 @@ def cmd_check(config: argparse.Namespace) -> int:
         else:
             raise UsageError(f"unknown --f1-model {config.f1_model!r}")
         outcome = build_fr_scenario(model)
-    elif config.scenario == "deutsch":
+    else:
         if config.friend_model not in ("ism", "clps"):
             raise UsageError(f"unknown --friend-model {config.friend_model!r}")
         outcome = build_deutsch_scenario(
             friend_assumes_collapse=config.friend_model == "clps",
             wigner_basis=config.wigner_basis,
         )
-    else:
-        raise UsageError(f"unknown scenario {config.scenario!r}; use fr or deutsch")
 
     if config.output_format == "json":
         print(json.dumps(outcome.to_json(), sort_keys=True, ensure_ascii=False))
@@ -293,12 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a consistency scenario")
     check.add_argument("scenario", help="fr | deutsch")
-    check.add_argument("--f1-model", dest="f1_model", default="clps",
-                       help="fr only: ism | clps | objective")
-    check.add_argument("--friend-model", dest="friend_model", default="clps",
-                       help="deutsch only: ism | clps")
-    check.add_argument("--wigner-basis", dest="wigner_basis", default="superposition",
-                       choices=("superposition", "product"))
+    check.add_argument("--f1-model", dest="f1_model",
+                       help="fr only: ism | clps (default) | objective")
+    check.add_argument("--friend-model", dest="friend_model",
+                       help="deutsch only: ism | clps (default)")
+    check.add_argument("--wigner-basis", dest="wigner_basis",
+                       choices=("superposition", "product"),
+                       help="deutsch only (default: superposition)")
     check.add_argument("--format", dest="output_format", default="text",
                        choices=("text", "json"))
 

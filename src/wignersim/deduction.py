@@ -33,7 +33,6 @@ from .experiment import (
 from .presets import _check_wigner_basis, _shared
 from .states import _spelled
 from .storyplot import (
-    CompatibilityConstraint,
     CompatibilityVerdict,
     Deduced,
     EventSetSchema,
@@ -195,7 +194,6 @@ class ContradictionReport:
 
     scenario: str
     post_selection: tuple[tuple[str, str], ...]
-    constraint: CompatibilityConstraint
     clash_time: str
     clash_slot: str
     deduced_value: str
@@ -233,8 +231,8 @@ class ContradictionReport:
                 {"agent": a, "outcome": o} for a, o in self.post_selection
             ],
             "constraint": {
-                "left": self.constraint.left_name,
-                "right": self.constraint.right_name,
+                "left": f"s^{self.deduced_by}",
+                "right": f"s^{self.observed_by}",
             },
             "clash": {
                 "time": self.clash_time,
@@ -346,9 +344,6 @@ def _report_from_verdicts(
         return ContradictionReport(
             scenario=scenario,
             post_selection=post_selection,
-            constraint=CompatibilityConstraint(
-                f"s^{deduced_side}", f"s^{observed_side}", (violation.slot,)
-            ),
             clash_time=violation.time,
             clash_slot=violation.slot,
             deduced_value=deduced_value,
@@ -374,11 +369,7 @@ def _outcome(
     """Check every pair of plots on all slots and report the first clash."""
     names = list(plots)
     verdicts = tuple(
-        (left, right, check_compatibility(
-            CompatibilityConstraint(f"s^{left}", f"s^{right}", schema.slot_names),
-            plots[left],
-            plots[right],
-        ))
+        (left, right, check_compatibility(plots[left], plots[right], schema.slot_names))
         for i, left in enumerate(names)
         for right in names[i + 1:]
     )
@@ -464,14 +455,6 @@ def build_fr_scenario(
     )
 
 
-def run_fr_contradiction(
-    model_for_f1: CollapseModel | None = None,
-    post_select: bool = True,
-) -> ContradictionReport | None:
-    """Report of the nested-lab clash, or None when the accounts agree."""
-    return build_fr_scenario(model_for_f1, post_select).report
-
-
 def build_deutsch_scenario(
     friend_assumes_collapse: bool = True,
     wigner_basis: str = "superposition",
@@ -537,11 +520,3 @@ def build_deutsch_scenario(
     }
     the_chain = DeductionChain(("F", friend_outcome), (friend_rule,))
     return _outcome("deutsch", schema, plots, the_chain, (friend_rule,), ())
-
-
-def run_deutsch_contradiction(
-    friend_assumes_collapse: bool = True,
-    wigner_basis: str = "superposition",
-) -> ContradictionReport | None:
-    """Report of the reported-bit clash, or None when the accounts agree."""
-    return build_deutsch_scenario(friend_assumes_collapse, wigner_basis).report

@@ -191,10 +191,6 @@ class OutcomeAssignment:
 
     outcomes: tuple[tuple[str, str], ...]
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "OutcomeAssignment":
-        return cls(tuple(pairs))
-
     def __getitem__(self, agent: str) -> str:
         for a, outcome in self.outcomes:
             if a == agent:

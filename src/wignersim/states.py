@@ -280,8 +280,8 @@ class Projector:
     """Orthogonal projector on named target factors, identity elsewhere.
 
     The stored operator acts on the target factors in the declared
-    ``target_labels`` order; embedding into any host registry containing those
-    labels happens lazily in :meth:`matrix_on`.
+    ``target_labels`` order; :func:`born_probability` applies it to any host
+    registry containing those labels without forming the padded matrix.
     """
 
     target_labels: tuple[str, ...]
@@ -315,35 +315,6 @@ class Projector:
                 raise ValueError(
                     f"registry mismatch: subsystem {sub.label!r} bases differ"
                 )
-
-    def matrix_on(self, registry: SubsystemRegistry) -> np.ndarray:
-        """Embed as a full matrix on the host registry (identity padding)."""
-        self._check_host(registry)
-        return embed_operator(registry, self.operator, self.target_labels)
-
-
-def embed_operator(
-    registry: SubsystemRegistry, op: np.ndarray, target_labels: Iterable[str]
-) -> np.ndarray:
-    """Pad an operator on the named factors with identity on all others.
-
-    ``op`` is indexed in the declared target order, which need not be the
-    registry-relative order; axes are permuted back into canonical order.
-    """
-    targets = tuple(target_labels)
-    dims = registry.dims
-    n = len(dims)
-    target_axes = [registry.axis(l) for l in targets]
-    rest_axes = [i for i in range(n) if i not in target_axes]
-    d_rest = math.prod(dims[i] for i in rest_axes) if rest_axes else 1
-    full = np.kron(np.asarray(op, dtype=np.complex128), np.eye(d_rest))
-    cur_axes = target_axes + rest_axes
-    cur_dims = [dims[a] for a in cur_axes]
-    perm = [cur_axes.index(i) for i in range(n)]
-    tens = full.reshape(cur_dims + cur_dims)
-    tens = tens.transpose(perm + [p + n for p in perm])
-    d = registry.total_dimension
-    return np.ascontiguousarray(tens.reshape(d, d))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

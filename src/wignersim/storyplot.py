@@ -1,4 +1,4 @@
-"""Events, plots, stories, and compatibility checking between observer accounts.
+"""Events, plots, and compatibility checking between observer accounts.
 
 An event set is a grid of time labels times a tuple of named finite-alphabet
 slots.  A plot is a finite set of events; each event fixes some slots to
@@ -7,12 +7,6 @@ Plots are what different observers' accounts of one experiment project down
 to, and the compatibility condition demands that any two accounts of the same
 run agree on every slot they both speak about.
 
-Two same-time events in a plot can mean "both happened" or "one of these
-happened"; the plot alone cannot tell.  A story carries that missing
-information as an explicit AND/OR annotation, and :func:`validate_relations`
-enforces the one discipline a single measurement imposes: two different
-values for the same measurement's outcome can only ever be OR-related.
-
 Rendering conventions: a deduced entry prints as ``slot=value``, an observed
 entry prints as the bare value, a wildcard prints as ``⋆``.
 """
@@ -20,7 +14,7 @@ entry prints as the bare value, a wildcard prints as ``⋆``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .experiment import (
     CONDITION_EPS,
@@ -121,17 +115,6 @@ class EventSetSchema:
                 return cell
         raise KeyError(f"schema carries no (time, slot) cell for agent {agent!r}")
 
-    def restricted(self, keep_slots: Iterable[str]) -> "EventSetSchema":
-        keep = set(keep_slots)
-        unknown = keep - set(self.slot_names)
-        if unknown:
-            raise KeyError(f"unknown slots {sorted(unknown)}")
-        slots = tuple(s for s in self.slots if s.name in keep)
-        agent_slots = tuple(
-            (a, cell) for a, cell in self.agent_slots if cell[1] in keep
-        )
-        return EventSetSchema(self.times, slots, agent_slots)
-
 
 @dataclass(frozen=True)
 class Event:
@@ -208,57 +191,6 @@ class Plot:
 
 
 @dataclass(frozen=True)
-class RelationGroup:
-    """Same-time events related by AND (all happened) or OR (alternatives)."""
-
-    kind: str
-    events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("and", "or"):
-            raise ValueError(f"relation kind must be 'and' or 'or', got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Story:
-    """A plot plus the same-time relation annotation the plot itself loses."""
-
-    plot: Plot
-    groups: tuple[RelationGroup, ...] = ()
-    account: str = ""
-
-    def __post_init__(self) -> None:
-        # Every same-time event pair must be covered by exactly one group.
-        for time in self.plot.schema.times:
-            events = self.plot.at_time(time)
-            for i in range(len(events)):
-                for j in range(i + 1, len(events)):
-                    covering = [
-                        g
-                        for g in self.groups
-                        if events[i] in g.events and events[j] in g.events
-                    ]
-                    if len(covering) != 1:
-                        raise ValueError(
-                            f"same-time events at {time!r} must belong to exactly "
-                            f"one relation group, found {len(covering)}"
-                        )
-
-
-@dataclass(frozen=True)
-class CompatibilityConstraint:
-    """Biconditional agreement on a shared slot subset between two accounts."""
-
-    left_name: str
-    right_name: str
-    shared_slots: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.shared_slots:
-            raise ValueError("a compatibility constraint needs at least one shared slot")
-
-
-@dataclass(frozen=True)
 class Violation:
     time: str
     slot: str
@@ -278,27 +210,6 @@ class CompatibilityVerdict:
     violations: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class RelationVerdict:
-    accepted: bool
-    rejections: tuple[str, ...] = ()
-
-
-def project(plot: Plot, keep_slots: Iterable[str]) -> Plot:
-    """Restrict every event to the named slots; duplicate projections merge."""
-    schema = plot.schema.restricted(keep_slots)
-    keep = set(schema.slot_names)
-    events = []
-    for event in plot.events:
-        entries = tuple(
-            entry
-            for slot, entry in zip(plot.schema.slots, event.entries)
-            if slot.name in keep
-        )
-        events.append(Event(event.time, entries))
-    return Plot(schema, tuple(events))
-
-
 def _claims(plot: Plot, time: str, slot: str) -> dict[str, Entry]:
     """Non-wildcard entries a plot makes about one (time, slot) cell."""
     out: dict[str, Entry] = {}
@@ -311,7 +222,7 @@ def _claims(plot: Plot, time: str, slot: str) -> dict[str, Entry]:
 
 
 def check_compatibility(
-    constraint: CompatibilityConstraint, a: Plot, b: Plot
+    a: Plot, b: Plot, shared_slots: Sequence[str]
 ) -> CompatibilityVerdict:
     """Check biconditional agreement on every shared (time, slot) cell.
 
@@ -320,7 +231,9 @@ def check_compatibility(
     the other, whenever both plots claim anything there at all.  A deduced
     entry matches an observed entry of the same value.
     """
-    for slot in constraint.shared_slots:
+    if not shared_slots:
+        raise ValueError("a compatibility constraint needs at least one shared slot")
+    for slot in shared_slots:
         sa = a.schema.slot(slot)
         sb = b.schema.slot(slot)
         if sa.alphabet != sb.alphabet:
@@ -331,7 +244,7 @@ def check_compatibility(
     times = [t for t in a.schema.times if t in b.schema.times]
     violations = []
     for time in times:
-        for slot in constraint.shared_slots:
+        for slot in shared_slots:
             left = _claims(a, time, slot)
             right = _claims(b, time, slot)
             if not left or not right:
@@ -350,42 +263,6 @@ def check_compatibility(
                     )
                 )
     return CompatibilityVerdict(not violations, tuple(violations))
-
-
-def validate_relations(
-    story: Story, measurement_map: Mapping[tuple[str, str], str]
-) -> RelationVerdict:
-    """Enforce the definiteness discipline on a story's AND groups.
-
-    Rejects any AND group in which two events assign different values to the
-    same single measurement's outcome slot: one run of one measurement has
-    exactly one result.  AND groups spanning distinct measurements and OR
-    groups listing alternatives pass.
-    """
-    schema = story.plot.schema
-    rejections = []
-    for g_index, group in enumerate(story.groups):
-        if group.kind != "and":
-            continue
-        per_measurement: dict[tuple[str, str, str], set[str]] = {}
-        for event in group.events:
-            for slot, entry in zip(schema.slots, event.entries):
-                if not isinstance(entry, (Value, Deduced)):
-                    continue
-                cell = (event.time, slot.name)
-                if cell not in measurement_map:
-                    raise KeyError(
-                        f"measurement_map does not cover observed cell {cell}"
-                    )
-                key = (event.time, measurement_map[cell], slot.name)
-                per_measurement.setdefault(key, set()).add(entry.v)
-        for (time, measurement, slot_name), values in sorted(per_measurement.items()):
-            if len(values) > 1:
-                rejections.append(
-                    f"AND group {g_index}: measurement {measurement!r} at {time} "
-                    f"cannot yield {sorted(values)} on slot {slot_name!r} in one run"
-                )
-    return RelationVerdict(not rejections, tuple(rejections))
 
 
 def plot_from_distribution(

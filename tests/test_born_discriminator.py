@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from numpy_oracle import padded
 from wignersim.channels import apply_isometry, collapse
 from wignersim.experiment import evolve, marginal
 from wignersim.channels import NO_COLLAPSE
@@ -67,6 +68,7 @@ def test_superobserver_outcome_projectors():
     (state,) = ensemble.states()
     registry = state.registry
     assert registry == spec.registry_after()
+    dims = list(registry.dims)
     p_both = born_probability(
         state,
         projector_from_basis_vector(assistant.basis[0]),
@@ -76,8 +78,8 @@ def test_superobserver_outcome_projectors():
         np.real(
             np.vdot(
                 state.amplitudes,
-                o_proj.matrix_on(registry)
-                @ big_o_proj.matrix_on(registry)
+                padded(o_proj.operator, dims, [registry.axis(l) for l in o_proj.target_labels])
+                @ padded(big_o_proj.operator, dims, [registry.axis(l) for l in big_o_proj.target_labels])
                 @ state.amplitudes,
             )
         )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from numpy_oracle import padded
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.channels import (
     CollapseModel,
@@ -252,10 +253,16 @@ def test_collapse_then_mix_equals_unitary_then_dephase():
     unitary = apply_isometry(psi, iso)
     rho = np.outer(unitary.amplitudes, unitary.amplitudes.conj())
     dephased = np.zeros_like(rho)
+    dims = list(unitary.registry.dims)
+    memory_axis = unitary.registry.axis(iso.memory.label)
     for label in iso.outcome_labels:
-        proj = projector_from_basis_vector(
-            StateVector.basis_state(SubsystemRegistry((iso.memory,)), label)
-        ).matrix_on(unitary.registry)
+        proj = padded(
+            projector_from_basis_vector(
+                StateVector.basis_state(SubsystemRegistry((iso.memory,)), label)
+            ).operator,
+            dims,
+            [memory_axis],
+        )
         dephased += proj @ rho @ proj
     assert np.allclose(mixed, dephased, atol=1e-12)
 

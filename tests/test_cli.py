@@ -332,10 +332,41 @@ class TestUsageErrorLines:
             (["check", "deutsch", "--friend-model", "bad"],
              "error: unknown --friend-model 'bad'\n"),
             (["check", "nope"], "error: unknown scenario 'nope'; use fr or deutsch\n"),
+            # check rejects a flag that the named scenario does not read,
+            # after the scenario name itself.
+            (["check", "deutsch", "--f1-model", "bad"],
+             "error: check deutsch does not read --f1-model\n"),
+            (["check", "deutsch", "--f1-model", "clps", "--format", "json"],
+             "error: check deutsch does not read --f1-model\n"),
+            (["check", "fr", "--friend-model", "bad", "--wigner-basis", "product"],
+             "error: check fr does not read --friend-model\n"),
+            (["check", "fr", "--f1-model", "ism", "--wigner-basis", "superposition"],
+             "error: check fr does not read --wigner-basis\n"),
+            (["check", "nope", "--f1-model", "clps", "--friend-model", "ism"],
+             "error: unknown scenario 'nope'; use fr or deutsch\n"),
         ],
     )
     def test_exits_2_with_one_exact_error_line(self, argv, line):
         assert run_main(argv) == (2, "", line)
+
+
+class TestCheckDefaults:
+    """A ``check`` flag left out takes the default its scenario reads."""
+
+    @pytest.mark.parametrize(
+        "bare,spelled",
+        [
+            (["check", "fr"], ["check", "fr", "--f1-model", "clps"]),
+            (["check", "deutsch"],
+             ["check", "deutsch", "--friend-model", "clps", "--wigner-basis", "superposition"]),
+            (["check", "deutsch", "--wigner-basis", "product"],
+             ["check", "deutsch", "--friend-model", "clps", "--wigner-basis", "product"]),
+        ],
+    )
+    def test_matches_the_flag_spelled_out(self, bare, spelled):
+        code, out, err = run_main(bare)
+        assert (code, err) in ((0, ""), (1, ""))
+        assert run_main(spelled) == (code, out, err)
 
 
 class TestReusedParser:

@@ -13,8 +13,6 @@ from wignersim.deduction import (
     build_fr_scenario,
     certainty_deductions,
     chain,
-    run_deutsch_contradiction,
-    run_fr_contradiction,
 )
 from wignersim.experiment import conditional_table
 from wignersim.presets import frauchiger_renner
@@ -98,7 +96,7 @@ class TestChain:
 
 class TestFrContradiction:
     def test_subjective_collapse_clash(self):
-        report = run_fr_contradiction(CollapseModel.subjective("F1"))
+        report = build_fr_scenario(CollapseModel.subjective("F1")).report
         assert report is not None
         assert (report.clash_time, report.clash_slot) == ("t4", "w")
         assert report.deduced_value == "F"
@@ -109,7 +107,7 @@ class TestFrContradiction:
         assert report.post_selection == (("A", "o"), ("W", "O"))
 
     def test_no_collapse_is_consistent(self):
-        assert run_fr_contradiction(NO_COLLAPSE) is None
+        assert build_fr_scenario(NO_COLLAPSE).report is None
 
     def test_objective_collapse_is_consistent(self):
         # Oracle: in the sequential collapse tree the assistant's step
@@ -151,7 +149,7 @@ class TestFrContradiction:
         assert values == {Value("H"), Value("T")}
 
     def test_report_serialization(self):
-        report = run_fr_contradiction()
+        report = build_fr_scenario().report
         raw = report.to_json()
         assert raw["clash"] == {
             "time": "t4",
@@ -162,6 +160,7 @@ class TestFrContradiction:
             "observed_by": "W",
             "model": "clps:F1",
         }
+        assert raw["constraint"] == {"left": "s^F1", "right": "s^W"}
         text = report.to_text()
         assert "clash !!" in text and "clps:F1" in text
 
@@ -182,7 +181,7 @@ def test_clash_is_oriented_by_entry_kind_not_by_label_text():
 
 class TestDeutschContradiction:
     def test_default_run_clashes_on_y(self):
-        report = run_deutsch_contradiction()
+        report = build_deutsch_scenario().report
         assert report is not None
         assert (report.clash_time, report.clash_slot) == ("t2", "y")
         assert report.deduced_value == "1"
@@ -190,7 +189,7 @@ class TestDeutschContradiction:
         assert report.offending_model == "clps:F"
 
     def test_friend_assuming_unitarity_is_consistent(self):
-        assert run_deutsch_contradiction(friend_assumes_collapse=False) is None
+        assert build_deutsch_scenario(friend_assumes_collapse=False).report is None
 
     def test_product_basis_has_no_conflict(self):
         outcome = build_deutsch_scenario(wigner_basis="product")
@@ -270,4 +269,4 @@ def test_library_scenarios_match_their_digests(key):
 
 def test_single_consistent_model_never_contradicts():
     for model in (NO_COLLAPSE, OBJECTIVE_COLLAPSE):
-        assert run_fr_contradiction(model) is None
+        assert build_fr_scenario(model).report is None

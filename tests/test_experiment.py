@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from numpy_oracle import padded
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -330,9 +331,13 @@ class TestDisjointness:
             from wignersim.states import projector_from_basis_vector
 
             projs = [
-                projector_from_basis_vector(
-                    StateVector.basis_state(sub_reg, label)
-                ).matrix_on(registry)
+                padded(
+                    projector_from_basis_vector(
+                        StateVector.basis_state(sub_reg, label)
+                    ).operator,
+                    list(registry.dims),
+                    [registry.axis(memory.label)],
+                )
                 for label in memory.basis_labels
             ]
             for i in range(len(projs)):
@@ -378,7 +383,7 @@ def test_evolved_density_trace_one():
 
 
 def test_outcome_assignment_access():
-    a = OutcomeAssignment.from_pairs([("A", "o"), ("W", "O")])
+    a = OutcomeAssignment((("A", "o"), ("W", "O")))
     assert a["A"] == "o"
     assert a.get("X") is None
     assert str(a) == "A=o,W=O"

@@ -168,7 +168,7 @@ def ndindex_joint(spec, model):
             by_agent = dict(row_records(ensemble, spec, row))
             for s, i in zip(readout_steps, idx):
                 by_agent[s.agent] = s.iso.outcome_labels[i]
-            assignment = OutcomeAssignment.from_pairs((a, by_agent[a]) for a in agents)
+            assignment = OutcomeAssignment(tuple((a, by_agent[a]) for a in agents))
             probs[assignment] = probs.get(assignment, 0.0) + p
     return probs
 

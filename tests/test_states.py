@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dense_ensemble import dense_ensemble, ghz_spec
+from numpy_oracle import padded
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, build_measurement_isometry
 from wignersim.deduction import DeductionRule
 from wignersim.experiment import ConditionalTable, evolved_density
@@ -18,7 +19,6 @@ from wignersim.states import (
     ZeroProbabilityError,
     basis_projectors,
     born_probability,
-    embed_operator,
     partial_trace,
     projector_from_basis_vector,
     tensor,
@@ -144,7 +144,7 @@ class TestProjectorsAndBorn:
         reg = spin_friend()
         up = StateVector.basis_state(qubit("S", ("up", "down")), "up")
         proj = projector_from_basis_vector(up)
-        full = proj.matrix_on(reg)
+        full = padded(proj.operator, list(reg.dims), [reg.axis("S")])
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2))
         assert np.allclose(full, expected, atol=1e-12)
 
@@ -179,12 +179,11 @@ class TestProjectorsAndBorn:
         reg = SubsystemRegistry.build(
             [("a", ("0", "1")), ("b", ("0", "1")), ("c", ("0", "1"))]
         )
-        # Operator declared on (c, a): embedding must permute axes back.
-        targets = SubsystemRegistry.build([("c", ("0", "1")), ("a", ("0", "1"))])
+        # Operator declared on (c, a): padding must permute axes back.
         rng = np.random.default_rng(7)
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         op = op + op.conj().T
-        full = embed_operator(reg, op, ("c", "a"))
+        full = padded(op, list(reg.dims), [reg.axis("c"), reg.axis("a")])
         # Check one matrix element against a direct tensor contraction.
         psi = np.zeros(8)
         psi[reg.flat_index(("1", "0", "1"))] = 1.0
@@ -194,9 +193,10 @@ class TestProjectorsAndBorn:
         assert phi @ full @ psi == pytest.approx(op[2, 3])
 
 
-def born_via_matrix_on(state, proj):
-    """The d×d route: embed the projector, then <psi|P|psi> or tr(rho P)."""
-    full = proj.matrix_on(state.registry)
+def born_via_padded_matrix(state, proj):
+    """The d×d route: pad the projector, then <psi|P|psi> or tr(rho P)."""
+    reg = state.registry
+    full = padded(proj.operator, list(reg.dims), [reg.axis(l) for l in proj.target_labels])
     if isinstance(state, StateVector):
         value = float(np.real(np.vdot(state.amplitudes, full @ state.amplitudes)))
     else:
@@ -222,7 +222,7 @@ class TestBornByContraction:
         for proj in preset_projectors(spec):
             for state in states:
                 got = born_probability(state, proj)
-                assert abs(got - born_via_matrix_on(state, proj)) < 1e-12
+                assert abs(got - born_via_padded_matrix(state, proj)) < 1e-12
                 cases += 1
         assert cases >= 2 * len(spec.measuring_steps)
 
@@ -239,7 +239,7 @@ class TestBornByContraction:
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         proj = projector_from_basis_vector(StateVector(targets, v / np.linalg.norm(v)))
         for state in (psi, rho):
-            assert abs(born_probability(state, proj) - born_via_matrix_on(state, proj)) < 1e-12
+            assert abs(born_probability(state, proj) - born_via_padded_matrix(state, proj)) < 1e-12
 
     def test_ghz_d1024_state_needs_no_padded_matrix(self):
         spec = ghz_spec(3, 2, math.sqrt(0.4), math.sqrt(0.6), (0.5, 1.0))
@@ -255,7 +255,7 @@ class TestBornByContraction:
             tracemalloc.stop()
         # The padded 1024×1024 matrix alone is 16 MiB.
         assert peak < 2**20
-        assert abs(value - born_via_matrix_on(psi, proj)) < 1e-12
+        assert abs(value - born_via_padded_matrix(psi, proj)) < 1e-12
 
 
 def _non_hermitian_density():

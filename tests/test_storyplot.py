@@ -5,20 +5,14 @@ from wignersim.experiment import evolve
 from wignersim.presets import frauchiger_renner, wigner_friend
 from wignersim.states import ZeroProbabilityError
 from wignersim.storyplot import (
-    WILDCARD,
-    CompatibilityConstraint,
     Deduced,
     EventSetSchema,
     Plot,
-    RelationGroup,
     Slot,
-    Story,
     Value,
     check_compatibility,
     make_event,
     plot_from_distribution,
-    project,
-    validate_relations,
 )
 
 
@@ -48,70 +42,6 @@ def fr_schema():
     )
 
 
-class TestProject:
-    def test_direct_restriction(self):
-        schema = two_slot_schema()
-        plot = Plot(
-            schema,
-            (make_event(schema, "t1", {"z": Value("0"), "w": WILDCARD}),),
-        )
-        projected = project(plot, {"z"})
-        assert projected.schema.slot_names == ("z",)
-        assert projected.events[0].entries == (Value("0"),)
-
-    def test_shared_slot_projection_keeps_deduction(self):
-        # The friend's three-event account projected onto the record slot
-        # leaves only the friend's own observation.
-        schema = EventSetSchema(
-            times=("t0", "t1", "t2"),
-            slots=(Slot("e", ("src",)), Slot("z", ("u", "d")), Slot("w", ("0", "1"))),
-        )
-        plot = Plot(
-            schema,
-            (
-                make_event(schema, "t0", {"e": Value("src")}),
-                make_event(schema, "t1", {"z": Value("u")}),
-                make_event(schema, "t2", {"w": Deduced("0")}),
-            ),
-        )
-        projected = project(plot, {"z"})
-        claims = [
-            e for e in projected.events if not e.entries == (WILDCARD,)
-        ]
-        assert len(claims) == 1
-        assert claims[0].time == "t1"
-        assert claims[0].entries == (Value("u"),)
-
-    def test_projection_onto_all_slots_is_identity(self):
-        schema = two_slot_schema()
-        plot = Plot(
-            schema,
-            (
-                make_event(schema, "t1", {"z": Value("0")}),
-                make_event(schema, "t2", {"w": Deduced("1")}),
-            ),
-        )
-        assert project(plot, schema.slot_names) == plot
-
-    def test_idempotent(self):
-        schema = two_slot_schema()
-        plot = Plot(
-            schema,
-            (
-                make_event(schema, "t1", {"z": Value("0"), "w": Value("1")}),
-                make_event(schema, "t2", {"z": Value("1")}),
-            ),
-        )
-        once = project(plot, {"z"})
-        twice = project(once, {"z"})
-        assert once == twice
-
-    def test_unknown_slot(self):
-        schema = two_slot_schema()
-        with pytest.raises(KeyError):
-            project(Plot(schema, ()), {"nope"})
-
-
 def test_event_entry_on_an_unknown_slot_names_it():
     schema = two_slot_schema()
     event = make_event(schema, "t1", {"z": Value("0")})
@@ -127,9 +57,7 @@ class TestCheckCompatibility:
         )
         friend = Plot(schema, (make_event(schema, "t2", {"y": Deduced("1")}),))
         wigner = Plot(schema, (make_event(schema, "t2", {"y": Value("0")}),))
-        verdict = check_compatibility(
-            CompatibilityConstraint("s^F", "s^W", ("x", "y")), friend, wigner
-        )
+        verdict = check_compatibility(friend, wigner, ("x", "y"))
         assert not verdict.consistent
         assert len(verdict.violations) == 1
         v = verdict.violations[0]
@@ -146,9 +74,7 @@ class TestCheckCompatibility:
                 make_event(schema, "t2", {"w": Deduced("1")}),
             ),
         )
-        verdict = check_compatibility(
-            CompatibilityConstraint("a", "b", schema.slot_names), plot, plot
-        )
+        verdict = check_compatibility(plot, plot, schema.slot_names)
         assert verdict.consistent
 
     def test_deduced_outcome_against_observed_outcome(self):
@@ -167,9 +93,7 @@ class TestCheckCompatibility:
                 make_event(schema, "t3", {"a": Deduced("o")}),
             ),
         )
-        verdict = check_compatibility(
-            CompatibilityConstraint("s^F1", "s^W", schema.slot_names), f1, w
-        )
+        verdict = check_compatibility(f1, w, schema.slot_names)
         assert not verdict.consistent
         v = verdict.violations[0]
         assert (v.time, v.slot, v.left, v.right) == ("t4", "w", ("w=F",), ("O",))
@@ -190,9 +114,8 @@ class TestCheckCompatibility:
                 make_event(schema, "t2", {"w": Value("1")}),
             ),
         )
-        c = CompatibilityConstraint("a", "b", schema.slot_names)
-        ab = check_compatibility(c, a, b)
-        ba = check_compatibility(c, b, a)
+        ab = check_compatibility(a, b, schema.slot_names)
+        ba = check_compatibility(b, a, schema.slot_names)
         assert {(v.time, v.slot) for v in ab.violations} == {
             (v.time, v.slot) for v in ba.violations
         }
@@ -216,85 +139,26 @@ class TestCheckCompatibility:
                 make_event(schema, "t1", {"z": Value("0")}),
             ),
         )
-        verdict = check_compatibility(
-            CompatibilityConstraint("a", "b", ("z",)), a, b
-        )
+        verdict = check_compatibility(a, b, ("z",))
         assert verdict.consistent
 
     def test_silence_on_one_side_is_not_a_violation(self):
         schema = two_slot_schema()
         a = Plot(schema, (make_event(schema, "t1", {"z": Value("0")}),))
         b = Plot(schema, ())
-        verdict = check_compatibility(
-            CompatibilityConstraint("a", "b", schema.slot_names), a, b
-        )
+        verdict = check_compatibility(a, b, schema.slot_names)
         assert verdict.consistent
 
     def test_alphabet_mismatch(self):
         s1 = EventSetSchema(times=("t1",), slots=(Slot("z", ("0", "1")),))
         s2 = EventSetSchema(times=("t1",), slots=(Slot("z", ("a", "b")),))
         with pytest.raises(ValueError):
-            check_compatibility(
-                CompatibilityConstraint("a", "b", ("z",)),
-                Plot(s1, ()),
-                Plot(s2, ()),
-            )
+            check_compatibility(Plot(s1, ()), Plot(s2, ()), ("z",))
 
-
-class TestValidateRelations:
-    def schema(self):
-        return EventSetSchema(
-            times=("t",),
-            slots=(Slot("alice", ("0", "1")), Slot("bob", ("0", "1"))),
-        )
-
-    def test_and_same_measurement_different_values_rejected(self):
-        schema = self.schema()
-        e0 = make_event(schema, "t", {"alice": Value("0")})
-        e1 = make_event(schema, "t", {"alice": Value("1")})
-        story = Story(
-            Plot(schema, (e0, e1)), (RelationGroup("and", (e0, e1)),)
-        )
-        verdict = validate_relations(
-            story, {("t", "alice"): "M_alice", ("t", "bob"): "M_bob"}
-        )
-        assert not verdict.accepted
-        assert "M_alice" in verdict.rejections[0]
-
-    def test_and_across_distinct_measurements_accepted(self):
-        schema = self.schema()
-        e0 = make_event(schema, "t", {"alice": Value("0")})
-        e1 = make_event(schema, "t", {"bob": Value("1")})
-        story = Story(Plot(schema, (e0, e1)), (RelationGroup("and", (e0, e1)),))
-        verdict = validate_relations(
-            story, {("t", "alice"): "M_alice", ("t", "bob"): "M_bob"}
-        )
-        assert verdict.accepted
-
-    def test_or_same_measurement_accepted(self):
-        schema = self.schema()
-        e0 = make_event(schema, "t", {"alice": Value("0")})
-        e1 = make_event(schema, "t", {"alice": Value("1")})
-        story = Story(Plot(schema, (e0, e1)), (RelationGroup("or", (e0, e1)),))
-        verdict = validate_relations(
-            story, {("t", "alice"): "M_alice", ("t", "bob"): "M_bob"}
-        )
-        assert verdict.accepted
-
-    def test_unmapped_slot_raises(self):
-        schema = self.schema()
-        e0 = make_event(schema, "t", {"alice": Value("0")})
-        e1 = make_event(schema, "t", {"alice": Value("1")})
-        story = Story(Plot(schema, (e0, e1)), (RelationGroup("and", (e0, e1)),))
-        with pytest.raises(KeyError):
-            validate_relations(story, {("t", "bob"): "M_bob"})
-
-    def test_story_requires_complete_annotation(self):
-        schema = self.schema()
-        e0 = make_event(schema, "t", {"alice": Value("0")})
-        e1 = make_event(schema, "t", {"alice": Value("1")})
-        with pytest.raises(ValueError):
-            Story(Plot(schema, (e0, e1)), ())
+    def test_no_shared_slot_rejected(self):
+        schema = two_slot_schema()
+        with pytest.raises(ValueError, match="at least one shared slot"):
+            check_compatibility(Plot(schema, ()), Plot(schema, ()), ())
 
 
 class TestPlotFromDistribution:
