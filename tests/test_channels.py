@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy_oracle import padded
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.channels import (
     CollapseModel,
+    _checked_isometry,
     apply_isometry,
     branch_decomposition,
     build_measurement_isometry,
@@ -147,6 +149,74 @@ class TestApplyIsometry:
         psi = StateVector.basis_state(coin_registry(), "h")
         with pytest.raises(ValueError):
             apply_isometry(psi, friend_measurement())
+
+
+def record_registry():
+    return SubsystemRegistry.build([("F1", ("H", "T"))])
+
+
+SPIN = Subsystem("S", 2, ("up", "down"))
+
+
+def spin_state(label):
+    return StateVector.basis_state(SubsystemRegistry((SPIN,)), label)
+
+
+class TestBuildPreparationIsometryErrors:
+    @pytest.mark.parametrize(
+        "prepared,output,message",
+        [
+            (
+                {"H": StateVector.basis_state(coin_registry(), "h"), "T": spin_state("up")},
+                SPIN,
+                "prepared state for ('H',) must live on 'S'",
+            ),
+            (
+                {
+                    "H": StateVector(SubsystemRegistry((SPIN,)), [1.0, 1.0], normalized=False),
+                    "T": spin_state("up"),
+                },
+                SPIN,
+                "prepared state for ('H',) is not normalized",
+            ),
+            (
+                {"H": spin_state("up"), ("H",): spin_state("down")},
+                SPIN,
+                "duplicate control outcome ('H',)",
+            ),
+            ({"T": spin_state("up")}, SPIN, "prepared map covers 1 of 2 control outcomes"),
+            (
+                {
+                    "H": StateVector.basis_state(record_registry(), "H"),
+                    "T": StateVector.basis_state(record_registry(), "T"),
+                },
+                record_registry().subsystem("F1"),
+                "output label 'F1' collides with a control label",
+            ),
+        ],
+    )
+    def test_rejected_with_its_message(self, prepared, output, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_preparation_isometry("F1", record_registry(), prepared, output)
+
+
+class TestCheckedIsometry:
+    def test_wrong_shape(self):
+        with pytest.raises(
+            ValueError, match=re.escape("isometry matrix shape (2, 2), expected (4, 2)")
+        ):
+            _checked_isometry(np.eye(2), 2, 2)
+
+    def test_not_an_isometry(self):
+        with pytest.raises(ValueError, match="V†V differs from the identity"):
+            _checked_isometry(np.ones((4, 2)), 2, 2)
+
+    def test_result_is_a_read_only_complex_copy(self):
+        source = np.vstack([np.eye(2), np.zeros((2, 2))])
+        mat = _checked_isometry(source, 2, 2)
+        assert mat.dtype == np.complex128
+        assert not mat.flags.writeable
+        np.testing.assert_array_equal(mat, source)
 
 
 class TestCollapse:

@@ -3,15 +3,17 @@ import re
 
 import pytest
 
-from wignersim.channels import NO_COLLAPSE
-from wignersim.experiment import evolve
+from wignersim.channels import NO_COLLAPSE, build_preparation_isometry
+from wignersim.experiment import ExperimentSpec, Step, evolve
 from wignersim.presets import frauchiger_renner, wigner_friend
+from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.serialize import (
     document_to_experiment,
     dumps_canonical,
     experiment_to_document,
     load_experiment,
 )
+from wignersim.states import StateVector
 
 
 @pytest.mark.parametrize("build", [frauchiger_renner, wigner_friend])
@@ -147,3 +149,25 @@ def test_wrong_field_types_raise_path_qualified_errors(path, value, message):
 def test_document_must_be_an_object():
     with pytest.raises(ValueError, match=re.escape("document: expected an object, got []")):
         document_to_experiment([])
+
+
+def test_preparation_on_two_control_factors_round_trips_byte_identical():
+    registry = SubsystemRegistry.build([("C", ("h", "t")), ("D", ("H", "T"))])
+    out = Subsystem("S", 2, ("up", "down"))
+    out_registry = SubsystemRegistry((out,))
+    prepared = {
+        ("h", "H"): StateVector.basis_state(out_registry, "up"),
+        ("h", "T"): StateVector.basis_state(out_registry, "down"),
+        ("t", "H"): StateVector.from_terms(out_registry, {"up": 0.6, "down": 0.8}),
+        ("t", "T"): StateVector.from_terms(out_registry, {"up": 0.8, "down": -0.6j}),
+    }
+    spec = ExperimentSpec(
+        name="two-controls",
+        registry=registry,
+        initial=StateVector.from_terms(registry, {("h", "H"): 0.6, ("t", "T"): 0.8}),
+        steps=(Step(1, build_preparation_isometry("P", registry, prepared, out)),),
+    )
+    text = dumps_canonical(experiment_to_document(spec))
+    assert '"h,H": [' in text
+    rebuilt = document_to_experiment(json.loads(text))
+    assert dumps_canonical(experiment_to_document(rebuilt)) == text
