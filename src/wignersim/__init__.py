@@ -20,8 +20,7 @@ from .channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
-    MeasurementIsometry,
-    PreparationIsometry,
+    Isometry,
     apply_isometry,
     branch_decomposition,
     build_measurement_isometry,

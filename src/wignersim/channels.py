@@ -2,9 +2,12 @@
 
 An observer's measurement is modeled as an isometry that copies the measured
 basis into a fresh memory factor: the i-th measurement-basis vector is mapped
-to itself tensored with the i-th memory record.  Collapse, when a model calls
-for it, is the projective update rule with renormalization applied at the
-point of that agent's measurement; everything else stays unitary.
+to itself tensored with the i-th memory record.  A controlled preparation is
+the same kind of map, so one :class:`Isometry` describes every step: V from
+some domain factors to those factors tensored with one fresh factor.
+Collapse, when a model calls for it, is the projective update rule with
+renormalization applied at the point of that agent's measurement; everything
+else stays unitary.
 
 Both run on one kernel, :class:`_Ensemble`: a weighted branch ensemble
 stacked into one array, stepped by one matmul over all its rows as a
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,83 +75,52 @@ def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     return mat
 
 
-class _OutcomeMajor:
-    """The matrix layout the stacked kernel multiplies by, cached per isometry."""
+@dataclass(frozen=True)
+class Isometry:
+    """V from the ``domain`` factors to themselves tensored with a fresh factor.
+
+    A measurement holds its completed ``basis``: V copies it into the fresh
+    memory factor.  A controlled preparation holds its ``prepared`` table:
+    V maps each control outcome to itself tensored with the state prepared
+    for it.  Exactly one of the two is non-empty.
+    """
+
+    agent: str
+    domain: SubsystemRegistry
+    appended: Subsystem
+    matrix: np.ndarray = field(repr=False)
+    basis: tuple[StateVector, ...] = ()
+    prepared: tuple[tuple[tuple[str, ...], StateVector], ...] = ()
+
+    def __post_init__(self) -> None:
+        if bool(self.basis) == bool(self.prepared):
+            raise ValueError(
+                f"{self.agent}'s isometry needs exactly one of a measurement "
+                "basis and a preparation table"
+            )
+        d, k = self.domain.total_dimension, self.appended.dimension
+        object.__setattr__(self, "matrix", _checked_isometry(self.matrix, d, k))
 
     @cached_property
     def outcome_major(self) -> np.ndarray:
-        """``matrix`` with its rows reordered from (domain, fresh) to (fresh, domain)."""
-        d, k = self.domain_registry.total_dimension, self.appended.dimension
+        """``matrix`` with its rows reordered from (domain, fresh) to (fresh, domain).
+
+        The layout the stacked kernel multiplies by.
+        """
+        d, k = self.domain.total_dimension, self.appended.dimension
         return self.matrix.reshape(d, k, d).transpose(1, 0, 2).reshape(k * d, d)
 
-
-@dataclass(frozen=True)
-class MeasurementIsometry(_OutcomeMajor):
-    """V mapping the measured factor into itself tensored with a memory record."""
-
-    agent: str
-    measured_labels: tuple[str, ...]
-    measured_registry: SubsystemRegistry
-    basis: tuple[StateVector, ...]
-    memory: Subsystem
-    given_outcomes: int  # basis vectors supplied by the caller, before completion
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        d, k = self.measured_registry.total_dimension, self.memory.dimension
-        object.__setattr__(self, "matrix", _checked_isometry(self.matrix, d, k))
+    @property
+    def memory(self) -> Subsystem:
+        return self.appended
 
     @property
     def memory_label(self) -> str:
-        return self.memory.label
+        return self.appended.label
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
-        return self.memory.basis_labels
-
-    # Shared interface with PreparationIsometry for generic application.
-    @property
-    def domain_labels(self) -> tuple[str, ...]:
-        return self.measured_labels
-
-    @property
-    def domain_registry(self) -> SubsystemRegistry:
-        return self.measured_registry
-
-    @property
-    def appended(self) -> Subsystem:
-        return self.memory
-
-
-@dataclass(frozen=True)
-class PreparationIsometry(_OutcomeMajor):
-    """Controlled preparation of a fresh subsystem, one state per control outcome."""
-
-    agent: str
-    control_labels: tuple[str, ...]
-    control_registry: SubsystemRegistry
-    prepared: tuple[tuple[tuple[str, ...], StateVector], ...]
-    output: Subsystem
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        d, k = self.control_registry.total_dimension, self.output.dimension
-        object.__setattr__(self, "matrix", _checked_isometry(self.matrix, d, k))
-
-    @property
-    def domain_labels(self) -> tuple[str, ...]:
-        return self.control_labels
-
-    @property
-    def domain_registry(self) -> SubsystemRegistry:
-        return self.control_registry
-
-    @property
-    def appended(self) -> Subsystem:
-        return self.output
-
-
-Isometry = Union[MeasurementIsometry, PreparationIsometry]
+        return self.appended.basis_labels
 
 
 @dataclass(frozen=True)
@@ -208,7 +180,7 @@ def build_measurement_isometry(
     basis: Sequence[StateVector],
     memory: str,
     memory_labels: Sequence[str] | None = None,
-) -> MeasurementIsometry:
+) -> Isometry:
     """Build the isometry for one agent's projective measurement.
 
     ``basis`` must be pairwise orthonormal over the measured registry.  If it
@@ -240,9 +212,8 @@ def build_measurement_isometry(
         raise ValueError(
             f"{len(memory_labels)} memory labels for {len(vecs)} basis vectors"
         )
-    given = len(vecs)
+    memory_labels += [f"perp{i}" for i in range(len(vecs), d)]
     completed = _complete_basis(vecs, d)
-    memory_labels += [f"perp{i}" for i in range(given, len(completed))]
     if memory in measured:
         raise ValueError(f"memory label {memory!r} collides with a measured label")
 
@@ -253,26 +224,16 @@ def build_measurement_isometry(
     columns = np.array(completed).T
     mat = np.zeros((d, k, d), dtype=np.complex128)
     mat += columns[:, :, None] * columns.conj().T[None, :, :]
-    basis_states = tuple(
-        StateVector(measured, b, normalized=True) for b in completed
-    )
-    return MeasurementIsometry(
-        agent=agent,
-        measured_labels=measured.labels,
-        measured_registry=measured,
-        basis=basis_states,
-        memory=memory_sub,
-        given_outcomes=given,
-        matrix=mat.reshape(d * k, d),
-    )
+    basis_states = tuple(StateVector(measured, b) for b in completed)
+    return Isometry(agent, measured, memory_sub, mat.reshape(d * k, d), basis_states)
 
 
 def build_preparation_isometry(
     agent: str,
     control: SubsystemRegistry,
-    prepared: Mapping[Union[str, tuple[str, ...]], StateVector],
+    prepared: Mapping[str | tuple[str, ...], StateVector],
     output: Subsystem,
-) -> PreparationIsometry:
+) -> Isometry:
     """Build a controlled preparation: control outcome -> fresh output state."""
     d = control.total_dimension
     k = output.dimension
@@ -301,18 +262,12 @@ def build_preparation_isometry(
         )
     if output.label in control:
         raise ValueError(f"output label {output.label!r} collides with a control label")
-    return PreparationIsometry(
-        agent=agent,
-        control_labels=control.labels,
-        control_registry=control,
-        prepared=tuple(table),
-        output=output,
-        matrix=blocks.reshape(d * k, d),
-    )
+    matrix = blocks.reshape(d * k, d)
+    return Isometry(agent, control, output, matrix, prepared=tuple(table))
 
 
 def _check_application(registry: SubsystemRegistry, iso: Isometry) -> None:
-    for sub in iso.domain_registry.subsystems:
+    for sub in iso.domain.subsystems:
         if sub.label not in registry:
             raise ValueError(
                 f"state has no subsystem {sub.label!r} for {iso.agent}'s step"
@@ -362,15 +317,15 @@ class _StepPlan:
         the step cannot act on that registry.
         """
         _check_application(registry, iso)
-        domain = tuple(layout.axis(label) + 1 for label in iso.domain_labels)
-        rest = [l for l in registry.labels if l not in iso.domain_labels]
+        domain = tuple(layout.axis(label) + 1 for label in iso.domain.labels)
+        rest = [l for l in registry.labels if l not in iso.domain.labels]
         order = domain + tuple(layout.axis(label) + 1 for label in rest)
         return cls(
             iso=iso,
             matrix=iso.outcome_major,
             perm=(0,) + order,
             domain=domain,
-            domain_dims=tuple(s.dimension for s in iso.domain_registry.subsystems),
+            domain_dims=tuple(s.dimension for s in iso.domain.subsystems),
             registry=registry.extended(iso.appended),
             layout=SubsystemRegistry(
                 (iso.appended,) + tuple(layout.subsystems[i - 1] for i in order)
@@ -392,7 +347,7 @@ def _isometry_image(amps: np.ndarray, plan: _StepPlan) -> np.ndarray:
     for i, axis in enumerate(plan.domain):
         if amps.shape[axis] != plan.domain_dims[i]:
             raise ValueError(
-                f"subsystem {plan.iso.domain_labels[i]!r} bases differ between the "
+                f"subsystem {plan.iso.domain.labels[i]!r} bases differ between the "
                 f"state and {plan.iso.agent}'s step: it is held as a record factor"
             )
     moved = amps.transpose(plan.perm)
@@ -527,7 +482,7 @@ def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
 
 
 def branch_decomposition(
-    state: StateVector, iso: MeasurementIsometry
+    state: StateVector, iso: Isometry
 ) -> list[tuple[str, float, StateVector | None]]:
     """Outcome branches of one measurement: (label, probability, branch).
 
@@ -547,7 +502,7 @@ def branch_decomposition(
 
 
 def collapse(
-    state: StateVector, iso: MeasurementIsometry, outcome: str
+    state: StateVector, iso: Isometry, outcome: str
 ) -> StateVector:
     """Projective update rule: keep the named outcome branch, renormalized.
 

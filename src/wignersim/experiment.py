@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channels import CollapseModel, Isometry, MeasurementIsometry, _Ensemble, _StepPlan
+from .channels import CollapseModel, Isometry, _Ensemble, _StepPlan
 from .registry import SubsystemRegistry
 from .states import DensityMatrix, StateVector, ZeroProbabilityError, _spelled
 
@@ -50,7 +50,7 @@ class Step:
 
     @property
     def is_measurement(self) -> bool:
-        return isinstance(self.iso, MeasurementIsometry)
+        return bool(self.iso.basis)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class ExperimentSpec:
             raise ValueError(f"step times must be strictly increasing, got {times}")
         registries = [self.registry]
         for step in self.steps:
-            for label in step.iso.domain_labels:
+            for label in step.iso.domain.labels:
                 if label not in registries[-1]:
                     raise ValueError(
                         f"step at t={step.time} ({step.agent}) references unknown "
@@ -159,9 +159,9 @@ class ExperimentSpec:
             kept = []
             for step in reversed(self.steps[:stop]):
                 iso = step.iso
-                if iso.appended.label in relevant or not relevant.isdisjoint(iso.domain_labels):
+                if iso.appended.label in relevant or not relevant.isdisjoint(iso.domain.labels):
                     kept.append(step)
-                    relevant.update(iso.domain_labels)
+                    relevant.update(iso.domain.labels)
             if len(kept) == stop:
                 cone = self
             else:

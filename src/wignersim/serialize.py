@@ -29,11 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import (
-    MeasurementIsometry,
-    build_measurement_isometry,
-    build_preparation_isometry,
-)
+from .channels import build_measurement_isometry, build_preparation_isometry
 from .experiment import ExperimentSpec, Step
 from .registry import Subsystem, SubsystemRegistry
 from .states import StateVector
@@ -122,33 +118,25 @@ def experiment_to_document(spec: ExperimentSpec) -> dict:
     }
     for step in spec.steps:
         iso = step.iso
-        if isinstance(iso, MeasurementIsometry):
-            doc["steps"].append(
-                {
-                    "type": "measure",
-                    "time": step.time,
-                    "agent": iso.agent,
-                    "targets": list(iso.measured_labels),
-                    "basis": [_vector_pairs(v.amplitudes) for v in iso.basis],
-                    "memory_label": iso.memory.label,
-                    "memory_basis_labels": list(iso.memory.basis_labels),
-                }
-            )
+        entry = {
+            "time": step.time,
+            "agent": iso.agent,
+            "targets": list(iso.domain.labels),
+        }
+        if iso.basis:
+            entry["type"] = "measure"
+            entry["basis"] = [_vector_pairs(v.amplitudes) for v in iso.basis]
+            entry["memory_label"] = iso.appended.label
+            entry["memory_basis_labels"] = list(iso.appended.basis_labels)
         else:
-            doc["steps"].append(
-                {
-                    "type": "prepare",
-                    "time": step.time,
-                    "agent": iso.agent,
-                    "targets": list(iso.control_labels),
-                    "output_label": iso.output.label,
-                    "output_basis_labels": list(iso.output.basis_labels),
-                    "prepared": {
-                        ",".join(labels): _vector_pairs(state.amplitudes)
-                        for labels, state in iso.prepared
-                    },
-                }
-            )
+            entry["type"] = "prepare"
+            entry["output_label"] = iso.appended.label
+            entry["output_basis_labels"] = list(iso.appended.basis_labels)
+            entry["prepared"] = {
+                ",".join(labels): _vector_pairs(state.amplitudes)
+                for labels, state in iso.prepared
+            }
+        doc["steps"].append(entry)
     return doc
 
 

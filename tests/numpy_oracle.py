@@ -77,7 +77,7 @@ def ensemble(spec, model, through_time=None):
         if through_time is not None and step.time > through_time:
             break
         iso = step.iso
-        domain = [labels.index(label) for label in iso.domain_labels]
+        domain = [labels.index(label) for label in iso.domain.labels]
         step_matrix = padded(iso.matrix, dims, domain)
         branches = [(w, step_matrix @ v, r) for w, v, r in branches]
         labels.append(iso.appended.label)

@@ -8,6 +8,7 @@ from numpy_oracle import padded
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.channels import (
     CollapseModel,
+    Isometry,
     _checked_isometry,
     apply_isometry,
     branch_decomposition,
@@ -67,7 +68,6 @@ class TestBuildMeasurementIsometry:
         iso = wigner_superposition_measurement()
         assert iso.memory.dimension == 4
         assert iso.outcome_labels == ("phi+", "phi-", "perp2", "perp3")
-        assert iso.given_outcomes == 2
         # Two of the four results never occur on the image of the friend's step.
         state = apply_isometry(source_superposition(), friend_measurement())
         branches = dict(
@@ -198,6 +198,22 @@ class TestBuildPreparationIsometryErrors:
     def test_rejected_with_its_message(self, prepared, output, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_preparation_isometry("F1", record_registry(), prepared, output)
+
+
+class TestIsometryKind:
+    @pytest.mark.parametrize("both", [False, True])
+    def test_needs_exactly_one_of_basis_and_table(self, both):
+        iso = friend_measurement()
+        table = ((("u",), StateVector.basis_state(spin_registry(), "up")),) if both else ()
+        with pytest.raises(ValueError, match="exactly one of a measurement basis"):
+            Isometry(
+                iso.agent,
+                iso.domain,
+                iso.appended,
+                iso.matrix,
+                iso.basis if both else (),
+                table,
+            )
 
 
 class TestCheckedIsometry:
