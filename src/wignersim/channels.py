@@ -67,7 +67,7 @@ def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     mat = np.ascontiguousarray(np.asarray(matrix), dtype=np.complex128)
     if mat.shape != (d * k, d):
         raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_ISOMETRY:
+    if not np.max(np.abs(mat.conj().T @ mat - np.eye(d))) <= ATOL_ISOMETRY:
         raise ValueError(
             f"V†V differs from the identity beyond {_spelled(ATOL_ISOMETRY)}"
         )
@@ -200,7 +200,7 @@ def build_measurement_isometry(
     if not vecs or len(vecs) > d:
         raise ValueError(f"need between 1 and {d} basis vectors, got {len(vecs)}")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.max(np.abs(gram - np.eye(len(vecs)))) > ATOL_ORTHO:
+    if not np.max(np.abs(gram - np.eye(len(vecs)))) <= ATOL_ORTHO:
         raise ValueError(
             f"measurement basis is not orthonormal within {_spelled(ATOL_ORTHO)}"
         )
@@ -248,7 +248,7 @@ def build_preparation_isometry(
             raise ValueError(
                 f"prepared state for {labels} must live on {output.label!r}"
             )
-        if abs(state.norm() - 1.0) > ATOL_ISOMETRY:
+        if not abs(state.norm() - 1.0) <= ATOL_ISOMETRY:
             raise ValueError(f"prepared state for {labels} is not normalized")
         idx = control.flat_index(labels)
         if idx in seen:

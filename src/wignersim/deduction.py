@@ -74,7 +74,7 @@ class DeductionRule:
     certainty: float
 
     def __post_init__(self) -> None:
-        if self.certainty < CERTAINTY:
+        if not self.certainty >= CERTAINTY:
             raise ValueError(
                 f"certainty {self.certainty!r} below the "
                 f"1 - {_spelled(CERTAINTY_SLACK)} threshold"

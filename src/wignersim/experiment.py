@@ -231,10 +231,10 @@ class JointDistribution:
         shape = tuple(len(self.alphabets[agent]) for agent in self.agents)
         if array.shape != shape:
             raise ValueError(f"joint array shape {array.shape}, expected {shape}")
-        if array.size and array.min() < -CONDITION_EPS:
+        if array.size and not array.min() >= -CONDITION_EPS:
             raise ValueError(f"negative probability {float(array.min())!r}")
         total = float(array.sum())
-        if abs(total - 1.0) > ATOL_DIST:
+        if not abs(total - 1.0) <= ATOL_DIST:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
@@ -290,7 +290,7 @@ class ConditionalTable:
     def __post_init__(self) -> None:
         for g, column in self.columns.items():
             total = sum(column.values())
-            if abs(total - 1.0) > ATOL_DIST:
+            if not abs(total - 1.0) <= ATOL_DIST:
                 raise ValueError(
                     f"column {g!r} sums to {total!r}, not 1 within {_spelled(ATOL_DIST)}"
                 )

@@ -6,9 +6,15 @@ import pytest
 
 from dense_ensemble import dense_ensemble, ghz_spec
 from numpy_oracle import padded
-from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, build_measurement_isometry
+from wignersim.channels import (
+    NO_COLLAPSE,
+    OBJECTIVE_COLLAPSE,
+    _checked_isometry,
+    build_measurement_isometry,
+    build_preparation_isometry,
+)
 from wignersim.deduction import DeductionRule
-from wignersim.experiment import ConditionalTable, evolved_density
+from wignersim.experiment import ConditionalTable, JointDistribution, evolved_density
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
@@ -362,7 +368,11 @@ class TestDensityMatrixInvariants:
 
 
 class TestNotANumberRejected:
-    """Every bound fails on NaN: no NaN gets through a constructor or a Born probability."""
+    """Every bound fails on NaN: no NaN gets through a constructor or a Born probability.
+
+    That holds for the isometries, distributions, tables and rules built on
+    the states too.
+    """
 
     NAN = float("nan")
 
@@ -395,6 +405,38 @@ class TestNotANumberRejected:
         v = StateVector(qubit("S"), [self.NAN, 1.0], normalized=False)
         with pytest.raises(ValueError, match="basis vector not normalized"):
             projector_from_basis_vector(v)
+
+    def test_isometry_matrix(self):
+        with pytest.raises(ValueError, match="V†V differs from the identity"):
+            _checked_isometry(np.full((4, 2), self.NAN), 2, 2)
+
+    def test_measurement_basis(self):
+        reg = qubit("S")
+        v = StateVector(reg, [self.NAN, 0.0], normalized=False)
+        with pytest.raises(ValueError, match="measurement basis is not orthonormal"):
+            build_measurement_isometry("F", reg, [v], memory="F")
+
+    def test_prepared_state(self):
+        out = qubit("P")
+        prepared = {
+            "0": StateVector(out, [self.NAN, 0.0], normalized=False),
+            "1": StateVector.basis_state(out, "1"),
+        }
+        with pytest.raises(ValueError, match=r"prepared state for \('0',\) is not normalized"):
+            build_preparation_isometry("F", qubit("S"), prepared, out.subsystems[0])
+
+    def test_joint_distribution(self):
+        with pytest.raises(ValueError, match="negative probability nan"):
+            JointDistribution(("A",), {"A": ("a", "b")}, np.array([self.NAN, 1.0]), "ism")
+
+    def test_conditional_table_column(self):
+        column = {"a": self.NAN, "b": 1.0}
+        with pytest.raises(ValueError, match="column 'x' sums to nan"):
+            ConditionalTable("A", "B", ("a", "b"), ("x",), {"x": column}, "ism")
+
+    def test_deduction_rule_certainty(self):
+        with pytest.raises(ValueError, match="certainty nan below"):
+            DeductionRule("A", "o", "F2", "U", "ism", self.NAN)
 
 
 def test_debug_printing_sorted_by_multi_index():
