@@ -57,7 +57,9 @@ def _load_spec(config: argparse.Namespace) -> ExperimentSpec:
         return _shared(config.preset)
     try:
         return load_experiment(config.config_path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except KeyError as err:  # str(KeyError) would quote its message
+        raise UsageError(f"cannot load experiment config: {err.args[0]}") from err
+    except (OSError, ValueError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot load experiment config: {err}") from err
 
 

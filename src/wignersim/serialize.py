@@ -43,6 +43,14 @@ def _vector_pairs(amps: np.ndarray) -> list[list[float]]:
     return [_pair(a) for a in amps]
 
 
+def _at(obj: Mapping, where: str, key: str) -> tuple[object, str]:
+    """``obj[key]`` and its path; a missing key raises a ValueError naming it."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise ValueError(f"{path}: missing")
+    return obj[key], path
+
+
 def _complex_pair(value, where: str) -> complex:
     """Inverse of :func:`_pair`; a ValueError names ``where`` on bad input."""
     if (
@@ -144,23 +152,24 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
     """Rebuild an experiment from its document form.
 
     A field of the wrong type raises a ``ValueError`` that names its path,
-    such as ``steps[0].targets: expected a list of labels, got 5``.
+    such as ``steps[0].targets: expected a list of labels, got 5``; so does a
+    missing field, as ``steps[1].output_label: missing``.
     """
     doc = _object(doc, "document")
     subsystems = []
-    for i, s in enumerate(_list(doc["registry"], "registry", "subsystems")):
+    for i, s in enumerate(_list(*_at(doc, "", "registry"), "subsystems")):
         where = f"registry[{i}]"
         s = _object(s, where)
         subsystems.append(
             Subsystem(
-                _label(s["label"], f"{where}.label"),
-                _integer(s["dimension"], f"{where}.dimension"),
-                _labels(s["basis_labels"], f"{where}.basis_labels"),
+                _label(*_at(s, where, "label")),
+                _integer(*_at(s, where, "dimension")),
+                _labels(*_at(s, where, "basis_labels")),
             )
         )
     registry = SubsystemRegistry(tuple(subsystems))
     amps = np.zeros(registry.total_dimension, dtype=np.complex128)
-    for key, value in _object(doc["initial"], "initial").items():
+    for key, value in _object(*_at(doc, "", "initial")).items():
         amps[registry.flat_index(tuple(key.split(",")))] = _complex_pair(
             value, f"initial[{json.dumps(key, ensure_ascii=False)}]"
         )
@@ -168,48 +177,45 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
 
     steps = []
     walked = registry
-    for n, raw in enumerate(_list(doc["steps"], "steps", "steps")):
+    for n, raw in enumerate(_list(*_at(doc, "", "steps"), "steps")):
         where = f"steps[{n}]"
         raw = _object(raw, where)
-        targets = _labels(raw["targets"], f"{where}.targets")
-        time = _integer(raw["time"], f"{where}.time")
+        targets = _labels(*_at(raw, where, "targets"))
+        time = _integer(*_at(raw, where, "time"))
         target_registry = SubsystemRegistry(
             tuple(walked.subsystem(label) for label in targets)
         )
-        if raw["type"] == "measure":
-            vectors = _list(raw["basis"], f"{where}.basis", "vectors")
+        kind = _at(raw, where, "type")[0]
+        if kind == "measure":
+            vectors = _list(*_at(raw, where, "basis"), "vectors")
             basis = [
                 StateVector(target_registry, _vector(vec, f"{where}.basis[{i}]"))
                 for i, vec in enumerate(vectors)
             ]
             iso = build_measurement_isometry(
-                _label(raw["agent"], f"{where}.agent"),
+                _label(*_at(raw, where, "agent")),
                 target_registry,
                 basis,
-                memory=_label(raw["memory_label"], f"{where}.memory_label"),
-                memory_labels=_labels(
-                    raw["memory_basis_labels"], f"{where}.memory_basis_labels"
-                ),
+                memory=_label(*_at(raw, where, "memory_label")),
+                memory_labels=_labels(*_at(raw, where, "memory_basis_labels")),
             )
-        elif raw["type"] == "prepare":
-            output_labels = _labels(
-                raw["output_basis_labels"], f"{where}.output_basis_labels"
-            )
+        elif kind == "prepare":
+            output_labels = _labels(*_at(raw, where, "output_basis_labels"))
             output = Subsystem(
-                _label(raw["output_label"], f"{where}.output_label"),
+                _label(*_at(raw, where, "output_label")),
                 len(output_labels),
                 output_labels,
             )
             out_registry = SubsystemRegistry((output,))
             prepared = {}
-            for key, vec in _object(raw["prepared"], f"{where}.prepared").items():
+            for key, vec in _object(*_at(raw, where, "prepared")).items():
                 at = f"{where}.prepared[{json.dumps(key, ensure_ascii=False)}]"
                 state = StateVector(out_registry, _vector(vec, at))
                 prepared[tuple(key.split(","))] = state
-            agent = _label(raw["agent"], f"{where}.agent")
+            agent = _label(*_at(raw, where, "agent"))
             iso = build_preparation_isometry(agent, target_registry, prepared, output)
         else:
-            raise ValueError(f"unknown step type {raw['type']!r}")
+            raise ValueError(f"unknown step type {kind!r}")
         steps.append(Step(time, iso))
         walked = walked.extended(iso.appended)
 
@@ -217,8 +223,8 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
     for i, h in enumerate(_list(doc.get("halting", []), "halting", "conditions")):
         where = f"halting[{i}]"
         h = _object(h, where)
-        agent = _label(h["agent"], f"{where}.agent")
-        halting.append((agent, _label(h["outcome"], f"{where}.outcome")))
+        agent = _label(*_at(h, where, "agent"))
+        halting.append((agent, _label(*_at(h, where, "outcome"))))
     return ExperimentSpec(
         name=_label(doc.get("name", "experiment"), "name"),
         registry=registry,

@@ -208,6 +208,28 @@ class TestTables:
         assert message in result.stderr
 
 
+    @pytest.mark.parametrize(
+        "edit,line",
+        [
+            (
+                lambda doc: doc["steps"][1].pop("output_label"),
+                b"error: cannot load experiment config: steps[1].output_label: missing\n",
+            ),
+            (
+                lambda doc: doc["steps"][0].update(targets=["Q"]),
+                b"error: cannot load experiment config: unknown subsystem label 'Q'\n",
+            ),
+        ],
+        ids=["missing-field", "unknown-label"],
+    )
+    def test_config_error_is_one_exact_line(self, tmp_path, edit, line):
+        doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)
+        edit(doc)
+        path = tmp_path / "bad-config.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("tables", "--config", str(path), "--target", "w")
+        assert (result.returncode, result.stdout, result.stderr) == (2, b"", line)
+
     def test_non_string_experiment_name_exits_2(self, tmp_path):
         doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)
         doc["name"] = 5

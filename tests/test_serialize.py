@@ -146,6 +146,54 @@ def test_wrong_field_types_raise_path_qualified_errors(path, value, message):
         document_to_experiment(doc)
 
 
+def _delete(doc, path):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("registry",),
+        ("initial",),
+        ("steps",),
+        ("registry", 0, "label"),
+        ("registry", 0, "dimension"),
+        ("registry", 0, "basis_labels"),
+        ("steps", 0, "type"),
+        ("steps", 0, "time"),
+        ("steps", 0, "targets"),
+        ("steps", 0, "agent"),
+        ("steps", 0, "basis"),
+        ("steps", 0, "memory_label"),
+        ("steps", 0, "memory_basis_labels"),
+        ("steps", 1, "agent"),
+        ("steps", 1, "output_label"),
+        ("steps", 1, "output_basis_labels"),
+        ("steps", 1, "prepared"),
+        ("halting", 0, "agent"),
+        ("halting", 1, "outcome"),
+    ],
+)
+def test_missing_fields_raise_path_qualified_errors(path):
+    doc = json.loads(dumps_canonical(experiment_to_document(frauchiger_renner())))
+    _delete(doc, path)
+    *parents, key = path
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parents)
+    message = f"{where}.{key}".lstrip(".") + ": missing"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        document_to_experiment(doc)
+
+
+def test_name_and_halting_are_optional():
+    doc = json.loads(dumps_canonical(experiment_to_document(wigner_friend())))
+    del doc["name"], doc["halting"]
+    spec = document_to_experiment(doc)
+    assert (spec.name, spec.halting) == ("experiment", None)
+
+
 def test_document_must_be_an_object():
     with pytest.raises(ValueError, match=re.escape("document: expected an object, got []")):
         document_to_experiment([])
