@@ -564,13 +564,18 @@ def conditional_via_renormalized_state(
 def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:
     """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
 
-    Ψ_b is row b with its kept quantum axes moved first and reshaped to
-    (kept, discarded), so the discarded factors are contracted away and no
-    d×d matrix is ever formed.  A kept record factor has length 1: row b then
-    fills only the block of its recorded outcomes.  Rows that share those
-    records are one matmul over all of them, scaled by √w_b, so with no kept
-    record the whole ensemble is one contraction.  Discarded records cost
-    nothing.  The kept axes are permuted to registry order once, at the end.
+    Ψ_b is row b with its kept quantum axes moved first, in registry order,
+    and reshaped to (kept, discarded), so the discarded factors are
+    contracted away and no d×d matrix is ever formed.  With no kept record
+    the whole ensemble is one contraction, scaled by √w_b, and its Gram
+    product is the answer.  A kept record factor has length 1: row b then
+    fills only the block of its recorded outcomes.  The answer is then
+    allocated once, in registry order, and each block is one matmul over the
+    rows that share its records, written through a view of the answer with
+    the kept records' axes fixed at those records.  Discarded records cost
+    nothing.  Beyond the ensemble and one reordered copy of it, the only
+    d_keep×d_keep array is the answer: temporaries that size would make the
+    allocator trim the heap and fault it back in on every call.
     """
     sub_registry = ens.registry.restricted(keep)
     layout = ens.layout
@@ -582,20 +587,27 @@ def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:
     perm = axes + [0] + other
     scale = np.sqrt(ens.weights).reshape((-1,) + (1,) * (ens.amps.ndim - 1))
     psi = np.multiply(ens.amps.transpose(perm), scale.transpose(perm), order="C")
-    q = math.prod(psi.shape[: len(axes)])
+    quantum_dims = psi.shape[: len(axes)]
+    q = math.prod(quantum_dims)
     psi = psi.reshape(q, rows, -1)
-    held_dims = [layout.subsystem(label).dimension for label in held]
-    key = _record_keys([ens.records[label] for label in held], held_dims, rows)
-    rho = np.zeros((math.prod(held_dims), q, math.prod(held_dims), q), dtype=np.complex128)
-    for k in sorted(set(key.tolist())):
-        block = (psi[:, key == k] if held else psi).reshape(q, -1)
-        rho[k, :, k, :] = block @ block.conj().T
-    dims = held_dims + [layout.subsystem(label).dimension for label in quantum]
-    order = held + quantum
-    perm = [order.index(label) for label in sub_registry.labels]
-    rho = rho.reshape(dims + dims).transpose(perm + [len(perm) + i for i in perm])
+    if not held:
+        block = psi.reshape(q, -1)
+        return DensityMatrix(sub_registry, block @ block.conj().T)
     d_keep = sub_registry.total_dimension
-    return DensityMatrix(sub_registry, rho.reshape(d_keep, d_keep))
+    rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
+    tens = rho.reshape(sub_registry.dims * 2)
+    held_axes = [sub_registry.axis(label) for label in held]
+    held_dims = [layout.subsystem(label).dimension for label in held]
+    records = [ens.records[label] for label in held]
+    key = _record_keys(records, held_dims, rows)
+    keys, firsts = np.unique(key, return_index=True)
+    for k, first in zip(keys.tolist(), firsts.tolist()):
+        block = psi[:, key == k].reshape(q, -1)
+        where: list = [slice(None)] * len(sub_registry.dims)
+        for axis, record in zip(held_axes, records):
+            where[axis] = record[first]
+        tens[tuple(where * 2)] = (block @ block.conj().T).reshape(quantum_dims * 2)
+    return DensityMatrix(sub_registry, rho)
 
 
 def memory_state(
@@ -613,8 +625,9 @@ def memory_state(
 
     The reduced state is built from the branch ensemble directly, in
     O(B·d·d_keep) time for B branches over total dimension d.  Beyond the
-    ensemble it holds one reordered copy of it and the d_keep×d_keep result,
-    so the cost scales with the kept factors.  The returned matrix passes the full
+    ensemble it holds one reordered copy of it, the d_keep×d_keep result and
+    block scratch (see :func:`_reduced_density`), so the cost scales with
+    the kept factors.  The returned matrix passes the full
     :class:`DensityMatrix` checks (Hermitian, unit trace, positive
     semidefinite).  Positivity is proved by a pivoted Cholesky in
     O(d_keep²·r) for rank r, at most B times the discarded dimension; the

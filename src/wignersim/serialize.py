@@ -51,6 +51,14 @@ def _at(obj: Mapping, where: str, key: str) -> tuple[object, str]:
     return obj[key], path
 
 
+def _named(where: str, lookup, *args):
+    """``lookup(*args)``; an unknown label's KeyError or ValueError names ``where``."""
+    try:
+        return lookup(*args)
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{where}: {err.args[0]}") from None
+
+
 def _complex_pair(value, where: str) -> complex:
     """Inverse of :func:`_pair`; a ValueError names ``where`` on bad input."""
     if (
@@ -153,7 +161,9 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
 
     A field of the wrong type raises a ``ValueError`` that names its path,
     such as ``steps[0].targets: expected a list of labels, got 5``; so does a
-    missing field, as ``steps[1].output_label: missing``.
+    missing field, as ``steps[1].output_label: missing``, and a label the
+    registry does not know, as ``steps[0].targets: unknown subsystem label 'Q'``
+    or ``initial["zz"]: subsystem 'C' has no basis state 'zz'``.
     """
     doc = _object(doc, "document")
     subsystems = []
@@ -170,9 +180,9 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
     registry = SubsystemRegistry(tuple(subsystems))
     amps = np.zeros(registry.total_dimension, dtype=np.complex128)
     for key, value in _object(*_at(doc, "", "initial")).items():
-        amps[registry.flat_index(tuple(key.split(",")))] = _complex_pair(
-            value, f"initial[{json.dumps(key, ensure_ascii=False)}]"
-        )
+        at = f"initial[{json.dumps(key, ensure_ascii=False)}]"
+        amplitude = _complex_pair(value, at)
+        amps[_named(at, registry.flat_index, tuple(key.split(",")))] = amplitude
     initial = StateVector(registry, amps)
 
     steps = []
@@ -180,10 +190,11 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
     for n, raw in enumerate(_list(*_at(doc, "", "steps"), "steps")):
         where = f"steps[{n}]"
         raw = _object(raw, where)
-        targets = _labels(*_at(raw, where, "targets"))
+        targets, at = _at(raw, where, "targets")
+        targets = _labels(targets, at)
         time = _integer(*_at(raw, where, "time"))
-        target_registry = SubsystemRegistry(
-            tuple(walked.subsystem(label) for label in targets)
+        target_registry = _named(
+            at, lambda: SubsystemRegistry(tuple(walked.subsystem(l) for l in targets))
         )
         kind = _at(raw, where, "type")[0]
         if kind == "measure":
@@ -211,7 +222,9 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
             for key, vec in _object(*_at(raw, where, "prepared")).items():
                 at = f"{where}.prepared[{json.dumps(key, ensure_ascii=False)}]"
                 state = StateVector(out_registry, _vector(vec, at))
-                prepared[tuple(key.split(","))] = state
+                labels = tuple(key.split(","))
+                _named(at, target_registry.flat_index, labels)
+                prepared[labels] = state
             agent = _label(*_at(raw, where, "agent"))
             iso = build_preparation_isometry(agent, target_registry, prepared, output)
         else:

@@ -18,6 +18,11 @@ by Weyl's inequality, every eigenvalue above -1e-10.  That costs O(d²·r), and
 the densities built here have small r.  Only when the proof does not go
 through does the full O(d³) ``eigvalsh`` decide, against the same -1e-10
 bound, so either way the verdict is the spectrum's.
+
+A density matrix is the only d×d array its checks hold: the Hermitian check
+reads BLOCK×BLOCK tiles and the proof's remainder is summed over blocks of
+BLOCK rows.  A second d×d temporary, freed on every call, would make the
+allocator trim the heap and fault its pages back in on the next call.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ RENORMALIZE_FLOOR = 1e-12
 # A projector's basis vector may come from a caller's own arithmetic, so its
 # norm is held only to the 1e-9 at which computed probabilities are compared.
 ATOL_BASIS_NORM = 1e-9
-# The Hermitian check reads this many rows of the upper triangle at a time,
-# so its temporaries are that many rows long, not d×d.
-HERMITIAN_BLOCK_ROWS = 64
+# The Hermitian check reads BLOCK×BLOCK tiles and the positivity proof sums
+# its remainder over BLOCK rows at a time, so neither holds a d×d temporary.
+BLOCK = 64
 # At or below this dimension eigvalsh is cheaper than the positivity proof,
 # whose every pivot costs about 17 µs of call overhead, so it decides alone.
 EIGVALSH_MAX_DIM = 8
@@ -87,17 +92,23 @@ def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
 def _hermitian(mat: np.ndarray) -> bool:
     """Whether max |a_ij − conj(a_ji)| ≤ ATOL_CONSTRUCT, failing on NaN.
 
-    Rows are read in blocks of the upper triangle, each against its
-    transposed columns, which covers every pair (i, j): the maximum is the
-    one over the whole matrix, with temporaries of HERMITIAN_BLOCK_ROWS rows.
-    Each block is tested on its own, so a NaN in any block fails.
+    Each BLOCK×BLOCK tile on or above the diagonal is read against its
+    mirror tile, which covers every pair (i, j): the maximum is the one over
+    the whole matrix, with scratch of one tile.  Each tile is tested on its
+    own, so a NaN in any tile fails.
     """
     d = len(mat)
-    for start in range(0, d, HERMITIAN_BLOCK_ROWS):
-        stop = start + HERMITIAN_BLOCK_ROWS
-        skew = mat[start:stop, start:] - mat[start:, start:stop].conj().T
-        if not np.max(np.abs(skew)) <= ATOL_CONSTRUCT:
-            return False
+    scratch = np.empty(min(d, BLOCK) ** 2, dtype=np.complex128)
+    for top in range(0, d, BLOCK):
+        rows = slice(top, top + BLOCK)
+        for left in range(top, d, BLOCK):
+            cols = slice(left, left + BLOCK)
+            tile = mat[rows, cols]
+            skew = scratch[: tile.size].reshape(tile.shape)
+            np.conjugate(mat[cols, rows].T, out=skew)
+            np.subtract(tile, skew, out=skew)
+            if not np.max(np.abs(skew)) <= ATOL_CONSTRUCT:
+                return False
     return True
 
 
@@ -250,7 +261,9 @@ def _psd_certified(mat: np.ndarray) -> bool:
     matrix of A's lower triangle, which is within ‖K‖_F of H.  K is
     orthogonal to every Hermitian matrix, so ‖K‖_F + ‖H − LL†‖_F ≤
     √2·‖A − LL†‖_F, and what ``eigvalsh`` reads has eigenvalues
-    ≥ -ATOL_PSD/√2.  Rank r costs O(d²·r) time and one d×d array.
+    ≥ -ATOL_PSD/√2.  Rank r costs O(d²·r) time.  ‖A − LL†‖_F² is summed
+    over blocks of BLOCK rows, so beyond A the proof holds L and one
+    BLOCK×d block of the remainder, never a d×d array.
     """
     d = mat.shape[0]
     stop = ATOL_PSD / (2 * d)
@@ -270,9 +283,16 @@ def _psd_certified(mat: np.ndarray) -> bool:
         residual_diag -= col.real**2 + col.imag**2
         rank += 1
     factor = rows[:rank]
-    remainder = factor.T @ factor.conj()
-    remainder -= mat
-    return math.sqrt(np.vdot(remainder, remainder).real) <= ATOL_PSD / 2
+    conj = factor.conj()
+    scratch = np.empty((min(d, BLOCK), d), dtype=np.complex128)
+    norm_sq = 0.0
+    for start in range(0, d, BLOCK):
+        block = mat[start : start + BLOCK]
+        remainder = scratch[: len(block)]
+        np.matmul(factor[:, start : start + BLOCK].T, conj, out=remainder)
+        remainder -= block
+        norm_sq += np.vdot(remainder, remainder).real
+    return math.sqrt(norm_sq) <= ATOL_PSD / 2
 
 
 @dataclass(frozen=True)

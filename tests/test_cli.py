@@ -217,10 +217,22 @@ class TestTables:
             ),
             (
                 lambda doc: doc["steps"][0].update(targets=["Q"]),
-                b"error: cannot load experiment config: unknown subsystem label 'Q'\n",
+                b"error: cannot load experiment config: steps[0].targets: unknown subsystem label 'Q'\n",
+            ),
+            (
+                lambda doc: doc["initial"].update(zz=[0.0, 0.0]),
+                b"error: cannot load experiment config: initial[\"zz\"]: subsystem 'C' has no basis state 'zz'\n",
+            ),
+            (
+                lambda doc: doc["initial"].update({"h,t": [0.0, 0.0]}),
+                b"error: cannot load experiment config: initial[\"h,t\"]: expected 1 basis labels, got 2\n",
+            ),
+            (
+                lambda doc: doc["steps"][1]["prepared"].update(qq=doc["steps"][1]["prepared"].pop("T")),
+                b"error: cannot load experiment config: steps[1].prepared[\"qq\"]: subsystem 'F1' has no basis state 'qq'\n",
             ),
         ],
-        ids=["missing-field", "unknown-label"],
+        ids=["missing-field", "unknown-label", "unknown-basis-label", "basis-label-count", "unknown-control-label"],
     )
     def test_config_error_is_one_exact_line(self, tmp_path, edit, line):
         doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)

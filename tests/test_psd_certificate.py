@@ -16,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from wignersim.registry import SubsystemRegistry
 from wignersim import states
-from wignersim.states import ATOL_PSD, EIGVALSH_MAX_DIM, DensityMatrix, _psd_certified
+from wignersim.states import (
+    ATOL_PSD,
+    BLOCK,
+    EIGVALSH_MAX_DIM,
+    DensityMatrix,
+    _psd_certified,
+)
 
 BAND = 1e-13  # verdicts this close to -ATOL_PSD may go either way
 
@@ -134,3 +140,25 @@ def test_a_small_density_goes_straight_to_the_spectrum_with_the_same_verdict(mon
 
 def test_the_zero_matrix_is_proved_at_rank_zero():
     assert _psd_certified(np.zeros((8, 8), dtype=np.complex128))
+
+
+def test_the_remainder_reads_the_last_partial_row_block():
+    """d = 2·BLOCK + 3: a pure state on the first two row blocks, and what is
+    wrong only in the last three rows, where the remainder's partial block lies."""
+    d = 2 * BLOCK + 3
+    rng = np.random.default_rng(16)
+    u = np.zeros(d, dtype=np.complex128)
+    u[: 2 * BLOCK] = rng.normal(size=2 * BLOCK) + 1j * rng.normal(size=2 * BLOCK)
+    u /= np.linalg.norm(u)
+    pure = np.outer(u, u.conj())
+    assert _psd_certified(pure)
+
+    v = np.zeros(d, dtype=np.complex128)
+    v[-3:] = np.array([1.0, 1j, -1.0]) / math.sqrt(3)
+    negative = pure - 3e-10 * np.outer(v, v.conj())
+    assert not _psd_certified(negative)
+    assert not accepts(negative)
+
+    nan = pure.copy()
+    nan[d - 1, d - 2] = nan[d - 2, d - 1] = math.nan
+    assert not _psd_certified(nan)

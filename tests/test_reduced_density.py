@@ -17,7 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ensemble import dense_condition, dense_density, dense_ensemble, models_for
+from dense_ensemble import (
+    dense_condition,
+    dense_density,
+    dense_ensemble,
+    ghz_spec,
+    models_for,
+)
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -178,3 +184,54 @@ def test_six_friend_memories_at_d4096_stay_small(model):
     expected[aaaaaa, aaaaaa] = abs(ALPHA) ** 2
     expected[bbbbbb, bbbbbb] = abs(BETA) ** 2
     assert np.max(np.abs(rho.entries - expected)) < ORACLE_ATOL
+
+
+def _peak_bytes(call):
+    """Traced peak of one call, after a warm call has built the spec's plans."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+GHZ_THETAS = (0.4, 0.9)
+
+
+@pytest.mark.parametrize("model", [NO_COLLAPSE, OBJECTIVE_COLLAPSE], ids=lambda m: m.tag)
+def test_evolved_density_holds_one_answer_sized_array(model):
+    """GHZ(2,2), d = 256: the answer is the only d×d array of the call.
+
+    A second one of 16·d² bytes, such as a zeros array beside the Gram
+    product, a transposed copy or a whole positivity remainder, would put
+    the peak at 2·16·d² or more.  ``ism`` keeps no record, ``objective``
+    keeps W0 and W1 as records.
+    """
+    spec = ghz_spec(2, 2, ALPHA, BETA, GHZ_THETAS)
+    registry = spec.registry_after()
+    d = registry.total_dimension
+    assert d == 256
+    assert _peak_bytes(lambda: evolved_density(spec, model)) < 1.5 * 16 * d**2
+    want = dense_density(dense_ensemble(spec, model), registry)
+    assert np.max(np.abs(evolved_density(spec, model).entries - want.entries)) < ORACLE_ATOL
+
+
+def test_memory_state_with_a_kept_record_holds_one_answer_sized_array():
+    """GHZ(3,2) keeping F and W given W0 = p: d_keep = 128, W0 kept as a record.
+
+    The answer is written block by block into one zeroed d_keep×d_keep
+    array; the rest of the peak is block scratch and the ensemble.
+    """
+    spec = ghz_spec(3, 2, ALPHA, BETA, GHZ_THETAS)
+    qubits = {f"Q{i}" for i in range(3)}
+    rho = memory_state(spec, NO_COLLAPSE, qubits, {"W0": "p"})
+    d_keep = rho.registry.total_dimension
+    assert d_keep == 128
+    peak = _peak_bytes(lambda: memory_state(spec, NO_COLLAPSE, qubits, {"W0": "p"}))
+    assert peak < 2 * 16 * d_keep**2
+    branches = dense_condition(dense_ensemble(spec, NO_COLLAPSE), spec, NO_COLLAPSE, {"W0": "p"})
+    want = partial_trace(dense_density(branches, spec.registry_after()), rho.registry.labels)
+    assert np.max(np.abs(rho.entries - want.entries)) < ORACLE_ATOL

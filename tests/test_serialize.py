@@ -187,6 +187,29 @@ def test_missing_fields_raise_path_qualified_errors(path):
         document_to_experiment(doc)
 
 
+def _rekey(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc["steps"][0].update(targets=["Q"]), "steps[0].targets: unknown subsystem label 'Q'"),
+        (lambda doc: doc["steps"][3].update(targets=["C", "C"]), "steps[3].targets: duplicate subsystem labels in ['C', 'C']"),
+        (lambda doc: _rekey(doc["initial"], "h", "zz"), 'initial["zz"]: subsystem \'C\' has no basis state \'zz\''),
+        (lambda doc: _rekey(doc["initial"], "h", "h,t"), 'initial["h,t"]: expected 1 basis labels, got 2'),
+        (lambda doc: _rekey(doc["steps"][1]["prepared"], "T", "qq"), 'steps[1].prepared["qq"]: subsystem \'F1\' has no basis state \'qq\''),
+        (lambda doc: _rekey(doc["steps"][1]["prepared"], "T", "T,T"), 'steps[1].prepared["T,T"]: expected 1 basis labels, got 2'),
+    ],
+    ids=["target", "duplicate-target", "initial-label", "initial-count", "control-label", "control-count"],
+)
+def test_unknown_labels_raise_path_qualified_errors(edit, message):
+    doc = json.loads(dumps_canonical(experiment_to_document(frauchiger_renner())))
+    edit(doc)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        document_to_experiment(doc)
+
+
 def test_name_and_halting_are_optional():
     doc = json.loads(dumps_canonical(experiment_to_document(wigner_friend())))
     del doc["name"], doc["halting"]

@@ -18,7 +18,7 @@ from wignersim.experiment import ConditionalTable, JointDistribution, evolved_de
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
-    HERMITIAN_BLOCK_ROWS,
+    BLOCK,
     DensityMatrix,
     Projector,
     StateVector,
@@ -338,12 +338,17 @@ class TestDensityMatrixInvariants:
 
     @pytest.mark.parametrize(
         "where,value,accepted",
-        [((5, 200), 2e-12, False), ((5, 200), 5e-13, True), ((200, 5), math.nan, False)],
-        ids=["skew-2e-12", "skew-5e-13", "nan-lower-triangle"],
+        [
+            ((5, 200), 2e-12, False),
+            ((5, 200), 5e-13, True),
+            ((200, 5), math.nan, False),
+            ((250, 70), 2e-12, False),
+        ],
+        ids=["skew-2e-12", "skew-5e-13", "nan-lower-triangle", "skew-2e-12-below-first-row"],
     )
     def test_hermitian_check_reads_pairs_across_row_blocks(self, where, value, accepted):
         """d = 256, rank 1: the entry and its mirror lie in different row blocks."""
-        assert 5 // HERMITIAN_BLOCK_ROWS != 200 // HERMITIAN_BLOCK_ROWS
+        assert where[0] // BLOCK != where[1] // BLOCK
         reg = SubsystemRegistry.build([(f"q{i}", ("0", "1")) for i in range(8)])
         mat = np.zeros((256, 256), dtype=np.complex128)
         mat[0, 0] = 1.0
