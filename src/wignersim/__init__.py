@@ -21,11 +21,9 @@ from .channels import (
     OBJECTIVE_COLLAPSE,
     CollapseModel,
     Isometry,
-    apply_isometry,
     branch_decomposition,
     build_measurement_isometry,
     build_preparation_isometry,
-    collapse,
 )
 from .deduction import (
     ChainCycleError,
@@ -60,16 +58,7 @@ from .serialize import (
     experiment_to_document,
     load_experiment,
 )
-from .states import (
-    DensityMatrix,
-    Projector,
-    StateVector,
-    ZeroProbabilityError,
-    born_probability,
-    partial_trace,
-    projector_from_basis_vector,
-    tensor,
-)
+from .states import DensityMatrix, StateVector, ZeroProbabilityError
 from .storyplot import (
     CompatibilityVerdict,
     Deduced,

@@ -11,10 +11,10 @@ else stays unitary.
 
 Both run on one kernel, :class:`_Ensemble`: a weighted branch ensemble
 stacked into one array, stepped by one matmul over all its rows as a
-:class:`_StepPlan` lays the step out.  The public :func:`apply_isometry` and
-:func:`branch_decomposition` build a one-step plan and use the kernel on a
-single state; ``experiment.evolve`` replays the plans its spec keeps on a
-whole ensemble.
+:class:`_StepPlan` lays the step out.  ``experiment.evolve`` replays the
+plans its spec keeps on a whole ensemble; :func:`branch_decomposition`, one
+step on one state, lists a demo's branches.  :func:`apply_isometry` and
+:func:`collapse` run on no program path; the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations

@@ -57,9 +57,7 @@ def _load_spec(config: argparse.Namespace) -> ExperimentSpec:
         return _shared(config.preset)
     try:
         return load_experiment(config.config_path)
-    except KeyError as err:  # str(KeyError) would quote its message
-        raise UsageError(f"cannot load experiment config: {err.args[0]}") from err
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
         raise UsageError(f"cannot load experiment config: {err}") from err
 
 

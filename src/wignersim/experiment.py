@@ -66,7 +66,8 @@ class ExperimentSpec:
     or tables, so every answer is still computed in full on every call.
     Construction extends the registry once per step and keeps that chain, so
     :meth:`registry_after` is a lookup.  A pair's backward cone
-    (:meth:`_cone`) is built on first use and kept the same way.
+    (:meth:`_cone`) is built on first use and kept the same way.  An agent
+    measures at most once, since tables and models name a measurement by it.
     """
 
     name: str
@@ -84,6 +85,7 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")
         registries = [self.registry]
+        measuring: dict[str, Step] = {}
         for step in self.steps:
             for label in step.iso.domain.labels:
                 if label not in registries[-1]:
@@ -91,11 +93,17 @@ class ExperimentSpec:
                         f"step at t={step.time} ({step.agent}) references unknown "
                         f"subsystem {label!r}"
                     )
+            if step.is_measurement:
+                first = measuring.setdefault(step.agent, step)
+                if first is not step:
+                    raise ValueError(
+                        f"agent {step.agent!r} measures at t={first.time} and at "
+                        f"t={step.time}; an agent may measure only once"
+                    )
             registries.append(registries[-1].extended(step.iso.appended))
         object.__setattr__(self, "_registries", tuple(registries))
         object.__setattr__(self, "_cones", {})
         if self.halting is not None:
-            measuring = {s.agent: s for s in self.steps if s.is_measurement}
             for agent, outcome in self.halting:
                 if agent not in measuring:
                     raise ValueError(f"halting condition names non-measuring agent {agent!r}")
@@ -202,9 +210,6 @@ class OutcomeAssignment:
             return self[agent]
         except KeyError:
             return default
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.outcomes)
 
     def matches(self, condition: Mapping[str, str]) -> bool:
         return all(self.get(a) == o for a, o in condition.items())

@@ -51,10 +51,10 @@ def _at(obj: Mapping, where: str, key: str) -> tuple[object, str]:
     return obj[key], path
 
 
-def _named(where: str, lookup, *args):
-    """``lookup(*args)``; an unknown label's KeyError or ValueError names ``where``."""
+def _named(where: str, call, *args):
+    """``call(*args)``; a KeyError or ValueError it raises names ``where``."""
     try:
-        return lookup(*args)
+        return call(*args)
     except (KeyError, ValueError) as err:
         raise ValueError(f"{where}: {err.args[0]}") from None
 
@@ -160,10 +160,10 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
     """Rebuild an experiment from its document form.
 
     A field of the wrong type raises a ``ValueError`` that names its path,
-    such as ``steps[0].targets: expected a list of labels, got 5``; so does a
-    missing field, as ``steps[1].output_label: missing``, and a label the
-    registry does not know, as ``steps[0].targets: unknown subsystem label 'Q'``
-    or ``initial["zz"]: subsystem 'C' has no basis state 'zz'``.
+    such as ``steps[0].targets: expected a list of labels, got 5``, and so do
+    a missing field, an unknown label, and an entry that a constructor
+    rejects, as ``registry[0]: subsystem 'C': 2 basis labels for dimension 3``.
+    :class:`ExperimentSpec`'s own errors, such as the step order, keep theirs.
     """
     doc = _object(doc, "document")
     subsystems = []
@@ -171,19 +171,21 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
         where = f"registry[{i}]"
         s = _object(s, where)
         subsystems.append(
-            Subsystem(
+            _named(
+                where,
+                Subsystem,
                 _label(*_at(s, where, "label")),
                 _integer(*_at(s, where, "dimension")),
                 _labels(*_at(s, where, "basis_labels")),
             )
         )
-    registry = SubsystemRegistry(tuple(subsystems))
+    registry = _named("registry", SubsystemRegistry, tuple(subsystems))
     amps = np.zeros(registry.total_dimension, dtype=np.complex128)
     for key, value in _object(*_at(doc, "", "initial")).items():
         at = f"initial[{json.dumps(key, ensure_ascii=False)}]"
         amplitude = _complex_pair(value, at)
         amps[_named(at, registry.flat_index, tuple(key.split(",")))] = amplitude
-    initial = StateVector(registry, amps)
+    initial = _named("initial", StateVector, registry, amps)
 
     steps = []
     walked = registry
@@ -196,23 +198,28 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
         target_registry = _named(
             at, lambda: SubsystemRegistry(tuple(walked.subsystem(l) for l in targets))
         )
-        kind = _at(raw, where, "type")[0]
+        kind, at = _at(raw, where, "type")
         if kind == "measure":
             vectors = _list(*_at(raw, where, "basis"), "vectors")
-            basis = [
-                StateVector(target_registry, _vector(vec, f"{where}.basis[{i}]"))
-                for i, vec in enumerate(vectors)
-            ]
-            iso = build_measurement_isometry(
+            basis = []
+            for i, vec in enumerate(vectors):
+                at = f"{where}.basis[{i}]"
+                basis.append(_named(at, StateVector, target_registry, _vector(vec, at)))
+            iso = _named(
+                where,
+                build_measurement_isometry,
                 _label(*_at(raw, where, "agent")),
                 target_registry,
                 basis,
-                memory=_label(*_at(raw, where, "memory_label")),
-                memory_labels=_labels(*_at(raw, where, "memory_basis_labels")),
+                _label(*_at(raw, where, "memory_label")),
+                _labels(*_at(raw, where, "memory_basis_labels")),
             )
+            walked = _named(f"{where}.memory_label", walked.extended, iso.appended)
         elif kind == "prepare":
             output_labels = _labels(*_at(raw, where, "output_basis_labels"))
-            output = Subsystem(
+            output = _named(
+                where,
+                Subsystem,
                 _label(*_at(raw, where, "output_label")),
                 len(output_labels),
                 output_labels,
@@ -221,16 +228,18 @@ def document_to_experiment(doc: Mapping) -> ExperimentSpec:
             prepared = {}
             for key, vec in _object(*_at(raw, where, "prepared")).items():
                 at = f"{where}.prepared[{json.dumps(key, ensure_ascii=False)}]"
-                state = StateVector(out_registry, _vector(vec, at))
+                state = _named(at, StateVector, out_registry, _vector(vec, at))
                 labels = tuple(key.split(","))
                 _named(at, target_registry.flat_index, labels)
                 prepared[labels] = state
             agent = _label(*_at(raw, where, "agent"))
-            iso = build_preparation_isometry(agent, target_registry, prepared, output)
+            iso = _named(
+                where, build_preparation_isometry, agent, target_registry, prepared, output
+            )
+            walked = _named(f"{where}.output_label", walked.extended, iso.appended)
         else:
-            raise ValueError(f"unknown step type {kind!r}")
+            raise ValueError(f"{at}: unknown step type {kind!r}")
         steps.append(Step(time, iso))
-        walked = walked.extended(iso.appended)
 
     halting = []
     for i, h in enumerate(_list(doc.get("halting", []), "halting", "conditions")):

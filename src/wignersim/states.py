@@ -1,4 +1,4 @@
-"""Dense exact states, density matrices, and projectors over labeled factors.
+"""Dense exact states and density matrices over labeled factors.
 
 All values are immutable after construction and every operation is a pure
 function, so anything built here can be shared freely between threads or
@@ -9,8 +9,11 @@ cached without copying.  Numeric conventions:
 * computed probabilities are compared against exact fractions at 1e-9.
 
 Validation bounds are written as ``not (x <= tol)``, which NaN fails, so no
-NaN gets into a normalized state, a density matrix, a projector or a Born
-probability.
+NaN gets into a normalized state or a density matrix.
+
+:class:`Projector`, :func:`born_probability`, :func:`partial_trace` and
+:func:`tensor` act on one state and run on no program path, which builds its
+densities from a branch ensemble; the benchmark's tracer still wraps them.
 
 Positive semidefiniteness is first proved from the entries alone: a
 diagonal-pivoted Cholesky factor L of rank r with ‖A − LL†‖_F ≤ 5e-11 puts,
@@ -33,7 +36,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .registry import Subsystem, SubsystemRegistry
+from .registry import SubsystemRegistry
 
 ATOL_CONSTRUCT = 1e-12
 ATOL_PSD = 1e-10
@@ -41,12 +44,6 @@ ATOL_PROB = 1e-9
 # Amplitudes and imaginary parts this small print as zero: they are rounding
 # noise at the construction tolerance, not terms of the state.
 PRINT_ZERO = 1e-12
-# A state this short is numerically zero: renormalizing it would blow
-# rounding noise up into a unit vector.
-RENORMALIZE_FLOOR = 1e-12
-# A projector's basis vector may come from a caller's own arithmetic, so its
-# norm is held only to the 1e-9 at which computed probabilities are compared.
-ATOL_BASIS_NORM = 1e-9
 # The Hermitian check reads BLOCK×BLOCK tiles and the positivity proof sums
 # its remainder over BLOCK rows at a time, so neither holds a d×d temporary.
 BLOCK = 64
@@ -77,10 +74,7 @@ def _format_coefficient(z: complex) -> str:
 
 
 def _not_normalized(norm_sq: float) -> ValueError:
-    return ValueError(
-        f"state not normalized: |psi|^2 = {norm_sq!r} "
-        "(pass normalized=False for an unnormalized branch)"
-    )
+    return ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
 
 
 def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
@@ -168,29 +162,12 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def renormalized(self) -> "StateVector":
-        n = self.norm()
-        if n <= RENORMALIZE_FLOOR:
-            raise ZeroProbabilityError("cannot renormalize a numerically zero state")
-        return StateVector(self.registry, self.amplitudes / n, normalized=True)
-
     def amplitude(self, labels: Union[str, tuple[str, ...]]) -> complex:
         labels = (labels,) if isinstance(labels, str) else tuple(labels)
         return complex(self.amplitudes[self.registry.flat_index(labels)])
 
     def tensored(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
-
-    def density_matrix(self) -> "DensityMatrix":
-        if not self.normalized:
-            return DensityMatrix(
-                self.registry,
-                np.outer(self.amplitudes, self.amplitudes.conj()),
-                subnormalized=True,
-            )
-        return DensityMatrix(
-            self.registry, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
 
     def __str__(self) -> str:
         parts = []
@@ -362,33 +339,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         n -= 1
     d = sub_registry.total_dimension
     return DensityMatrix(sub_registry, tens.reshape(d, d), subnormalized=rho.subnormalized)
-
-
-def projector_from_basis_vector(
-    v: StateVector, targets: Iterable[str] | None = None
-) -> Projector:
-    """Rank-1 projector |v><v| on v's factors, identity on all other labels."""
-    labels = v.registry.labels
-    if targets is not None and set(targets) != set(labels):
-        raise ValueError(
-            f"targets {sorted(set(targets))} do not match the vector's labels {labels}"
-        )
-    norm = v.norm()
-    if not abs(norm - 1.0) <= ATOL_BASIS_NORM:
-        raise ValueError(f"basis vector not normalized: |v| = {norm!r}")
-    op = np.outer(v.amplitudes, v.amplitudes.conj())
-    return Projector(labels, v.registry, op)
-
-
-def basis_projectors(sub: Subsystem) -> dict[str, Projector]:
-    """Complete family of rank-1 projectors onto one subsystem's basis states."""
-    registry = SubsystemRegistry((sub,))
-    out = {}
-    for label in sub.basis_labels:
-        out[label] = projector_from_basis_vector(
-            StateVector.basis_state(registry, label)
-        )
-    return out
 
 
 def born_probability(

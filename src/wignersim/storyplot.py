@@ -19,7 +19,6 @@ from typing import Mapping, Sequence, Union
 from .experiment import (
     CONDITION_EPS,
     JointDistribution,
-    OutcomeAssignment,
     marginal,
     post_select,
 )
@@ -268,7 +267,7 @@ def check_compatibility(
 def plot_from_distribution(
     schema: EventSetSchema,
     joint: JointDistribution,
-    observed: Union[OutcomeAssignment, Mapping[str, str]],
+    observed: Mapping[str, str],
     deductions: Sequence[tuple[str, str, str]] = (),
     alternatives: Sequence[str] = (),
 ) -> Plot:
@@ -282,11 +281,8 @@ def plot_from_distribution(
     non-degenerate one contributes one Value event per possible outcome
     (OR-alternatives).
     """
-    observed_map = (
-        observed.as_dict() if isinstance(observed, OutcomeAssignment) else dict(observed)
-    )
     # post_select raises ZeroProbabilityError on an impossible observation.
-    seen = post_select(joint, observed_map) if observed_map else joint
+    seen = post_select(joint, observed) if observed else joint
 
     per_time: dict[str, dict[str, Entry]] = {}
 
@@ -299,7 +295,7 @@ def plot_from_distribution(
             )
         entries[slot] = entry
 
-    for agent, outcome in observed_map.items():
+    for agent, outcome in observed.items():
         time, slot = schema.agent_cell(agent)
         place(time, slot, Value(outcome))
     for time, slot, value in deductions:
@@ -308,7 +304,7 @@ def plot_from_distribution(
     events = [make_event(schema, t, entries) for t, entries in per_time.items()]
 
     for agent in alternatives:
-        if agent in observed_map:
+        if agent in observed:
             continue
         time, slot = schema.agent_cell(agent)
         support = [o for o, p in marginal(seen, agent).items() if p > CONDITION_EPS]

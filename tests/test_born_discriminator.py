@@ -1,90 +1,86 @@
-"""Born-rule checks on the friend/Wigner states, with independent oracles."""
+"""The friend's measurement described two ways, read on the program's route.
+
+Wigner probes his friend's lab in the basis {phi+, phi-} of (S, F).  If the
+friend's measurement is an isometry, the lab is in phi+ and phi- never fires;
+if it is a collapse onto u, the lab is in |up,u⟩ and phi- fires half the
+time.  These numbers are read as ``check deutsch`` reads them, through
+``conditional_via_renormalized_state`` under ``ism`` and ``clps:F``, and
+checked against :mod:`numpy_oracle`, which shares no code with the kernel.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from numpy_oracle import padded
-from wignersim.channels import apply_isometry, collapse
-from wignersim.experiment import evolve, marginal
-from wignersim.channels import NO_COLLAPSE
-from wignersim.presets import frauchiger_renner, wigner_friend
-from wignersim.registry import SubsystemRegistry
-from wignersim.states import StateVector, born_probability, projector_from_basis_vector
+import numpy_oracle as oracle
+from wignersim.channels import NO_COLLAPSE, CollapseModel
+from wignersim.experiment import conditional_via_renormalized_state, evolve, marginal
+from wignersim.presets import deutsch_variant, frauchiger_renner, wigner_friend
 
 SQ2 = math.sqrt(0.5)
 
 
-def joint_sf():
-    return SubsystemRegistry.build([("S", ("up", "down")), ("F", ("u", "d"))])
-
-
-def phi_minus_projector():
-    phi_minus = StateVector.from_terms(
-        joint_sf(), {("up", "u"): SQ2, ("down", "d"): -SQ2}
-    )
-    return projector_from_basis_vector(phi_minus)
+def oracle_conditional(spec, model, target, given, given_outcome):
+    """P(target | given = given_outcome) from the oracle's conditioned joint."""
+    labels, dims, branches = oracle.ensemble(spec, model)
+    branches = oracle.conditioned(spec, model, labels, dims, branches, {given: given_outcome})
+    array = oracle.joint(spec, model, labels, dims, branches)
+    axis = spec.measuring_agents.index(target)
+    probs = array.sum(axis=tuple(i for i in range(array.ndim) if i != axis))
+    return dict(zip(spec.step_for(target).iso.outcome_labels, probs.tolist()))
 
 
 def test_unitary_account_never_shows_phi_minus():
-    spec = wigner_friend("superposition")
-    after_friend = apply_isometry(spec.initial, spec.steps[0].iso)
-    assert born_probability(after_friend, phi_minus_projector()) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    spec = deutsch_variant()
+    got = conditional_via_renormalized_state(spec, NO_COLLAPSE, "W", "F", "u")
+    want = oracle_conditional(spec, NO_COLLAPSE, "W", "F", "u")
+    assert got["phi-"] == pytest.approx(0.0, abs=1e-12)
+    assert want["phi-"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_collapsed_account_shows_phi_minus_half_the_time():
-    spec = wigner_friend("superposition")
-    collapsed = collapse(spec.initial, spec.steps[0].iso, "u")
+    spec = deutsch_variant()
+    model = CollapseModel.subjective("F")
+    got = conditional_via_renormalized_state(spec, model, "W", "F", "u")
     # Independent oracle: expand |up,u> in the phi+- pair directly.
     up_u = np.zeros(4, dtype=complex)
     up_u[0] = 1.0
     phi_minus = np.array([SQ2, 0.0, 0.0, -SQ2], dtype=complex)
-    oracle = abs(np.vdot(phi_minus, up_u)) ** 2
-    assert oracle == pytest.approx(0.5, abs=1e-12)
-    assert born_probability(collapsed, phi_minus_projector()) == pytest.approx(
-        oracle, abs=1e-12
-    )
+    by_hand = abs(np.vdot(phi_minus, up_u)) ** 2
+    assert by_hand == pytest.approx(0.5, abs=1e-12)
+    assert oracle_conditional(spec, model, "W", "F", "u")["phi-"] == pytest.approx(by_hand, abs=1e-12)
+    assert got["phi-"] == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_superobserver_outcome_projectors():
     spec = frauchiger_renner()
-    assistant = spec.steps[3].iso
-    wigner = spec.steps[4].iso
-    o_proj = projector_from_basis_vector(assistant.basis[0], targets={"C", "F1"})
-    big_o_proj = projector_from_basis_vector(wigner.basis[0], targets={"S", "F2"})
+    assistant = spec.step_for("A").iso
+    wigner = spec.step_for("W").iso
     assert assistant.basis[0].amplitude(("h", "H")) == pytest.approx(SQ2)
     assert assistant.basis[0].amplitude(("t", "T")) == pytest.approx(-SQ2)
     assert wigner.basis[0].amplitude(("down", "D")) == pytest.approx(SQ2)
     assert wigner.basis[0].amplitude(("up", "U")) == pytest.approx(-SQ2)
-    # Both projectors embed with identity padding on the six-factor registry
-    # and reproduce the halting probability directly from the final state.
-    from wignersim.experiment import _evolved_branches
-
-    ensemble = _evolved_branches(spec, NO_COLLAPSE)
-    assert ensemble.weights.tolist() == [1.0]
-    (state,) = ensemble.states()
-    registry = state.registry
-    assert registry == spec.registry_after()
-    dims = list(registry.dims)
-    p_both = born_probability(
-        state,
-        projector_from_basis_vector(assistant.basis[0]),
-    )
-    assert p_both == pytest.approx(1 / 6, abs=1e-9)  # P(a=o), memory untouched
-    p_o_then_O = float(
-        np.real(
-            np.vdot(
-                state.amplitudes,
-                padded(o_proj.operator, dims, [registry.axis(l) for l in o_proj.target_labels])
-                @ padded(big_o_proj.operator, dims, [registry.axis(l) for l in big_o_proj.target_labels])
-                @ state.amplitudes,
-            )
+    # The program's route: P(a=o), then P(w=O | a=o) from the renormalized state.
+    p_o = marginal(evolve(spec, NO_COLLAPSE), "A")["o"]
+    p_big_o = conditional_via_renormalized_state(spec, NO_COLLAPSE, "W", "A", "o")["O"]
+    assert p_o == pytest.approx(1 / 6, abs=1e-9)
+    assert p_o * p_big_o == pytest.approx(1 / 12, abs=1e-9)
+    # The oracle: both outcome projectors, |b><b| on the measured factors and
+    # identity elsewhere, applied to the oracle's final state.
+    labels, dims, ((_, psi, _),) = oracle.ensemble(spec, NO_COLLAPSE)
+    o_proj, big_o_proj = (
+        oracle.padded(
+            np.outer(v.amplitudes, v.amplitudes.conj()),
+            dims,
+            [labels.index(label) for label in v.registry.labels],
         )
+        for v in (assistant.basis[0], wigner.basis[0])
     )
-    assert p_o_then_O == pytest.approx(1 / 12, abs=1e-9)
+    oracle_o = float(np.vdot(psi, o_proj @ psi).real)
+    oracle_o_then_big_o = float(np.vdot(psi, o_proj @ big_o_proj @ psi).real)
+    assert oracle_o == pytest.approx(p_o, abs=1e-12)
+    assert oracle_o_then_big_o == pytest.approx(p_o * p_big_o, abs=1e-12)
 
 
 def test_completed_outcomes_never_fire_in_presets():

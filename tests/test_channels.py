@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from numpy_oracle import padded
+from numpy_oracle import projector
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.channels import (
     CollapseModel,
@@ -16,7 +16,7 @@ from wignersim.channels import (
     build_preparation_isometry,
     collapse,
 )
-from wignersim.states import StateVector, ZeroProbabilityError, projector_from_basis_vector
+from wignersim.states import StateVector, ZeroProbabilityError
 
 SQ2 = math.sqrt(0.5)
 SQ3 = math.sqrt(1.0 / 3.0)
@@ -341,14 +341,8 @@ def test_collapse_then_mix_equals_unitary_then_dephase():
     dephased = np.zeros_like(rho)
     dims = list(unitary.registry.dims)
     memory_axis = unitary.registry.axis(iso.memory.label)
-    for label in iso.outcome_labels:
-        proj = padded(
-            projector_from_basis_vector(
-                StateVector.basis_state(SubsystemRegistry((iso.memory,)), label)
-            ).operator,
-            dims,
-            [memory_axis],
-        )
+    for index in range(iso.memory.dimension):
+        proj = projector(dims, memory_axis, index)
         dephased += proj @ rho @ proj
     assert np.allclose(mixed, dephased, atol=1e-12)
 

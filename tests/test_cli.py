@@ -231,8 +231,19 @@ class TestTables:
                 lambda doc: doc["steps"][1]["prepared"].update(qq=doc["steps"][1]["prepared"].pop("T")),
                 b"error: cannot load experiment config: steps[1].prepared[\"qq\"]: subsystem 'F1' has no basis state 'qq'\n",
             ),
+            (
+                lambda doc: doc["steps"][2].update(memory_label="C"),
+                b"error: cannot load experiment config: steps[2].memory_label: subsystem label 'C' already registered\n",
+            ),
+            (
+                lambda doc: (doc["steps"][3].update(agent="F1"), doc.update(halting=[])),
+                b"error: cannot load experiment config: agent 'F1' measures at t=1 and at t=4; an agent may measure only once\n",
+            ),
         ],
-        ids=["missing-field", "unknown-label", "unknown-basis-label", "basis-label-count", "unknown-control-label"],
+        ids=[
+            "missing-field", "unknown-label", "unknown-basis-label", "basis-label-count",
+            "unknown-control-label", "memory-label-registered", "measures-twice",
+        ],
     )
     def test_config_error_is_one_exact_line(self, tmp_path, edit, line):
         doc = json.loads(run_cli("export-preset", "--preset", "fr").stdout)

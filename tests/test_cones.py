@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from dense_ensemble import ghz_spec
+from circuits import ghz_spec
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel, _Ensemble
 from wignersim.experiment import (
     conditional,

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from numpy_oracle import padded
+from numpy_oracle import projector
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -69,6 +70,19 @@ class TestSpecValidation:
                 steps=spec.steps,
                 halting=(("W", "O"),),
             )
+
+    def test_an_agent_measures_only_once(self):
+        # F1 both measures (t=1) and prepares (t=2) in the preset, which is
+        # legal; A's measurement relabelled as F1's is a second measurement.
+        spec = frauchiger_renner()
+        second = replace(spec.steps[3], iso=replace(spec.steps[3].iso, agent="F1"))
+        with pytest.raises(ValueError) as err:
+            ExperimentSpec(
+                "twice", spec.registry, spec.initial, spec.steps[:3] + (second,) + spec.steps[4:]
+            )
+        assert str(err.value) == (
+            "agent 'F1' measures at t=1 and at t=4; an agent may measure only once"
+        )
 
     def test_fr_registry_walk(self):
         spec = frauchiger_renner()
@@ -327,18 +341,9 @@ class TestDisjointness:
         registry = spec.registry_after()
         for step in spec.measuring_steps:
             memory = step.iso.memory
-            sub_reg = SubsystemRegistry((memory,))
-            from wignersim.states import projector_from_basis_vector
-
             projs = [
-                padded(
-                    projector_from_basis_vector(
-                        StateVector.basis_state(sub_reg, label)
-                    ).operator,
-                    list(registry.dims),
-                    [registry.axis(memory.label)],
-                )
-                for label in memory.basis_labels
+                projector(list(registry.dims), registry.axis(memory.label), index)
+                for index in range(memory.dimension)
             ]
             for i in range(len(projs)):
                 for j in range(i + 1, len(projs)):

@@ -15,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from dense_ensemble import ghz_spec, models_for
+from circuits import ghz_spec, models_for
 from wignersim.experiment import conditional, evolve, marginal, post_select
 from wignersim.presets import presets
 

@@ -2,8 +2,7 @@
 
 The oracle kron-pads every step's matrix to the full registry and collapses
 and conditions with explicit full-dimensional projectors, so it shares no
-code with the library's stacked kernel, nor with the public
-``apply_isometry``/``branch_decomposition`` that now run on that kernel.
+code with the library's stacked kernel.
 Every preset and a GHZ circuit with a complex amplitude (the presets are
 real) are checked under every collapse model: the ``evolve`` joint at every
 truncation time, ``conditional_via_renormalized_state`` for every ordered
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from dense_ensemble import ghz_spec, models_for
+from circuits import ghz_spec, models_for
 from wignersim.experiment import conditional_via_renormalized_state, evolve, memory_state
 from wignersim.presets import presets
 

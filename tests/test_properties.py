@@ -24,11 +24,11 @@ from wignersim.experiment import (
 )
 from wignersim.registry import SubsystemRegistry
 from wignersim.states import (
+    DensityMatrix,
+    Projector,
     StateVector,
-    basis_projectors,
     born_probability,
     partial_trace,
-    projector_from_basis_vector,
 )
 from wignersim.storyplot import (
     Deduced,
@@ -125,7 +125,8 @@ def test_partial_trace_preserves_trace(data):
         st.sets(st.integers(0, len(labels) - 1), min_size=1, max_size=len(labels))
     )
     keep = {labels[i] for i in keep_idx}
-    reduced = partial_trace(psi.density_matrix(), keep)
+    rho = DensityMatrix(psi.registry, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    reduced = partial_trace(rho, keep)
     assert abs(reduced.trace() - 1.0) <= 1e-12
 
 
@@ -135,7 +136,7 @@ def test_partial_trace_composes(data):
     psi = data.draw(states())
     labels = psi.registry.labels
     assume(len(labels) >= 2)
-    rho = psi.density_matrix()
+    rho = DensityMatrix(psi.registry, np.outer(psi.amplitudes, psi.amplitudes.conj()))
     drop_first = labels[0]
     drop_second = labels[1]
     keep_rest = set(labels) - {drop_first, drop_second}
@@ -152,8 +153,9 @@ def test_partial_trace_composes(data):
 def test_born_completeness(data):
     psi = data.draw(states())
     label = data.draw(st.sampled_from(psi.registry.labels))
-    family = basis_projectors(psi.registry.subsystem(label))
-    total = sum(born_probability(psi, p) for p in family.values())
+    target = psi.registry.restricted({label})
+    family = [Projector((label,), target, np.diag(e)) for e in np.eye(target.total_dimension)]
+    total = sum(born_probability(psi, p) for p in family)
     assert abs(total - 1.0) <= 1e-12
 
 
@@ -162,9 +164,11 @@ def test_born_completeness(data):
 def test_born_completeness_over_random_joint_basis(data):
     psi = data.draw(states())
     iso = data.draw(measurements(psi.registry))
-    total = sum(
-        born_probability(psi, projector_from_basis_vector(v)) for v in iso.basis
-    )
+    family = [
+        Projector(v.registry.labels, v.registry, np.outer(v.amplitudes, v.amplitudes.conj()))
+        for v in iso.basis
+    ]
+    total = sum(born_probability(psi, p) for p in family)
     assert abs(total - 1.0) <= 1e-12
 
 

@@ -1,12 +1,13 @@
-"""Collapsed memories as record factors, against the dense reference ensemble.
+"""Collapsed memories as record factors, against the plain-numpy oracle.
 
 Under a collapse model each row of the stacked ensemble keeps a collapsed
 memory as a length-1 record factor instead of a full factor that is one-hot
-at the outcome.  Here the stacked ensemble, the ``evolve`` joint and the
-renormalized-state conditional are compared, for every preset and model, with
-:mod:`dense_ensemble`, which keeps every branch on the full registry.  The
-memory states and evolved densities built from the same ensemble are checked
-against it in ``test_reduced_density.py``.
+at the outcome.  Here the stacked ensemble, the ``evolve`` joint's support
+view and the renormalized-state conditional are compared, for every preset
+and model, with :mod:`numpy_oracle`, which keeps every branch on the full
+registry and shares no code with the kernel.  The memory states and evolved
+densities built from the same ensemble are checked against it in
+``test_reduced_density.py``.
 """
 
 import itertools
@@ -17,7 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ensemble import dense_condition, dense_ensemble, dense_joint, ghz_spec, models_for
+import numpy_oracle as oracle
+from circuits import ghz_spec, models_for
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -64,12 +66,13 @@ def row_records(ensemble, spec, row):
 
 
 @pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
-def test_branches_are_the_dense_branches_with_records_folded(name, model):
+def test_branches_are_the_oracle_branches_with_records_folded(name, model):
     spec = presets()[name]()
     for through in through_times(spec):
         registry = spec.registry_after(through)
         got = _evolved_branches(spec, model, through)
-        want = dense_ensemble(spec, model, through)
+        labels, _, want = oracle.ensemble(spec, model, through)
+        assert tuple(labels) == registry.labels
         assert len(got.amps) == len(got.weights) == len(want)
         # Labels never move; a record factor holds exactly its outcome.
         assert sorted(got.layout.subsystems, key=registry.subsystems.index) == list(
@@ -80,11 +83,11 @@ def test_branches_are_the_dense_branches_with_records_folded(name, model):
             assert held == registry.subsystem(label).dimension or (
                 held == 1 and label in got.records
             )
-        for row, (state, w) in enumerate(zip(got.states(), want)):
-            assert row_records(got, spec, row) == w.records
-            assert abs(got.weights[row] - w.weight) < ORACLE_ATOL
+        for row, (state, (weight, vector, records)) in enumerate(zip(got.states(), want)):
+            assert row_records(got, spec, row) == tuple(records.items())
+            assert abs(got.weights[row] - weight) < ORACLE_ATOL
             assert state.registry == registry
-            assert np.max(np.abs(state.amplitudes - w.state.amplitudes)) < ORACLE_ATOL
+            assert np.max(np.abs(state.amplitudes - vector)) < ORACLE_ATOL
 
 
 def joint_array(joint, agents, alphabets):
@@ -95,35 +98,35 @@ def joint_array(joint, agents, alphabets):
     return out
 
 
+def measured_by(spec, through):
+    return [s for s in spec.measuring_steps if through is None or s.time <= through]
+
+
 @pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
-def test_evolve_joint_matches_dense_ensemble(name, model):
+def test_evolve_support_view_matches_the_oracle_joint(name, model):
     spec = presets()[name]()
     for through in through_times(spec):
-        agents, alphabets, want = dense_joint(spec, model, through)
+        steps = measured_by(spec, through)
+        agents = [s.agent for s in steps]
+        alphabets = [s.iso.outcome_labels for s in steps]
+        want = oracle.joint(spec, model, *oracle.ensemble(spec, model, through), through)
         got = joint_array(evolve(spec, model, through), agents, alphabets)
         assert np.max(np.abs(got - want)) < ORACLE_ATOL
 
 
-def dense_conditional(spec, model, target, given, given_outcome):
+def oracle_conditional(spec, model, target, given, given_outcome):
+    """P(target | given = given_outcome) read off the oracle's conditioned joint."""
     through = max(spec.step_for(target).time, spec.step_for(given).time)
-    branches = dense_condition(
-        dense_ensemble(spec, model, through), spec, model, {given: given_outcome}
-    )
-    step = spec.step_for(target)
-    out = dict.fromkeys(step.iso.outcome_labels, 0.0)
-    for b in branches:
-        if model.collapses_at(target):
-            out[dict(b.records)[target]] += b.weight
-            continue
-        axis = b.state.registry.axis(step.iso.memory_label)
-        probs = np.moveaxis(np.abs(b.state.tensored()) ** 2, axis, 0)
-        for outcome, p in zip(step.iso.outcome_labels, probs.reshape(len(out), -1).sum(1)):
-            out[outcome] += b.weight * p
-    return out
+    labels, dims, branches = oracle.ensemble(spec, model, through)
+    branches = oracle.conditioned(spec, model, labels, dims, branches, {given: given_outcome})
+    array = oracle.joint(spec, model, labels, dims, branches, through)
+    axis = [s.agent for s in measured_by(spec, through)].index(target)
+    probs = array.sum(axis=tuple(i for i in range(array.ndim) if i != axis))
+    return dict(zip(spec.step_for(target).iso.outcome_labels, probs.tolist()))
 
 
 @pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
-def test_renormalized_state_conditional_matches_dense_ensemble(name, model):
+def test_renormalized_state_conditional_matches_the_oracle(name, model):
     spec = presets()[name]()
     joint = evolve(spec, model)
     cases = 0
@@ -134,7 +137,7 @@ def test_renormalized_state_conditional_matches_dense_ensemble(name, model):
             if p <= 1e-9:
                 continue
             got = conditional_via_renormalized_state(spec, model, target, given, outcome)
-            want = dense_conditional(spec, model, target, given, outcome)
+            want = oracle_conditional(spec, model, target, given, outcome)
             assert got.keys() == want.keys()
             assert max(abs(got[t] - want[t]) for t in want) < ORACLE_ATOL, (
                 f"{target}|{given}={outcome}"
@@ -235,10 +238,7 @@ def test_step_on_a_memory_in_another_basis_fails_when_applied(model):
         evolve(spec, model)
 
 
-NOT_NORMALIZED = re.compile(
-    r"state not normalized: \|psi\|\^2 = (\S+) "
-    r"\(pass normalized=False for an unnormalized branch\)"
-)
+NOT_NORMALIZED = re.compile(r"state not normalized: \|psi\|\^2 = (\S+)")
 
 
 @pytest.mark.parametrize("norm_sq", [1 + 2e-12, 1 - 2e-12, math.nan], ids=["high", "low", "nan"])

@@ -1,13 +1,12 @@
-"""Contraction-first memory states against the dense reference route.
+"""Contraction-first memory states against the dense route of the numpy oracle.
 
 ``memory_state`` and ``evolved_density`` build the reduced state straight
-from the branch ensemble.  The reference kept here is the dense route they
-replaced: sum every branch's outer product into the full d×d density,
-validate it as a ``DensityMatrix``, then ``partial_trace`` it.  The branches
-come from :mod:`dense_ensemble`, which builds full-registry states from the
-public ``apply_isometry`` and ``branch_decomposition``.  Those share the
-stacked kernel, but not its record factors or its reduction;
-``test_numpy_oracle.py`` checks the same states against plain numpy.
+from the branch ensemble.  The reference is the dense route they replaced,
+as :mod:`numpy_oracle` takes it: sum every full-registry branch's outer
+product into the d×d density, then trace the discarded factors out.  Here
+every kept subset of every preset is checked, given each possible single
+outcome, together with the densities at every truncation time and the
+memory each route holds.
 """
 
 import itertools
@@ -17,13 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ensemble import (
-    dense_condition,
-    dense_density,
-    dense_ensemble,
-    ghz_spec,
-    models_for,
-)
+import numpy_oracle as oracle
+from circuits import ghz_spec, models_for
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -40,7 +34,7 @@ from wignersim.experiment import (
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
-from wignersim.states import StateVector, partial_trace
+from wignersim.states import StateVector
 
 ORACLE_ATOL = 1e-12
 
@@ -73,16 +67,15 @@ def assert_matches_dense_route(spec, model):
     labels = registry.labels
     cases = 0
     for given in possible_givens(spec, model):
-        branches = dense_ensemble(spec, model)
+        names, dims, branches = oracle.ensemble(spec, model)
         if given:
-            branches = dense_condition(branches, spec, model, given)
-        full = dense_density(branches, registry)
+            branches = oracle.conditioned(spec, model, names, dims, branches, given)
         for keep in nonempty_subsets(labels):
             discard = set(labels) - set(keep)
             got = memory_state(spec, model, discard, given)
-            want = partial_trace(full, keep)
-            assert got.registry == want.registry
-            assert np.max(np.abs(got.entries - want.entries)) < ORACLE_ATOL, (
+            want = oracle.reduced_density(names, dims, branches, keep)
+            assert got.registry == registry.restricted(keep)
+            assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL, (
                 f"keep={keep} given={given}"
             )
             cases += 1
@@ -102,12 +95,11 @@ def test_memory_state_matches_dense_route(name, model):
 def test_evolved_density_matches_outer_product_sum(name, model):
     spec = presets()[name]()
     for through in [None] + [s.time for s in spec.steps]:
-        want = dense_density(
-            dense_ensemble(spec, model, through), spec.registry_after(through)
-        )
+        names, dims, branches = oracle.ensemble(spec, model, through)
+        want = oracle.reduced_density(names, dims, branches, names)
         got = evolved_density(spec, model, through)
-        assert got.registry == want.registry
-        assert np.max(np.abs(got.entries - want.entries)) < ORACLE_ATOL
+        assert got.registry == spec.registry_after(through)
+        assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL
 
 
 def test_unknown_discard_label_is_checked_before_evolving():
@@ -215,8 +207,9 @@ def test_evolved_density_holds_one_answer_sized_array(model):
     d = registry.total_dimension
     assert d == 256
     assert _peak_bytes(lambda: evolved_density(spec, model)) < 1.5 * 16 * d**2
-    want = dense_density(dense_ensemble(spec, model), registry)
-    assert np.max(np.abs(evolved_density(spec, model).entries - want.entries)) < ORACLE_ATOL
+    names, dims, branches = oracle.ensemble(spec, model)
+    want = oracle.reduced_density(names, dims, branches, names)
+    assert np.max(np.abs(evolved_density(spec, model).entries - want)) < ORACLE_ATOL
 
 
 def test_memory_state_with_a_kept_record_holds_one_answer_sized_array():
@@ -232,6 +225,7 @@ def test_memory_state_with_a_kept_record_holds_one_answer_sized_array():
     assert d_keep == 128
     peak = _peak_bytes(lambda: memory_state(spec, NO_COLLAPSE, qubits, {"W0": "p"}))
     assert peak < 2 * 16 * d_keep**2
-    branches = dense_condition(dense_ensemble(spec, NO_COLLAPSE), spec, NO_COLLAPSE, {"W0": "p"})
-    want = partial_trace(dense_density(branches, spec.registry_after()), rho.registry.labels)
-    assert np.max(np.abs(rho.entries - want.entries)) < ORACLE_ATOL
+    names, dims, branches = oracle.ensemble(spec, NO_COLLAPSE)
+    branches = oracle.conditioned(spec, NO_COLLAPSE, names, dims, branches, {"W0": "p"})
+    want = oracle.reduced_density(names, dims, branches, rho.registry.labels)
+    assert np.max(np.abs(rho.entries - want)) < ORACLE_ATOL

@@ -85,7 +85,7 @@ def test_partial_basis_config_completes_deterministically(tmp_path):
 def test_unknown_step_type_rejected():
     doc = experiment_to_document(wigner_friend())
     doc["steps"][0]["type"] = "teleport"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^steps\[0\]\.type: unknown step type 'teleport'$"):
         document_to_experiment(doc)
 
 
@@ -200,10 +200,35 @@ def _rekey(mapping, old, new):
         (lambda doc: _rekey(doc["initial"], "h", "h,t"), 'initial["h,t"]: expected 1 basis labels, got 2'),
         (lambda doc: _rekey(doc["steps"][1]["prepared"], "T", "qq"), 'steps[1].prepared["qq"]: subsystem \'F1\' has no basis state \'qq\''),
         (lambda doc: _rekey(doc["steps"][1]["prepared"], "T", "T,T"), 'steps[1].prepared["T,T"]: expected 1 basis labels, got 2'),
+        (lambda doc: doc["registry"][0].update(dimension=3), "registry[0]: subsystem 'C': 2 basis labels for dimension 3"),
+        (lambda doc: doc["registry"].append(dict(doc["registry"][0])), "registry: duplicate subsystem labels in ['C', 'C']"),
+        (lambda doc: doc["initial"].update(h=[1.0, 0.0], t=[1.0, 0.0]), "initial: state not normalized: |psi|^2 = 2.0"),
+        (lambda doc: doc["steps"][0]["basis"][0].__setitem__(1, [1.0, 0.0]), "steps[0].basis[0]: state not normalized: |psi|^2 = 2.0"),
+        (lambda doc: doc["steps"][1]["prepared"]["T"].__setitem__(0, [1.0, 0.0]), 'steps[1].prepared["T"]: state not normalized: |psi|^2 = 1.5'),
+        (lambda doc: doc["steps"][0].update(basis=[]), "steps[0]: need between 1 and 2 basis vectors, got 0"),
+        (lambda doc: doc["steps"][0].update(memory_basis_labels=["H"]), "steps[0]: 1 memory labels for 2 basis vectors"),
+        (lambda doc: doc["steps"][0].update(memory_label="C"), "steps[0]: memory label 'C' collides with a measured label"),
+        (lambda doc: doc["steps"][2].update(memory_label="C"), "steps[2].memory_label: subsystem label 'C' already registered"),
+        (lambda doc: doc["steps"][1].update(output_label="F1"), "steps[1]: output label 'F1' collides with a control label"),
+        (lambda doc: doc["steps"][1].update(output_label="C"), "steps[1].output_label: subsystem label 'C' already registered"),
+        (lambda doc: doc["steps"][1].update(output_basis_labels=["up", "up"]), "steps[1]: subsystem 'S': basis labels must be unique"),
+        (lambda doc: doc["steps"][1]["prepared"].pop("T"), "steps[1]: prepared map covers 1 of 2 control outcomes"),
+        # Errors of the experiment as a whole keep the messages ExperimentSpec gives.
+        (lambda doc: doc["steps"][1].update(time=9), "step times must be strictly increasing, got [1, 9, 3, 4, 5]"),
+        (
+            lambda doc: (doc["steps"][3].update(agent="F1"), doc.update(halting=[])),
+            "agent 'F1' measures at t=1 and at t=4; an agent may measure only once",
+        ),
     ],
-    ids=["target", "duplicate-target", "initial-label", "initial-count", "control-label", "control-count"],
+    ids=[
+        "target", "duplicate-target", "initial-label", "initial-count", "control-label",
+        "control-count", "registry-dimension", "registry-duplicate", "initial-norm",
+        "basis-norm", "prepared-norm", "no-basis", "memory-label-count",
+        "memory-measured", "memory-registered", "output-control", "output-registered",
+        "output-basis-labels", "prepared-cover", "time-order", "measures-twice",
+    ],
 )
-def test_unknown_labels_raise_path_qualified_errors(edit, message):
+def test_rejected_entries_raise_path_qualified_errors(edit, message):
     doc = json.loads(dumps_canonical(experiment_to_document(frauchiger_renner())))
     edit(doc)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ensemble import dense_ensemble, ghz_spec
-from numpy_oracle import padded
+from circuits import ghz_spec
+from numpy_oracle import ensemble, padded
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -22,11 +22,8 @@ from wignersim.states import (
     DensityMatrix,
     Projector,
     StateVector,
-    ZeroProbabilityError,
-    basis_projectors,
     born_probability,
     partial_trace,
-    projector_from_basis_vector,
     tensor,
 )
 
@@ -114,14 +111,16 @@ class TestPartialTrace:
     def test_product_state(self):
         a = StateVector.basis_state(qubit("a"), "0")
         b = StateVector.from_terms(qubit("b"), {"0": SQ2, "1": SQ2})
-        rho = tensor(a, b).density_matrix()
+        prod = tensor(a, b)
+        rho = DensityMatrix(prod.registry, np.outer(prod.amplitudes, prod.amplitudes.conj()))
         reduced = partial_trace(rho, {"a"})
         assert np.allclose(reduced.entries, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_bell_state_marginal_is_maximally_mixed(self):
         reg = SubsystemRegistry.build([("a", ("0", "1")), ("b", ("0", "1"))])
         bell = StateVector.from_terms(reg, {("0", "0"): SQ2, ("1", "1"): SQ2})
-        reduced = partial_trace(bell.density_matrix(), {"b"})
+        rho = DensityMatrix(reg, np.outer(bell.amplitudes, bell.amplitudes.conj()))
+        reduced = partial_trace(rho, {"b"})
         assert np.allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_preserved_and_composition(self):
@@ -132,15 +131,15 @@ class TestPartialTrace:
         amps = rng.normal(size=reg.total_dimension) + 1j * rng.normal(
             size=reg.total_dimension
         )
-        psi = StateVector(reg, amps / np.linalg.norm(amps))
-        rho = psi.density_matrix()
+        psi = amps / np.linalg.norm(amps)
+        rho = DensityMatrix(reg, np.outer(psi, psi.conj()))
         one_shot = partial_trace(rho, {"b"})
         two_step = partial_trace(partial_trace(rho, {"b", "c"}), {"b"})
         assert np.allclose(one_shot.entries, two_step.entries, atol=1e-12)
         assert one_shot.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_keep_rejected(self):
-        rho = StateVector.basis_state(qubit("a"), "0").density_matrix()
+        rho = DensityMatrix(qubit("a"), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             partial_trace(rho, set())
 
@@ -148,20 +147,18 @@ class TestPartialTrace:
 class TestProjectorsAndBorn:
     def test_rank1_projector_padded(self):
         reg = spin_friend()
-        up = StateVector.basis_state(qubit("S", ("up", "down")), "up")
-        proj = projector_from_basis_vector(up)
+        proj = Projector(("S",), qubit("S", ("up", "down")), np.diag([1.0, 0.0]))
         full = padded(proj.operator, list(reg.dims), [reg.axis("S")])
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2))
         assert np.allclose(full, expected, atol=1e-12)
 
-    def test_projector_requires_normalized_vector(self):
-        v = StateVector(qubit("S"), [0.5, 0.5], normalized=False)
-        with pytest.raises(ValueError):
-            projector_from_basis_vector(v)
+    def test_projector_on_an_unnormalized_vector_is_rejected(self):
+        with pytest.raises(ValueError, match="projector is not idempotent"):
+            Projector(("S",), qubit("S"), np.full((2, 2), 0.25))
 
     def test_plus_state_measured_in_z(self):
         plus = StateVector.from_terms(qubit("S"), {"0": SQ2, "1": SQ2})
-        proj = projector_from_basis_vector(StateVector.basis_state(qubit("S"), "0"))
+        proj = Projector(("S",), qubit("S"), np.diag([1.0, 0.0]))
         assert born_probability(plus, proj) == pytest.approx(0.5, abs=1e-12)
 
     def test_completeness_over_basis_family(self):
@@ -169,14 +166,12 @@ class TestProjectorsAndBorn:
         rng = np.random.default_rng(5)
         amps = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi = StateVector(reg, amps / np.linalg.norm(amps))
-        family = basis_projectors(reg.subsystem("b"))
-        total = sum(born_probability(psi, p) for p in family.values())
+        b = reg.restricted({"b"})
+        total = sum(born_probability(psi, Projector(("b",), b, np.diag(e))) for e in np.eye(3))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_registry_mismatch(self):
-        proj = projector_from_basis_vector(
-            StateVector.basis_state(qubit("X"), "0")
-        )
+        proj = Projector(("X",), qubit("X"), np.diag([1.0, 0.0]))
         psi = StateVector.basis_state(qubit("S"), "0")
         with pytest.raises(ValueError):
             born_probability(psi, proj)
@@ -214,16 +209,24 @@ def preset_projectors(spec):
     """Every measurement-basis projector and every memory basis projector."""
     for step in spec.measuring_steps:
         for v in step.iso.basis:
-            yield projector_from_basis_vector(v)
-        yield from basis_projectors(step.iso.memory).values()
+            rank_one = np.outer(v.amplitudes, v.amplitudes.conj())
+            yield Projector(v.registry.labels, v.registry, rank_one)
+        memory = SubsystemRegistry((step.iso.memory,))
+        for e in np.eye(memory.total_dimension):
+            yield Projector(memory.labels, memory, np.diag(e))
+
+
+def final_state(spec):
+    """The oracle's single branch under pure isometry, as a StateVector."""
+    _, _, ((_, vector, _),) = ensemble(spec, NO_COLLAPSE)
+    return StateVector(spec.registry_after(), vector)
 
 
 class TestBornByContraction:
     @pytest.mark.parametrize("name", sorted(presets()))
     def test_matches_matrix_on_route_for_every_preset_projector(self, name):
         spec = presets()[name]()
-        (branch,) = dense_ensemble(spec, NO_COLLAPSE)
-        states = [branch.state, evolved_density(spec, OBJECTIVE_COLLAPSE)]
+        states = [final_state(spec), evolved_density(spec, OBJECTIVE_COLLAPSE)]
         cases = 0
         for proj in preset_projectors(spec):
             for state in states:
@@ -243,16 +246,17 @@ class TestBornByContraction:
         rho = DensityMatrix(reg, mixed @ mixed.conj().T / np.sum(np.abs(mixed) ** 2))
         targets = SubsystemRegistry.build([("c", ("0", "1")), ("a", ("0", "1"))])
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        proj = projector_from_basis_vector(StateVector(targets, v / np.linalg.norm(v)))
+        v /= np.linalg.norm(v)
+        proj = Projector(targets.labels, targets, np.outer(v, v.conj()))
         for state in (psi, rho):
             assert abs(born_probability(state, proj) - born_via_padded_matrix(state, proj)) < 1e-12
 
     def test_ghz_d1024_state_needs_no_padded_matrix(self):
         spec = ghz_spec(3, 2, math.sqrt(0.4), math.sqrt(0.6), (0.5, 1.0))
-        (branch,) = dense_ensemble(spec, NO_COLLAPSE)
-        psi = branch.state
+        psi = final_state(spec)
         assert psi.registry.total_dimension == 1024
-        proj = basis_projectors(psi.registry.subsystem("W1"))["p"]
+        w1 = psi.registry.restricted({"W1"})
+        proj = Projector(("W1",), w1, np.diag([1.0, 0.0, 0.0, 0.0]))
         tracemalloc.start()
         try:
             value = born_probability(psi, proj)
@@ -364,12 +368,10 @@ class TestDensityMatrixInvariants:
         DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
 
     def test_unnormalized_state_flag(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"state not normalized: \|psi\|\^2 = 0.5$"):
             StateVector(qubit("S"), [0.5, 0.5])
         branch = StateVector(qubit("S"), [0.5, 0.5], normalized=False)
-        with pytest.raises(ZeroProbabilityError):
-            StateVector(qubit("S"), [0.0, 0.0], normalized=False).renormalized()
-        assert branch.renormalized().norm() == pytest.approx(1.0)
+        assert branch.norm() == pytest.approx(SQ2)
 
 
 class TestNotANumberRejected:
@@ -404,12 +406,7 @@ class TestNotANumberRejected:
         reg = qubit("S")
         branch = StateVector(reg, [self.NAN, 1.0], normalized=False)
         with pytest.raises(ValueError, match="Born probability nan"):
-            born_probability(branch, basis_projectors(reg.subsystems[0])["0"])
-
-    def test_basis_vector_for_projector(self):
-        v = StateVector(qubit("S"), [self.NAN, 1.0], normalized=False)
-        with pytest.raises(ValueError, match="basis vector not normalized"):
-            projector_from_basis_vector(v)
+            born_probability(branch, Projector(("S",), reg, np.diag([1.0, 0.0])))
 
     def test_isometry_matrix(self):
         with pytest.raises(ValueError, match="V†V differs from the identity"):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from dense_ensemble import ghz_spec, models_for
+from circuits import ghz_spec, models_for
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
