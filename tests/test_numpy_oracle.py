@@ -75,6 +75,10 @@ def test_renormalized_state_conditional(name, model):
         assert np.max(np.abs(np.array(list(got.values())) - want)) < ORACLE_ATOL, (
             f"{target}|{given}={outcome}"
         )
+        if target == given:
+            # Conditioning leaves the target's memory a record factor, which
+            # the readout has to expand.
+            assert got == pytest.approx({t: float(t == outcome) for t in got}, abs=ORACLE_ATOL)
         cases += 1
     assert cases > 0
 

@@ -2,15 +2,15 @@
 
 Under a collapse model each row of the stacked ensemble keeps a collapsed
 memory as a length-1 record factor instead of a full factor that is one-hot
-at the outcome.  Here the stacked ensemble, the ``evolve`` joint's support
-view and the renormalized-state conditional are compared, for every preset
-and model, with :mod:`numpy_oracle`, which keeps every branch on the full
-registry and shares no code with the kernel.  The memory states and evolved
-densities built from the same ensemble are checked against it in
+at the outcome.  Here the stacked ensemble and the ``evolve`` joint's
+support view are compared, for every preset and model, with
+:mod:`numpy_oracle`, which keeps every branch on the full registry and
+shares no code with the kernel.  The renormalized-state conditional is
+checked against it in ``test_numpy_oracle.py``, and the memory states and
+evolved densities built from the same ensemble in
 ``test_reduced_density.py``.
 """
 
-import itertools
 import math
 import re
 import tracemalloc
@@ -34,9 +34,7 @@ from wignersim.experiment import (
     OutcomeAssignment,
     Step,
     _evolved_branches,
-    conditional_via_renormalized_state,
     evolve,
-    marginal,
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
@@ -98,56 +96,16 @@ def joint_array(joint, agents, alphabets):
     return out
 
 
-def measured_by(spec, through):
-    return [s for s in spec.measuring_steps if through is None or s.time <= through]
-
-
 @pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
 def test_evolve_support_view_matches_the_oracle_joint(name, model):
     spec = presets()[name]()
     for through in through_times(spec):
-        steps = measured_by(spec, through)
+        steps = [s for s in spec.measuring_steps if through is None or s.time <= through]
         agents = [s.agent for s in steps]
         alphabets = [s.iso.outcome_labels for s in steps]
         want = oracle.joint(spec, model, *oracle.ensemble(spec, model, through), through)
         got = joint_array(evolve(spec, model, through), agents, alphabets)
         assert np.max(np.abs(got - want)) < ORACLE_ATOL
-
-
-def oracle_conditional(spec, model, target, given, given_outcome):
-    """P(target | given = given_outcome) read off the oracle's conditioned joint."""
-    through = max(spec.step_for(target).time, spec.step_for(given).time)
-    labels, dims, branches = oracle.ensemble(spec, model, through)
-    branches = oracle.conditioned(spec, model, labels, dims, branches, {given: given_outcome})
-    array = oracle.joint(spec, model, labels, dims, branches, through)
-    axis = [s.agent for s in measured_by(spec, through)].index(target)
-    probs = array.sum(axis=tuple(i for i in range(array.ndim) if i != axis))
-    return dict(zip(spec.step_for(target).iso.outcome_labels, probs.tolist()))
-
-
-@pytest.mark.parametrize("name,model", PRESET_MODELS, ids=IDS)
-def test_renormalized_state_conditional_matches_the_oracle(name, model):
-    spec = presets()[name]()
-    joint = evolve(spec, model)
-    cases = 0
-    # target == given included: conditioning then leaves the target's memory
-    # a record factor, which the readout has to expand.
-    for target, given in itertools.product(spec.measuring_agents, repeat=2):
-        for outcome, p in marginal(joint, given).items():
-            if p <= 1e-9:
-                continue
-            got = conditional_via_renormalized_state(spec, model, target, given, outcome)
-            want = oracle_conditional(spec, model, target, given, outcome)
-            assert got.keys() == want.keys()
-            assert max(abs(got[t] - want[t]) for t in want) < ORACLE_ATOL, (
-                f"{target}|{given}={outcome}"
-            )
-            if target == given:
-                assert got == pytest.approx(
-                    {t: float(t == outcome) for t in got}, abs=ORACLE_ATOL
-                )
-            cases += 1
-    assert cases > 0
 
 
 def ndindex_joint(spec, model):
