@@ -266,37 +266,21 @@ def build_preparation_isometry(
     return Isometry(agent, control, output, matrix, prepared=tuple(table))
 
 
-def _check_application(registry: SubsystemRegistry, iso: Isometry) -> None:
-    for sub in iso.domain.subsystems:
-        if sub.label not in registry:
-            raise ValueError(
-                f"state has no subsystem {sub.label!r} for {iso.agent}'s step"
-            )
-        host = registry.subsystem(sub.label)
-        if host.basis_labels != sub.basis_labels:
-            raise ValueError(
-                f"subsystem {sub.label!r} bases differ between the state and "
-                f"{iso.agent}'s step"
-            )
-    if iso.appended.label in registry:
-        raise ValueError(
-            f"appended label {iso.appended.label!r} already present in the registry"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
     """What one step's place in a circuit fixes, built once and replayed per call.
 
-    Building it runs the step's basis check (:func:`_check_application`) and
-    extends the registry.  ``perm`` moves a (B, layout before…) array to
-    (B, domain…, rest…), with the rest in registry order; the image
-    (B, k, domain…, rest…) is laid out as ``layout`` names, and ``registry``
-    is the registry after the step.  ``domain`` holds the domain's array
-    axes before the step (the row axis is 0) and ``domain_dims`` their
-    lengths.  A plan never holds amplitudes, weights, records or anything
-    computed from them, so one plan serves every ensemble and every collapse
-    model: a record factor only shortens an axis, never moves it.
+    Building it is the step's one check: every domain label must be in the
+    registry with the same basis, and extending the registry rejects an
+    appended label that is already there.  ``perm`` moves a (B, layout
+    before…) array to (B, domain…, rest…), with the rest in registry order;
+    the image (B, k, domain…, rest…) is laid out as ``layout`` names, and
+    ``registry`` is the registry after the step.  ``domain`` holds the
+    domain's array axes before the step (the row axis is 0) and
+    ``domain_dims`` their lengths.  A plan never holds amplitudes, weights,
+    records or anything computed from them, so one plan serves every
+    ensemble and every collapse model: a record factor only shortens an
+    axis, never moves it.
     """
 
     iso: Isometry
@@ -316,7 +300,14 @@ class _StepPlan:
         ``registry`` lists the same subsystems in registry order.  Raises if
         the step cannot act on that registry.
         """
-        _check_application(registry, iso)
+        for sub in iso.domain.subsystems:
+            if sub.label not in registry:
+                raise ValueError(f"{iso.agent}'s step reads unknown subsystem {sub.label!r}")
+            if registry.subsystem(sub.label).basis_labels != sub.basis_labels:
+                raise ValueError(
+                    f"subsystem {sub.label!r} bases differ between the state and "
+                    f"{iso.agent}'s step"
+                )
         domain = tuple(layout.axis(label) + 1 for label in iso.domain.labels)
         rest = [l for l in registry.labels if l not in iso.domain.labels]
         order = domain + tuple(layout.axis(label) + 1 for label in rest)

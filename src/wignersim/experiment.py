@@ -57,17 +57,18 @@ class Step:
 class ExperimentSpec:
     """Initial state plus ordered steps, with an optional halting condition.
 
-    On first use a spec builds one :class:`~wignersim.channels._StepPlan` per
-    step it is evolved through: the step's outcome-major matrix, transpose,
-    domain axes and the registry and layout after it, with the step's basis
-    check already passed.  Every later evolution, under any collapse model,
-    replays them.  A plan is derived from the frozen fields alone, like
+    Construction builds one :class:`~wignersim.channels._StepPlan` per step
+    in one walk: the step's outcome-major matrix, transpose, domain axes and
+    the registry and layout after it.  Building a plan is the step's only
+    check, so a step on an unknown label, on a factor in another basis or
+    appending a registered label fails here.  Every evolution, under any
+    collapse model, replays the plans; :meth:`registry_after` reads the
+    chain.  A plan is derived from the frozen fields alone, like
     :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
-    or tables, so every answer is still computed in full on every call.
-    Construction extends the registry once per step and keeps that chain, so
-    :meth:`registry_after` is a lookup.  A pair's backward cone
-    (:meth:`_cone`) is built on first use and kept the same way.  An agent
-    measures at most once, since tables and models name a measurement by it.
+    or tables, so every answer is still computed in full on every call.  A
+    pair's backward cone (:meth:`_cone`) is built on first use and kept.  An
+    agent measures at most once, since tables and models name a measurement
+    by it.
     """
 
     name: str
@@ -84,15 +85,12 @@ class ExperimentSpec:
         times = [s.time for s in self.steps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")
-        registries = [self.registry]
+        plans: list[_StepPlan] = []
+        registry = layout = self.registry
         measuring: dict[str, Step] = {}
         for step in self.steps:
-            for label in step.iso.domain.labels:
-                if label not in registries[-1]:
-                    raise ValueError(
-                        f"step at t={step.time} ({step.agent}) references unknown "
-                        f"subsystem {label!r}"
-                    )
+            plans.append(_StepPlan.of(registry, layout, step.iso))
+            registry, layout = plans[-1].registry, plans[-1].layout
             if step.is_measurement:
                 first = measuring.setdefault(step.agent, step)
                 if first is not step:
@@ -100,8 +98,7 @@ class ExperimentSpec:
                         f"agent {step.agent!r} measures at t={first.time} and at "
                         f"t={step.time}; an agent may measure only once"
                     )
-            registries.append(registries[-1].extended(step.iso.appended))
-        object.__setattr__(self, "_registries", tuple(registries))
+        object.__setattr__(self, "_step_plans", tuple(plans))
         object.__setattr__(self, "_cones", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
@@ -120,29 +117,6 @@ class ExperimentSpec:
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(s.agent for s in self.measuring_steps)
 
-    def _plans(self, through_time: int | None) -> tuple[_StepPlan, ...]:
-        """The plans of the steps up to ``through_time``, built on first use.
-
-        They are built in step order and published as one tuple, a prefix of
-        the steps, so a spec shared between threads never shows a partly
-        built plan.  A step whose plan cannot be built (its basis check
-        fails) is never published: every call that reaches it raises again,
-        and a call truncated before it still answers.
-        """
-        stop = self._stop(through_time)
-        plans = self.__dict__.get("_step_plans", ())
-        if len(plans) < stop:
-            built = list(plans)
-            registry, layout = self.registry, self.registry
-            if built:
-                registry, layout = built[-1].registry, built[-1].layout
-            for step in self.steps[len(built):stop]:
-                built.append(_StepPlan.of(registry, layout, step.iso))
-                registry, layout = built[-1].registry, built[-1].layout
-            plans = tuple(built)
-            object.__setattr__(self, "_step_plans", plans)
-        return plans[:stop]
-
     def _cone(self, target: str, given: str, through_time: int | None) -> "ExperimentSpec":
         """The steps up to ``through_time`` that the two agents' memories can feel.
 
@@ -154,10 +128,10 @@ class ExperimentSpec:
         joint distribution is the same on the cone.  The cone is a spec with
         this spec's name, registry and initial state, the kept steps and no
         halting, to be evolved through ``through_time`` like this one.  When
-        no step is left out it is this spec itself, so the plans it already
-        built serve the pair.  It is built on first use, keyed by the
-        unordered pair and the number of steps run, and published whole;
-        like a plan it holds no amplitudes or answers.
+        no step is left out it is this spec itself, so its plans serve the
+        pair.  It is built on first use, keyed by the unordered pair and the
+        number of steps run, and published whole; like a plan it holds no
+        amplitudes or answers.
         """
         stop = self._stop(through_time)
         key = (frozenset((target, given)), stop)
@@ -190,7 +164,8 @@ class ExperimentSpec:
         return bisect_right(self.steps, through_time, key=lambda s: s.time)
 
     def registry_after(self, through_time: int | None = None) -> SubsystemRegistry:
-        return self._registries[self._stop(through_time)]
+        stop = self._stop(through_time)
+        return self._step_plans[stop - 1].registry if stop else self.registry
 
 
 @dataclass(frozen=True)
@@ -318,7 +293,7 @@ def _evolved_branches(
 ) -> _Ensemble:
     """The ensemble after evolving under the model, stacked (see :class:`_Ensemble`).
 
-    The steps replay the spec's step plans (see ``ExperimentSpec._plans``),
+    The steps replay the plans the spec built (see :class:`ExperimentSpec`),
     one plan per step whatever the model: the plan fixes the axis orders,
     the registries and the outcome-major matrix, and holds nothing computed
     from amplitudes.  Per call, each step expands any record on its domain,
@@ -330,8 +305,8 @@ def _evolved_branches(
     Collapsed memories are record factors, so a row scales with the factors
     that are still quantum, not with the full registry; a collapse divides
     every row into its outcome rows.  A step whose domain basis differs from
-    the experiment's fails when its plan is built, with or without collapse,
-    on every call that reaches it.
+    the experiment's never gets here: its plan, and so its spec, cannot be
+    built.
     """
     _check_model(spec, model)
     return _replayed(spec, model, through_time)
@@ -350,7 +325,7 @@ def _replayed(
 ) -> _Ensemble:
     """The initial state stepped through the spec's plans up to ``through_time``."""
     ens = _Ensemble.of(spec.initial)
-    for step, plan in zip(spec.steps, spec._plans(through_time)):
+    for step, plan in zip(spec.steps[: spec._stop(through_time)], spec._step_plans):
         collapses = step.is_measurement and model.collapses_at(step.agent)
         ens = ens.stepped(plan, collapses)
     return ens
@@ -363,15 +338,13 @@ def _pair_branches(
 
     Returns the ensemble, the cone and the time of that measurement.
 
-    Every check runs on the full spec first, in the order a full evolution
-    runs them: the agents, the model, then every step plan up to the later
-    measurement, so a step whose basis check fails raises even when it lies
-    outside the cone.  Only the cone is evolved; the model passes unchanged
+    The agents and the model are checked on the full spec, in the order a
+    full evolution checks them; every step passed its own check when the
+    spec was built.  Only the cone is evolved; the model passes unchanged
     and its agents outside the cone never appear.
     """
     through = max(spec.step_for(target).time, spec.step_for(given).time)
     _check_model(spec, model)
-    spec._plans(through)
     cone = spec._cone(target, given, through)
     return _replayed(cone, model, through), cone, through
 

@@ -7,9 +7,9 @@ numbers involved are sqrt(1/2) and sqrt(1/3).
 The public constructors, and the map :func:`presets` returns, build a fresh
 spec on every call.  The command line and the scenario builders of
 :mod:`wignersim.deduction` instead share one spec per preset name, built on
-first use (``_shared``).  A spec is frozen and its lazily built step plans and
-cones hold no amplitudes or answers, so sharing it changes no result; it only
-saves rebuilding the isometries, their basis completions and the plans.
+first use (``_shared``).  A spec is frozen and its step plans and cones hold
+no amplitudes or answers, so sharing it changes no result; it only saves
+rebuilding the isometries, their basis completions and the plans.
 """
 
 from __future__ import annotations

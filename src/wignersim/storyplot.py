@@ -205,8 +205,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class CompatibilityVerdict:
-    consistent: bool
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def consistent(self) -> bool:
+        return not self.violations
 
 
 def _claims(plot: Plot, time: str, slot: str) -> dict[str, Entry]:
@@ -261,7 +264,7 @@ def check_compatibility(
                         ),
                     )
                 )
-    return CompatibilityVerdict(not violations, tuple(violations))
+    return CompatibilityVerdict(tuple(violations))
 
 
 def plot_from_distribution(

@@ -84,6 +84,39 @@ class TestSpecValidation:
             "agent 'F1' measures at t=1 and at t=4; an agent may measure only once"
         )
 
+    @pytest.mark.parametrize(
+        "steps,message",
+        [
+            (lambda s: s.steps[1:], "W's step reads unknown subsystem 'F'"),
+            (lambda s: s.steps[::-1], "W's step reads unknown subsystem 'F'"),
+        ],
+        ids=["missing", "too-early"],
+    )
+    def test_a_step_on_an_unknown_label_names_the_agent_and_the_label(self, steps, message):
+        spec = wigner_friend()
+        kept = tuple(Step(t, s.iso) for t, s in enumerate(steps(spec), 1))
+        with pytest.raises(ValueError) as err:
+            ExperimentSpec("bad", spec.registry, spec.initial, kept)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "memory,message",
+        [("F1", "subsystem label 'F1' already registered"), ("C", "subsystem label 'C' already registered")],
+        ids=["a-memory", "an-initial-factor"],
+    )
+    def test_a_step_appending_a_registered_label_is_rejected(self, memory, message):
+        # F2 measures the spin S into a memory whose label an earlier memory
+        # or the initial registry already holds.
+        spec = frauchiger_renner()
+        f2 = spec.steps[2]
+        iso = build_measurement_isometry(
+            "F2", f2.iso.domain, list(f2.iso.basis), memory, f2.iso.outcome_labels
+        )
+        steps = spec.steps[:2] + (Step(f2.time, iso),) + spec.steps[3:]
+        with pytest.raises(ValueError) as err:
+            ExperimentSpec("bad", spec.registry, spec.initial, steps)
+        assert str(err.value) == message
+
     def test_fr_registry_walk(self):
         spec = frauchiger_renner()
         assert spec.registry_after().labels == ("C", "F1", "S", "F2", "A", "W")

@@ -8,7 +8,10 @@ support view are compared, for every preset and model, with
 shares no code with the kernel.  The renormalized-state conditional is
 checked against it in ``test_numpy_oracle.py``, and the memory states and
 evolved densities built from the same ensemble in
-``test_reduced_density.py``.
+``test_reduced_density.py``.  A step that reads a memory in another basis
+never reaches a record factor: its spec cannot be built.  A plan replayed
+by hand on an ensemble that holds its domain as a record is still caught
+when the step is applied.
 """
 
 import math
@@ -21,7 +24,6 @@ import pytest
 import numpy_oracle as oracle
 from circuits import ghz_spec, models_for
 from wignersim.channels import (
-    NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
     _Ensemble,
@@ -182,18 +184,16 @@ def test_step_on_an_unexpanded_record_factor_raises():
         _isometry_image(ensemble.amps, plan)
 
 
-@pytest.mark.parametrize("model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag)
-def test_step_on_a_memory_in_another_basis_fails_when_applied(model):
-    # The spec checks only labels; the basis mismatch is caught when the step
-    # is applied, also when the memory was collapsed to a record factor.
+def test_step_on_a_memory_in_another_basis_fails_when_the_spec_is_built():
+    # The step's plan checks the basis, so no model ever reaches it, whether
+    # or not it would hold the memory as a record factor.
     spec = ghz_spec(1, 1, GHZ_ALPHA, GHZ_BETA, (0.5,))
     friend = spec.steps[0]
     flipped = SubsystemRegistry((spec.registry.subsystem("Q0"), Subsystem("F0", 2, ("b", "a"))))
     basis = [StateVector.basis_state(flipped, ("0", "a")), StateVector.basis_state(flipped, ("1", "b"))]
     iso = build_measurement_isometry("W0", flipped, basis, memory="W0")
-    spec = ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
     with pytest.raises(ValueError, match="bases differ"):
-        evolve(spec, model)
+        ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
 
 
 NOT_NORMALIZED = re.compile(r"state not normalized: \|psi\|\^2 = (\S+)")
@@ -210,10 +210,10 @@ def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapse
     ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
     if collapses and not math.isnan(norm_sq):
         # A collapse renormalizes its outcome rows, so only NaN survives it.
-        assert len(ensemble.stepped(spec._plans(None)[0], collapses).weights) == 4
+        assert len(ensemble.stepped(spec._step_plans[0], collapses).weights) == 4
         return
     with pytest.raises(ValueError) as ensemble_error, np.errstate(invalid="ignore"):
-        ensemble.stepped(spec._plans(None)[0], collapses)
+        ensemble.stepped(spec._step_plans[0], collapses)
     want = NOT_NORMALIZED.fullmatch(str(state_error.value))
     got = NOT_NORMALIZED.fullmatch(str(ensemble_error.value))
     assert want and got
@@ -225,4 +225,4 @@ def test_row_norm_check_accepts_rows_within_the_bound():
     good = spec.initial.tensored()
     rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)])
     ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
-    assert len(ensemble.stepped(spec._plans(None)[0], False).weights) == 2
+    assert len(ensemble.stepped(spec._step_plans[0], False).weights) == 2

@@ -1,13 +1,11 @@
-"""The step plans an experiment builds once and every evolution replays.
+"""The step plans an experiment builds with itself and every evolution replays.
 
 A plan holds only what the spec's structure fixes, so these tests pin what
-must not change when plans are reused: a truncated evolution still answers
-when a later step cannot be applied, that later step fails on every call,
-one spec serves every collapse model in any order (against the plain-numpy
-oracle, and equal to a fresh spec), plans are built lazily and published
-whole, and a plan holds no amplitudes.  The pair routes evolve only a pair's
-backward cone, yet still build and check every plan up to the later of the
-two measurements, so a bad step outside the cone fails them too.
+must not change when plans are reused: a step that cannot be planned fails
+when its spec is built, inside or outside a pair's cone, one spec serves
+every collapse model in any order (against the plain-numpy oracle, and
+equal to a fresh spec), every plan exists as soon as the spec does and
+chains the registries, and a plan holds no amplitudes.
 """
 
 import itertools
@@ -23,7 +21,6 @@ from circuits import ghz_spec, models_for
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
-    CollapseModel,
     build_measurement_isometry,
 )
 from wignersim.experiment import (
@@ -32,8 +29,6 @@ from wignersim.experiment import (
     conditional_table,
     conditional_via_renormalized_state,
     evolve,
-    marginal,
-    memory_state,
 )
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
@@ -50,7 +45,7 @@ BUILDERS["ghz-2-2"] = lambda: ghz_spec(2, 2, math.sqrt(0.35), 1j * math.sqrt(0.6
 def flipped_step(spec, time):
     """W0's step reading (Q0, F0) with F0's outcome labels in the other order.
 
-    A spec checks only labels, so a spec holding it builds; its plan cannot.
+    Its plan cannot be built, so neither can a spec holding it.
     """
     flipped = SubsystemRegistry(
         (spec.registry.subsystem("Q0"), Subsystem("F0", 2, ("b", "a")))
@@ -69,57 +64,34 @@ def flipped_spec():
     return ExperimentSpec("flipped", spec.registry, spec.initial, steps)
 
 
+def ghz_2_2():
+    return ghz_spec(2, 2, GHZ_ALPHA, GHZ_BETA, (0.5, 0.9))
+
+
 def flipped_outside_the_cone_spec():
     """GHZ(2,2) with W0's step flipped: it comes before W1's, outside the cone of W1|F1."""
-    spec = ghz_spec(2, 2, GHZ_ALPHA, GHZ_BETA, (0.5, 0.9))
+    spec = ghz_2_2()
     f0, f1, w0, w1 = spec.steps
     steps = (f0, f1, flipped_step(spec, w0.time), w1)
     return ExperimentSpec("flipped-outside", spec.registry, spec.initial, steps)
 
 
-@pytest.mark.parametrize(
-    "model", [NO_COLLAPSE, CollapseModel.subjective("F0")], ids=lambda m: m.tag
-)
-@pytest.mark.parametrize("full_first", [False, True], ids=["truncated-first", "full-first"])
-def test_truncated_before_a_bad_step_answers_and_the_bad_step_always_fails(model, full_first):
-    spec = flipped_spec()
-    friend_time = spec.steps[0].time
-    calls = ["full", "truncated", "full", "truncated"]
-    if not full_first:
-        calls = calls[1:] + calls[:1]
-    for call in calls:
-        if call == "full":
-            with pytest.raises(ValueError, match="bases differ"):
-                evolve(spec, model)
-            continue
-        got = marginal(evolve(spec, model, through_time=friend_time), "F0")
-        assert got == pytest.approx({"a": 0.35, "b": 0.65}, abs=1e-12)
-
-
-def test_the_bad_step_fails_on_every_route_that_reaches_it():
-    spec = flipped_spec()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="bases differ"):
-            conditional_via_renormalized_state(spec, NO_COLLAPSE, "W0", "F0", "a")
-        with pytest.raises(ValueError, match="bases differ"):
-            memory_state(spec, OBJECTIVE_COLLAPSE, ["Q0"])
+@pytest.mark.parametrize("build", [flipped_spec, flipped_outside_the_cone_spec])
+def test_a_step_in_another_basis_fails_when_the_spec_is_built(build):
+    with pytest.raises(ValueError, match="^subsystem 'F0' bases differ between the state and W0's step$"):
+        build()
 
 
 @pytest.mark.parametrize(
-    "model", [NO_COLLAPSE, CollapseModel.subjective("F1"), OBJECTIVE_COLLAPSE], ids=lambda m: m.tag
+    "target,given,kept",
+    [("W1", "F1", ["F1", "W1"]), ("W0", "F0", ["F0", "W0"])],
 )
-def test_a_bad_step_outside_the_pairs_cone_still_fails_both_pair_routes(model):
-    spec = flipped_outside_the_cone_spec()
-    w1 = spec.step_for("W1")
-    assert [s.agent for s in spec._cone("W1", "F1", w1.time).steps] == ["F1", "W1"]
-    for _ in range(2):
-        with pytest.raises(ValueError, match="bases differ"):
-            conditional_table(spec, model, "W1", "F1")
-        with pytest.raises(ValueError, match="bases differ"):
-            conditional_via_renormalized_state(spec, model, "W1", "F1", "a")
-    # A pair whose later measurement comes before the bad step still answers.
-    table = conditional_table(spec, model, "F1", "F0")
-    assert table.present_columns() == ("a", "b")
+def test_a_pairs_cone_leaves_out_the_steps_of_other_labs_and_is_planned(target, given, kept):
+    spec = ghz_2_2()
+    through = max(spec.step_for(target).time, spec.step_for(given).time)
+    cone = spec._cone(target, given, through)
+    assert [s.agent for s in cone.steps] == kept
+    assert [p.iso for p in vars(cone)["_step_plans"]] == [s.iso for s in cone.steps]
 
 
 def joint_cases(spec):
@@ -143,22 +115,23 @@ def test_one_spec_serves_every_model_as_a_fresh_spec_does(name):
 
 
 @pytest.mark.parametrize("name", BUILDERS)
-def test_plans_are_built_lazily_as_a_prefix_and_hold_no_amplitudes(name):
+def test_plans_are_built_with_the_spec_and_hold_no_amplitudes(name):
     spec = BUILDERS[name]()
-    assert "_step_plans" not in vars(spec)
-    first = spec.steps[0].time
-    evolve(spec, NO_COLLAPSE, through_time=first)
-    assert len(vars(spec)["_step_plans"]) == 1
-    evolve(spec, OBJECTIVE_COLLAPSE)
     plans = vars(spec)["_step_plans"]
     assert len(plans) == len(spec.steps)
-    evolve(spec, NO_COLLAPSE, through_time=first)
-    assert vars(spec)["_step_plans"] is plans
+    registry = spec.registry
+    assert spec.steps[0].time > 0 and spec.registry_after(0) == registry
     for step, plan in zip(spec.steps, plans):
         assert plan.iso is step.iso
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 1 and arrays[0] is step.iso.outcome_major
-    assert plans[-1].registry == spec.registry_after()
+        registry = registry.extended(step.iso.appended)
+        assert plan.registry == registry
+        assert spec.registry_after(step.time) is plan.registry
+    assert spec.registry_after() is plans[-1].registry
+    evolve(spec, OBJECTIVE_COLLAPSE)
+    evolve(spec, NO_COLLAPSE, through_time=spec.steps[0].time)
+    assert vars(spec)["_step_plans"] is plans
 
 
 def ghz_3_3():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from wignersim.channels import NO_COLLAPSE
@@ -5,11 +7,13 @@ from wignersim.experiment import evolve
 from wignersim.presets import frauchiger_renner, wigner_friend
 from wignersim.states import ZeroProbabilityError
 from wignersim.storyplot import (
+    CompatibilityVerdict,
     Deduced,
     EventSetSchema,
     Plot,
     Slot,
     Value,
+    Violation,
     check_compatibility,
     make_event,
     plot_from_distribution,
@@ -48,6 +52,13 @@ def test_event_entry_on_an_unknown_slot_names_it():
     assert event.entry(schema, "z") == Value("0")
     with pytest.raises(KeyError, match="unknown slot 'zz'"):
         event.entry(schema, "zz")
+
+
+def test_a_verdict_is_consistent_exactly_when_it_has_no_violations():
+    assert [f.name for f in fields(CompatibilityVerdict)] == ["violations"]
+    assert CompatibilityVerdict().consistent
+    clash = Violation(time="t2", slot="y", left=("y=1",), right=("0",))
+    assert not CompatibilityVerdict((clash,)).consistent
 
 
 class TestCheckCompatibility:
