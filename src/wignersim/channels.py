@@ -248,8 +248,6 @@ def build_preparation_isometry(
             raise ValueError(
                 f"prepared state for {labels} must live on {output.label!r}"
             )
-        if not abs(state.norm() - 1.0) <= ATOL_ISOMETRY:
-            raise ValueError(f"prepared state for {labels} is not normalized")
         idx = control.flat_index(labels)
         if idx in seen:
             raise ValueError(f"duplicate control outcome {labels}")
@@ -309,7 +307,7 @@ class _StepPlan:
                     f"{iso.agent}'s step"
                 )
         domain = tuple(layout.axis(label) + 1 for label in iso.domain.labels)
-        rest = [l for l in registry.labels if l not in iso.domain.labels]
+        rest = [l for l in registry.labels if l not in iso.domain]
         order = domain + tuple(layout.axis(label) + 1 for label in rest)
         return cls(
             iso=iso,
@@ -352,15 +350,15 @@ class _Ensemble:
 
     ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
     ``layout`` order: the order the last step's :class:`_StepPlan` left, not
-    registry order, so axes are looked up with ``layout.axis``.  ``registry``
-    lists the same subsystems in registry order.  Every row has unit norm,
-    checked wherever new amplitudes are computed (a step, a renormalization);
-    ``weights`` holds the branch probabilities.
+    registry order, so axes are looked up with ``layout.axis``; a reader that
+    needs registry order is handed the plan's ``registry``.  Every row has
+    unit norm, checked wherever new amplitudes are computed (a step, a
+    renormalization): a weighted branch is a row and its ``weights`` entry.
 
     A step replays its :class:`_StepPlan`, which supplies the next
-    ``registry`` and ``layout``, so a step builds no registry.  The plan
-    holds what the circuit fixes; the amplitudes, weights and records, and
-    every row-norm check and branch cut, stay here and are computed per call.
+    ``layout``, so a step builds no registry.  The plan holds what the
+    circuit fixes; the amplitudes, weights and records, and every row-norm
+    check and branch cut, stay here and are computed per call.
 
     ``records`` maps a memory label to each row's recorded outcome index: the
     outcome a collapsed measurement observed, or the one the ensemble was
@@ -372,7 +370,6 @@ class _Ensemble:
     every row shares one layout.
     """
 
-    registry: SubsystemRegistry
     layout: SubsystemRegistry
     amps: np.ndarray
     weights: np.ndarray
@@ -380,10 +377,10 @@ class _Ensemble:
 
     @classmethod
     def of(cls, state: StateVector) -> "_Ensemble":
-        return cls(state.registry, state.registry, state.tensored()[None], np.ones(1), {})
+        return cls(state.registry, state.tensored()[None], np.ones(1), {})
 
     @classmethod
-    def renormalized(cls, registry, layout, rows, weights, records) -> "_Ensemble":
+    def renormalized(cls, layout, rows, weights, records) -> "_Ensemble":
         """Rows scaled to unit norm, their probabilities folded into the weights.
 
         A row of probability ≤ BRANCH_CUT is dropped.  A NaN probability is
@@ -396,7 +393,7 @@ class _Ensemble:
             records = {label: r[keep] for label, r in records.items()}
         rows = rows / np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
         _check_unit_rows(rows)
-        return cls(registry, layout, rows, weights * p, records)
+        return cls(layout, rows, weights * p, records)
 
     def is_record(self, label: str) -> bool:
         axis = self.layout.axis(label)
@@ -419,7 +416,7 @@ class _Ensemble:
             where[axis] = self.records[sub.label]
         out = np.zeros(shape, dtype=np.complex128)
         out[tuple(where)] = self.amps.squeeze(axis=tuple(axes))
-        return _Ensemble(self.registry, self.layout, out, self.weights, self.records)
+        return _Ensemble(self.layout, out, self.weights, self.records)
 
     def stepped(self, plan: _StepPlan, collapses: bool) -> "_Ensemble":
         """``plan``'s step on every row; a collapse splits each row into its outcomes.
@@ -430,21 +427,19 @@ class _Ensemble:
         image = _isometry_image(ens.amps, plan)
         if not collapses:
             _check_unit_rows(image)
-            return _Ensemble(plan.registry, plan.layout, image, ens.weights, ens.records)
+            return _Ensemble(plan.layout, image, ens.weights, ens.records)
         # Row b·k + i is row b's outcome i; the memory is left a record factor.
         b, k = image.shape[:2]
         parent, outcome = np.divmod(np.arange(b * k), k)
         records = {label: r[parent] for label, r in ens.records.items()}
         records[plan.iso.appended.label] = outcome
         rows = image.reshape((b * k, 1) + image.shape[2:])
-        return _Ensemble.renormalized(
-            plan.registry, plan.layout, rows, ens.weights[parent], records
-        )
+        return _Ensemble.renormalized(plan.layout, rows, ens.weights[parent], records)
 
     def selected(self, mask: np.ndarray) -> "_Ensemble":
         records = {label: r[mask] for label, r in self.records.items()}
         amps, weights = self.amps[mask], self.weights[mask]
-        return _Ensemble(self.registry, self.layout, amps, weights, records)
+        return _Ensemble(self.layout, amps, weights, records)
 
     def projected(self, label: str, index: int) -> "_Ensemble":
         """Memory ``label`` projected onto basis state ``index``, left a record factor."""
@@ -453,15 +448,13 @@ class _Ensemble:
         rows = np.take(ens.amps, [index], axis=axis)
         records = dict(ens.records)
         records[label] = np.full(len(rows), index)
-        return _Ensemble.renormalized(
-            ens.registry, ens.layout, rows, ens.weights, records
-        )
+        return _Ensemble.renormalized(ens.layout, rows, ens.weights, records)
 
-    def states(self) -> list[StateVector]:
-        """Every row on the full registry: records expanded, axes in registry order."""
+    def states(self, registry: SubsystemRegistry) -> list[StateVector]:
+        """Every row on the plan's ``registry``: records expanded, axes in its order."""
         full = self.expanded(range(1, self.amps.ndim))
-        perm = [0] + [full.layout.axis(label) + 1 for label in self.registry.labels]
-        return [StateVector(self.registry, row) for row in full.amps.transpose(perm)]
+        perm = [0] + [full.layout.axis(label) + 1 for label in registry.labels]
+        return [StateVector(registry, row) for row in full.amps.transpose(perm)]
 
 
 def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
@@ -469,7 +462,7 @@ def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
     plan = _StepPlan.of(state.registry, state.registry, iso)
     image = _isometry_image(state.tensored()[None], plan)
     perm = [plan.layout.axis(label) for label in plan.registry.labels]
-    return StateVector(plan.registry, image[0].transpose(perm), normalized=state.normalized)
+    return StateVector(plan.registry, image[0].transpose(perm))
 
 
 def branch_decomposition(
@@ -478,14 +471,14 @@ def branch_decomposition(
     """Outcome branches of one measurement: (label, probability, branch).
 
     Branches of probability ≤ BRANCH_CUT (1e-12) are reported with
-    probability 0.0 and a ``None`` branch.  For a normalized input the
-    probabilities sum to 1.  Every branch lives on the input registry
+    probability 0.0 and a ``None`` branch.  Every state has unit norm, so
+    the probabilities sum to 1.  Every branch lives on the input registry
     extended by the full memory factor, one-hot at the branch's outcome.
     """
     plan = _StepPlan.of(state.registry, state.registry, iso)
     ens = _Ensemble.of(state).stepped(plan, collapses=True)
     records = ens.records[iso.memory_label].tolist()
-    found = dict(zip(records, zip(ens.weights.tolist(), ens.states())))
+    found = dict(zip(records, zip(ens.weights.tolist(), ens.states(plan.registry))))
     return [
         (label, *found.get(i, (0.0, None)))
         for i, label in enumerate(iso.outcome_labels)

@@ -99,6 +99,7 @@ class ExperimentSpec:
                         f"t={step.time}; an agent may measure only once"
                     )
         object.__setattr__(self, "_step_plans", tuple(plans))
+        object.__setattr__(self, "_measuring", measuring)
         object.__setattr__(self, "_cones", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
@@ -111,11 +112,11 @@ class ExperimentSpec:
 
     @cached_property
     def measuring_steps(self) -> tuple[Step, ...]:
-        return tuple(s for s in self.steps if s.is_measurement)
+        return tuple(self._measuring.values())
 
     @cached_property
     def measuring_agents(self) -> tuple[str, ...]:
-        return tuple(s.agent for s in self.measuring_steps)
+        return tuple(self._measuring)
 
     def _cone(self, target: str, given: str, through_time: int | None) -> "ExperimentSpec":
         """The steps up to ``through_time`` that the two agents' memories can feel.
@@ -152,10 +153,10 @@ class ExperimentSpec:
         return cone
 
     def step_for(self, agent: str) -> Step:
-        for s in self.measuring_steps:
-            if s.agent == agent:
-                return s
-        raise KeyError(f"no measuring agent {agent!r} in experiment {self.name!r}")
+        try:
+            return self._measuring[agent]
+        except KeyError:
+            raise KeyError(f"no measuring agent {agent!r} in experiment {self.name!r}") from None
 
     def _stop(self, through_time: int | None) -> int:
         """How many steps run by ``through_time`` (all of them for None)."""
@@ -350,25 +351,22 @@ def _pair_branches(
 
 
 def _condition_branches(
-    ens: _Ensemble,
-    spec: ExperimentSpec,
-    model: CollapseModel,
-    condition: Mapping[str, str],
+    ens: _Ensemble, spec: ExperimentSpec, condition: Mapping[str, str]
 ) -> _Ensemble:
     """Condition the ensemble on memory outcomes, renormalizing the weights.
 
-    If the model collapsed an agent's measurement, conditioning keeps the
-    rows with the matching record (the outcome was decided at the step).
-    Otherwise the record still lives coherently in the memory factor and
-    conditioning is a projective update on every row, which leaves that
-    memory a record factor too and records the outcome.
+    A memory holds a record exactly when its agent collapsed: conditioning
+    then keeps the rows with the matching record (the outcome was decided at
+    the step).  Otherwise the outcome still lives coherently in the memory
+    factor and conditioning is a projective update on every row, which
+    leaves that memory a record factor too and records the outcome.
     """
     for agent, outcome in condition.items():
         step = spec.step_for(agent)
         if outcome not in step.iso.outcome_labels:
             raise KeyError(f"{outcome!r} is not an outcome of {agent!r}")
         label, index = step.iso.memory_label, step.iso.outcome_labels.index(outcome)
-        if model.collapses_at(agent):
+        if label in ens.records:
             ens = ens.selected(ens.records[label] == index)
         else:
             ens = ens.projected(label, index)
@@ -389,10 +387,7 @@ def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.nd
 
 
 def _joint(
-    ens: _Ensemble,
-    spec: ExperimentSpec,
-    model: CollapseModel,
-    through_time: int | None,
+    ens: _Ensemble, spec: ExperimentSpec, model_tag: str, through_time: int | None
 ) -> JointDistribution:
     """Joint distribution of what an ensemble observed by ``through_time``.
 
@@ -429,7 +424,7 @@ def _joint(
     array = array.reshape(dims + list(readout.shape[1:]))
     order = recorded + free
     array = array.transpose([order.index(i) for i in range(len(agents))])
-    return JointDistribution(agents, alphabets, array.copy(), model.tag)
+    return JointDistribution(agents, alphabets, array.copy(), model_tag)
 
 
 def evolve(
@@ -438,7 +433,7 @@ def evolve(
     through_time: int | None = None,
 ) -> JointDistribution:
     """Exact joint distribution of the outcomes observed by ``through_time``."""
-    return _joint(_evolved_branches(spec, model, through_time), spec, model, through_time)
+    return _joint(_evolved_branches(spec, model, through_time), spec, model.tag, through_time)
 
 
 def evolved_density(
@@ -456,7 +451,7 @@ def evolved_density(
     proof fails.
     """
     ens = _evolved_branches(spec, model, through_time)
-    return _reduced_density(ens, ens.registry.labels)
+    return _reduced_density(ens, spec.registry_after(through_time))
 
 
 def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
@@ -513,7 +508,7 @@ def conditional_table(
     on other labs cannot change the pair's joint distribution.
     """
     ens, cone, through = _pair_branches(spec, model, target, given)
-    return conditional(_joint(ens, cone, model, through), target, given)
+    return conditional(_joint(ens, cone, model.tag, through), target, given)
 
 
 def conditional_via_renormalized_state(
@@ -535,27 +530,27 @@ def conditional_via_renormalized_state(
     the answer.
     """
     ens, cone, through = _pair_branches(spec, model, target, given)
-    conditioned = _condition_branches(ens, cone, model, {given: given_outcome})
-    return marginal(_joint(conditioned, cone, model, through), target)
+    conditioned = _condition_branches(ens, cone, {given: given_outcome})
+    return marginal(_joint(conditioned, cone, model.tag, through), target)
 
 
-def _reduced_density(ens: _Ensemble, keep: Iterable[str]) -> DensityMatrix:
+def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> DensityMatrix:
     """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
 
-    Ψ_b is row b with its kept quantum axes moved first, in registry order,
-    and reshaped to (kept, discarded), so the discarded factors are
-    contracted away and no d×d matrix is ever formed.  With no kept record
-    the whole ensemble is one contraction, scaled by √w_b, and its Gram
-    product is the answer.  A kept record factor has length 1: row b then
-    fills only the block of its recorded outcomes.  The answer is then
-    allocated once, in registry order, and each block is one matmul over the
-    rows that share its records, written through a view of the answer with
-    the kept records' axes fixed at those records.  Discarded records cost
-    nothing.  Beyond the ensemble and one reordered copy of it, the only
-    d_keep×d_keep array is the answer: temporaries that size would make the
-    allocator trim the heap and fault it back in on every call.
+    ``sub_registry`` is the plan chain's registry restricted to the kept
+    factors.  Ψ_b is row b with its kept quantum axes moved first, in
+    registry order, and reshaped to (kept, discarded), so the discarded
+    factors are contracted away and no d×d matrix is ever formed.  With no
+    kept record the whole ensemble is one contraction, scaled by √w_b, and
+    its Gram product is the answer.  A kept record factor has length 1: row
+    b then fills only the block of its recorded outcomes.  The answer is
+    then allocated once, in registry order, and each block is one matmul
+    over the rows that share its records, written through a view of the
+    answer with the kept records' axes fixed at those records.  Discarded
+    records cost nothing.  Beyond the ensemble and one reordered copy of it,
+    the only d_keep×d_keep array is the answer: temporaries that size would
+    make the allocator trim the heap and fault it back in on every call.
     """
-    sub_registry = ens.registry.restricted(keep)
     layout = ens.layout
     held = [label for label in sub_registry.labels if ens.is_record(label)]
     quantum = [label for label in sub_registry.labels if label not in held]
@@ -621,8 +616,8 @@ def memory_state(
         raise ValueError("discard names every subsystem; nothing is left to keep")
     ens = _evolved_branches(spec, model)
     if given:
-        ens = _condition_branches(ens, spec, model, given)
-    return _reduced_density(ens, keep)
+        ens = _condition_branches(ens, spec, given)
+    return _reduced_density(ens, registry.restricted(keep))
 
 
 def post_select(

@@ -9,7 +9,7 @@ cached without copying.  Numeric conventions:
 * computed probabilities are compared against exact fractions at 1e-9.
 
 Validation bounds are written as ``not (x <= tol)``, which NaN fails, so no
-NaN gets into a normalized state or a density matrix.
+NaN gets into a state or a density matrix.
 
 :class:`Projector`, :func:`born_probability`, :func:`partial_trace` and
 :func:`tensor` act on one state and run on no program path, which builds its
@@ -116,11 +116,13 @@ def _check_unit_rows(rows: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state over a registry; amplitudes are flat in canonical C-order."""
+    """Unit-norm pure state over a registry; amplitudes are flat in canonical C-order.
+
+    A weighted branch is an ensemble row and its weight, not a state.
+    """
 
     registry: SubsystemRegistry
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
@@ -130,24 +132,22 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} does not match registry "
                 f"dimension {self.registry.total_dimension}"
             )
-        if self.normalized:
-            norm_sq = float(np.vdot(amps, amps).real)
-            if not abs(norm_sq - 1.0) <= ATOL_CONSTRUCT:
-                raise _not_normalized(norm_sq)
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not abs(norm_sq - 1.0) <= ATOL_CONSTRUCT:
+            raise _not_normalized(norm_sq)
 
     @classmethod
     def from_terms(
         cls,
         registry: SubsystemRegistry,
         terms: Mapping[Union[str, tuple[str, ...]], complex],
-        normalized: bool = True,
     ) -> "StateVector":
         """Build from {product-basis label tuple: amplitude} (str ok for 1 factor)."""
         amps = np.zeros(registry.total_dimension, dtype=np.complex128)
         for key, coeff in terms.items():
             labels = (key,) if isinstance(key, str) else tuple(key)
             amps[registry.flat_index(labels)] += coeff
-        return cls(registry, amps, normalized=normalized)
+        return cls(registry, amps)
 
     @classmethod
     def basis_state(
@@ -158,9 +158,6 @@ class StateVector:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.registry.dims
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, labels: Union[str, tuple[str, ...]]) -> complex:
         labels = (labels,) if isinstance(labels, str) else tuple(labels)
@@ -318,7 +315,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the result lives on the concatenated registry."""
     registry = a.registry.combined(b.registry)
     amps = np.kron(a.amplitudes, b.amplitudes)
-    return StateVector(registry, amps, normalized=a.normalized and b.normalized)
+    return StateVector(registry, amps)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

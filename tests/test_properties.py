@@ -113,7 +113,7 @@ def test_isometry_preserves_norm(data):
     iso = data.draw(measurements(psi.registry))
     assume(psi.registry.total_dimension * iso.memory.dimension <= 64)
     out = apply_isometry(psi, iso)
-    assert abs(out.norm() - psi.norm()) <= 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - np.linalg.norm(psi.amplitudes)) <= 1e-12
 
 
 @CASES

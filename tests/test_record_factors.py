@@ -83,7 +83,7 @@ def test_branches_are_the_oracle_branches_with_records_folded(name, model):
             assert held == registry.subsystem(label).dimension or (
                 held == 1 and label in got.records
             )
-        for row, (state, (weight, vector, records)) in enumerate(zip(got.states(), want)):
+        for row, (state, (weight, vector, records)) in enumerate(zip(got.states(registry), want)):
             assert row_records(got, spec, row) == tuple(records.items())
             assert abs(got.weights[row] - weight) < ORACLE_ATOL
             assert state.registry == registry
@@ -120,7 +120,7 @@ def ndindex_joint(spec, model):
     memory_axes = [registry.axis(s.iso.memory_label) for s in readout_steps]
     mem_dims = tuple(registry.dims[a] for a in memory_axes)
     probs = {}
-    for row, (weight, state) in enumerate(zip(ensemble.weights, ensemble.states())):
+    for row, (weight, state) in enumerate(zip(ensemble.weights, ensemble.states(registry))):
         amps = state.tensored()
         other = tuple(i for i in range(amps.ndim) if i not in memory_axes)
         readout = weight * (np.abs(amps) ** 2).sum(axis=other)
@@ -180,7 +180,7 @@ def test_step_on_an_unexpanded_record_factor_raises():
     assert len(ensemble.weights) == 2
     assert ensemble.is_record("F")
     with pytest.raises(ValueError, match="bases differ"):
-        plan = _StepPlan.of(ensemble.registry, ensemble.layout, wigner.iso)
+        plan = _StepPlan.of(spec.registry_after(friend.time), ensemble.layout, wigner.iso)
         _isometry_image(ensemble.amps, plan)
 
 
@@ -207,7 +207,7 @@ def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapse
     rows = np.stack([good, good * math.sqrt(norm_sq)])
     with pytest.raises(ValueError) as state_error:
         StateVector(spec.registry, rows[1])
-    ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
+    ensemble = _Ensemble(spec.registry, rows, np.array([0.5, 0.5]), {})
     if collapses and not math.isnan(norm_sq):
         # A collapse renormalizes its outcome rows, so only NaN survives it.
         assert len(ensemble.stepped(spec._step_plans[0], collapses).weights) == 4
@@ -224,5 +224,5 @@ def test_row_norm_check_accepts_rows_within_the_bound():
     spec = wigner_friend("superposition")
     good = spec.initial.tensored()
     rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)])
-    ensemble = _Ensemble(spec.registry, spec.registry, rows, np.array([0.5, 0.5]), {})
+    ensemble = _Ensemble(spec.registry, rows, np.array([0.5, 0.5]), {})
     assert len(ensemble.stepped(spec._step_plans[0], False).weights) == 2

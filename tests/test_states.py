@@ -11,7 +11,6 @@ from wignersim.channels import (
     OBJECTIVE_COLLAPSE,
     _checked_isometry,
     build_measurement_isometry,
-    build_preparation_isometry,
 )
 from wignersim.deduction import DeductionRule
 from wignersim.experiment import ConditionalTable, JointDistribution, evolved_density
@@ -367,18 +366,26 @@ class TestDensityMatrixInvariants:
     def test_subnormalized_block_allowed(self):
         DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
 
-    def test_unnormalized_state_flag(self):
-        with pytest.raises(ValueError, match=r"state not normalized: \|psi\|\^2 = 0.5$"):
-            StateVector(qubit("S"), [0.5, 0.5])
-        branch = StateVector(qubit("S"), [0.5, 0.5], normalized=False)
-        assert branch.norm() == pytest.approx(SQ2)
+    @pytest.mark.parametrize(
+        "build,norm_sq",
+        [
+            (lambda: StateVector(qubit("S"), [0.5, 0.5]), "0.5"),
+            (lambda: StateVector.from_terms(qubit("S"), {"0": 1.0, "1": 1.0}), "2.0"),
+        ],
+        ids=["constructor", "from-terms"],
+    )
+    def test_unnormalized_state_flag(self, build, norm_sq):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"state not normalized: |psi|^2 = {norm_sq}"
 
 
 class TestNotANumberRejected:
-    """Every bound fails on NaN: no NaN gets through a constructor or a Born probability.
+    """Every bound fails on NaN: no NaN gets through a constructor.
 
-    That holds for the isometries, distributions, tables and rules built on
-    the states too.
+    A state rejects NaN itself, so none reaches a Born probability, a
+    measurement basis or a prepared state.  The isometries, distributions,
+    tables and rules built on the states reject it too.
     """
 
     NAN = float("nan")
@@ -402,30 +409,9 @@ class TestNotANumberRejected:
         with pytest.raises(ValueError, match="projector is not Hermitian"):
             Projector(("S",), reg, np.array([[self.NAN, 0.0], [0.0, 0.0]]))
 
-    def test_born_probability_of_an_unnormalized_branch(self):
-        reg = qubit("S")
-        branch = StateVector(reg, [self.NAN, 1.0], normalized=False)
-        with pytest.raises(ValueError, match="Born probability nan"):
-            born_probability(branch, Projector(("S",), reg, np.diag([1.0, 0.0])))
-
     def test_isometry_matrix(self):
         with pytest.raises(ValueError, match="V†V differs from the identity"):
             _checked_isometry(np.full((4, 2), self.NAN), 2, 2)
-
-    def test_measurement_basis(self):
-        reg = qubit("S")
-        v = StateVector(reg, [self.NAN, 0.0], normalized=False)
-        with pytest.raises(ValueError, match="measurement basis is not orthonormal"):
-            build_measurement_isometry("F", reg, [v], memory="F")
-
-    def test_prepared_state(self):
-        out = qubit("P")
-        prepared = {
-            "0": StateVector(out, [self.NAN, 0.0], normalized=False),
-            "1": StateVector.basis_state(out, "1"),
-        }
-        with pytest.raises(ValueError, match=r"prepared state for \('0',\) is not normalized"):
-            build_preparation_isometry("F", qubit("S"), prepared, out.subsystems[0])
 
     def test_joint_distribution(self):
         with pytest.raises(ValueError, match="negative probability nan"):
