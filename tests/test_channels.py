@@ -10,6 +10,8 @@ from wignersim.channels import (
     CollapseModel,
     Isometry,
     _checked_isometry,
+    _isometry_image,
+    _StepPlan,
     apply_isometry,
     branch_decomposition,
     build_measurement_isometry,
@@ -138,6 +140,17 @@ class TestApplyIsometry:
         assert out.amplitude(("t", "T", "down")) == pytest.approx(SQ3, abs=1e-12)
         assert out.amplitude(("t", "T", "up")) == pytest.approx(SQ3, abs=1e-12)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_norm_preserved_on_unnormalized_branch(self):
+        # A weighted branch is an ensemble row, not a StateVector; the step
+        # keeps its norm, which a collapse then reads as the branch weight.
+        reg = spin_registry()
+        plan = _StepPlan.of(reg, reg, friend_measurement())
+        row = np.array([0.25, 0.5], dtype=np.complex128)
+        image = _isometry_image(row[None], plan)
+        assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(row), abs=1e-14)
+        outcomes = (np.abs(image[0]) ** 2).sum(axis=1)
+        assert outcomes == pytest.approx([0.0625, 0.25], abs=1e-14)
 
     def test_label_mismatch(self):
         psi = StateVector.basis_state(coin_registry(), "h")

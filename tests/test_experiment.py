@@ -123,6 +123,18 @@ class TestSpecValidation:
         assert spec.registry_after(through_time=3).labels == ("C", "F1", "S", "F2")
         assert spec.measuring_agents == ("F1", "F2", "A", "W")
 
+    def test_the_agent_map_agrees_with_a_scan_of_the_steps(self):
+        # FR's F1 also prepares; the map names its measurement step only.
+        for build in presets().values():
+            spec = build()
+            scanned = tuple(s for s in spec.steps if s.is_measurement)
+            assert spec.measuring_steps == scanned
+            assert spec.measuring_agents == tuple(s.agent for s in scanned)
+            for step in scanned:
+                assert spec.step_for(step.agent) is step
+            with pytest.raises(KeyError, match=f"no measuring agent 'Z' in experiment {spec.name!r}"):
+                spec.step_for("Z")
+
 
 class TestEvolveNoCollapse:
     def test_fr_halting_probability(self):

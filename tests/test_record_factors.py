@@ -8,7 +8,9 @@ support view are compared, for every preset and model, with
 shares no code with the kernel.  The renormalized-state conditional is
 checked against it in ``test_numpy_oracle.py``, and the memory states and
 evolved densities built from the same ensemble in
-``test_reduced_density.py``.  A step that reads a memory in another basis
+``test_reduced_density.py``.  Conditioning reads the records alone: it
+selects the rows of a collapsed memory and projects a coherent one, and the
+two give the same state.  A step that reads a memory in another basis
 never reaches a record factor: its spec cannot be built.  A plan replayed
 by hand on an ensemble that holds its domain as a record is still caught
 when the step is applied.
@@ -24,6 +26,7 @@ import pytest
 import numpy_oracle as oracle
 from circuits import ghz_spec, models_for
 from wignersim.channels import (
+    NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
     _Ensemble,
@@ -35,12 +38,13 @@ from wignersim.experiment import (
     ExperimentSpec,
     OutcomeAssignment,
     Step,
+    _condition_branches,
     _evolved_branches,
     evolve,
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
-from wignersim.states import StateVector
+from wignersim.states import StateVector, ZeroProbabilityError
 
 ORACLE_ATOL = 1e-12
 
@@ -149,6 +153,41 @@ def test_support_readout_equals_every_cell_loop(name, model):
         want, key=lambda a: tuple(alphabets[x].index(o) for x, o in a.outcomes)
     )
     assert list(got) == basis_order
+
+
+def weighted_density(ensemble, registry):
+    """The ensemble's density matrix on ``registry``, from its weighted rows."""
+    rows = np.stack([state.amplitudes for state in ensemble.states(registry)])
+    return np.einsum("b,bi,bj->ij", ensemble.weights, rows, rows.conj())
+
+
+@pytest.mark.parametrize("name", sorted(presets()))
+def test_conditioning_selects_recorded_rows_and_projects_coherent_memories(name):
+    # No model is handed to the conditioning: a memory holds a record
+    # exactly when its agent collapsed, and the record decides the update.
+    spec = presets()[name]()
+    for step in spec.measuring_steps:
+        memory, registry = step.iso.memory_label, spec.registry_after(step.time)
+        collapsed = _evolved_branches(spec, CollapseModel.subjective(step.agent), step.time)
+        coherent = _evolved_branches(spec, NO_COLLAPSE, step.time)
+        assert memory in collapsed.records and memory not in coherent.records
+        for index, outcome in enumerate(step.iso.outcome_labels):
+            keep = collapsed.records[memory] == index
+            if not keep.any():
+                for ensemble in (collapsed, coherent):
+                    with pytest.raises(ZeroProbabilityError):
+                        _condition_branches(ensemble, spec, {step.agent: outcome})
+                continue
+            selected = _condition_branches(collapsed, spec, {step.agent: outcome})
+            assert np.array_equal(selected.amps, collapsed.amps[keep])
+            projected = _condition_branches(coherent, spec, {step.agent: outcome})
+            assert projected.is_record(memory)
+            assert projected.records[memory].tolist() == [index] * len(projected.weights)
+            for ensemble in (selected, projected):
+                assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.max(
+                np.abs(weighted_density(selected, registry) - weighted_density(projected, registry))
+            ) < ORACLE_ATOL, (step.agent, outcome)
 
 
 GHZ_ALPHA = math.sqrt(0.35)
