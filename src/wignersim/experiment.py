@@ -444,11 +444,11 @@ def evolved_density(
     """Density matrix of the evolved (possibly branch-mixed) experiment.
 
     This is :func:`memory_state` with nothing discarded, so its cost is
-    O(B·d·d_keep) with d_keep = d for B branches.  The returned matrix passes
-    the full :class:`DensityMatrix` checks (Hermitian, unit trace, positive
-    semidefinite).  Positivity is proved by a pivoted Cholesky in O(d²·r)
-    for the density's rank r ≤ B; the O(d³) ``eigvalsh`` runs only if that
-    proof fails.
+    O(B·d·d_keep) with d_keep = d for B branches.  Shape and unit trace are
+    checked; the Hermitian and positive semidefinite guarantees come from
+    the answer being a Gram product, whose rounding bound
+    :meth:`DensityMatrix._gram` checks in O(d), falling back to the full
+    checks if it fails.
     """
     ens = _evolved_branches(spec, model, through_time)
     return _reduced_density(ens, spec.registry_after(through_time))
@@ -547,7 +547,9 @@ def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> Density
     then allocated once, in registry order, and each block is one matmul
     over the rows that share its records, written through a view of the
     answer with the kept records' axes fixed at those records.  Discarded
-    records cost nothing.  Beyond the ensemble and one reordered copy of it,
+    records cost nothing.  Either way the answer is a Gram product, and
+    :meth:`DensityMatrix._gram` bounds its rounding by the longest block's
+    contraction length.  Beyond the ensemble and one reordered copy of it,
     the only d_keep×d_keep array is the answer: temporaries that size would
     make the allocator trim the heap and fault it back in on every call.
     """
@@ -565,7 +567,7 @@ def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> Density
     psi = psi.reshape(q, rows, -1)
     if not held:
         block = psi.reshape(q, -1)
-        return DensityMatrix(sub_registry, block @ block.conj().T)
+        return DensityMatrix._gram(sub_registry, block @ block.conj().T, block.shape[1])
     d_keep = sub_registry.total_dimension
     rho = np.zeros((d_keep, d_keep), dtype=np.complex128)
     tens = rho.reshape(sub_registry.dims * 2)
@@ -574,13 +576,15 @@ def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> Density
     records = [ens.records[label] for label in held]
     key = _record_keys(records, held_dims, rows)
     keys, firsts = np.unique(key, return_index=True)
+    length = 0
     for k, first in zip(keys.tolist(), firsts.tolist()):
         block = psi[:, key == k].reshape(q, -1)
+        length = max(length, block.shape[1])
         where: list = [slice(None)] * len(sub_registry.dims)
         for axis, record in zip(held_axes, records):
             where[axis] = record[first]
         tens[tuple(where * 2)] = (block @ block.conj().T).reshape(quantum_dims * 2)
-    return DensityMatrix(sub_registry, rho)
+    return DensityMatrix._gram(sub_registry, rho, length)
 
 
 def memory_state(
@@ -600,11 +604,11 @@ def memory_state(
     O(B·d·d_keep) time for B branches over total dimension d.  Beyond the
     ensemble it holds one reordered copy of it, the d_keep×d_keep result and
     block scratch (see :func:`_reduced_density`), so the cost scales with
-    the kept factors.  The returned matrix passes the full
-    :class:`DensityMatrix` checks (Hermitian, unit trace, positive
-    semidefinite).  Positivity is proved by a pivoted Cholesky in
-    O(d_keep²·r) for rank r, at most B times the discarded dimension; the
-    O(d_keep³) ``eigvalsh`` runs only if that proof fails.
+    the kept factors.  Shape and unit trace are checked; the Hermitian and
+    positive semidefinite guarantees come from the answer being a Gram
+    product, whose rounding bound :meth:`DensityMatrix._gram` checks in
+    O(d_keep) from the longest contraction, B times the discarded dimension
+    at most, falling back to the full checks if it fails.
     """
     registry = spec.registry_after()
     discard = set(discard)

@@ -15,17 +15,14 @@ NaN gets into a state or a density matrix.
 :func:`tensor` act on one state and run on no program path, which builds its
 densities from a branch ensemble; the benchmark's tracer still wraps them.
 
-Positive semidefiniteness is first proved from the entries alone: a
-diagonal-pivoted Cholesky factor L of rank r with ‖A − LL†‖_F ≤ 5e-11 puts,
-by Weyl's inequality, every eigenvalue above -1e-10.  That costs O(d²·r), and
-the densities built here have small r.  Only when the proof does not go
-through does the full O(d³) ``eigvalsh`` decide, against the same -1e-10
-bound, so either way the verdict is the spectrum's.
-
-A density matrix is the only d×d array its checks hold: the Hermitian check
-reads BLOCK×BLOCK tiles and the proof's remainder is summed over blocks of
-BLOCK rows.  A second d×d temporary, freed on every call, would make the
-allocator trim the heap and fault its pages back in on the next call.
+A density the program returns is a Gram product ρ = GG† of the weighted
+ensemble rows, Hermitian and positive semidefinite by construction: an O(d)
+rounding bound from its diagonal and contraction length
+(:meth:`DensityMatrix._gram`) stands in for the O(d²) Hermitian check and
+the O(d³) spectrum, which run only if it fails.  Raw entries from a library
+caller are checked in full: shape, Hermitian, trace, ``eigvalsh``.  The
+Hermitian check reads BLOCK×BLOCK tiles, so the matrix is the only d×d
+array it holds.
 """
 
 from __future__ import annotations
@@ -44,12 +41,8 @@ ATOL_PROB = 1e-9
 # Amplitudes and imaginary parts this small print as zero: they are rounding
 # noise at the construction tolerance, not terms of the state.
 PRINT_ZERO = 1e-12
-# The Hermitian check reads BLOCK×BLOCK tiles and the positivity proof sums
-# its remainder over BLOCK rows at a time, so neither holds a d×d temporary.
+# The Hermitian check reads BLOCK×BLOCK tiles, so it holds no d×d temporary.
 BLOCK = 64
-# At or below this dimension eigvalsh is cheaper than the positivity proof,
-# whose every pivot costs about 17 µs of call overhead, so it decides alone.
-EIGVALSH_MAX_DIM = 8
 
 
 def _spelled(tol: float) -> str:
@@ -182,10 +175,10 @@ class DensityMatrix:
 
     ``subnormalized=True`` marks a conditional block whose trace may be < 1.
 
-    Positivity is proved by :func:`_psd_certified` in O(d²·r) for rank r.
-    ``eigvalsh`` decides only what that proof does not settle, such as an
-    eigenvalue below -5e-11 or a skew part near the 1e-12 tolerance, and
-    every matrix of dimension at most ``EIGVALSH_MAX_DIM``.
+    Raw entries are checked in full: shape, Hermitian within
+    ``ATOL_CONSTRUCT``, unit trace, and ``eigvalsh`` down to ``-ATOL_PSD``.
+    The program's densities are Gram products, whose Hermitian and positive
+    semidefinite guarantees :meth:`_gram` proves from their shape.
     """
 
     registry: SubsystemRegistry
@@ -193,26 +186,40 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(np.asarray(self.entries), dtype=np.complex128)
-        d = self.registry.total_dimension
-        if mat.shape != (d, d):
-            raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
-        if not _hermitian(mat):
-            raise ValueError(
-                f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
-            )
-        if not self.subnormalized:
-            tr = complex(np.trace(mat))
-            if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
-                raise ValueError(
-                    f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}"
-                )
-        if d <= EIGVALSH_MAX_DIM or not _psd_certified(mat):
-            eigmin = float(np.min(np.linalg.eigvalsh(mat)))
-            if not eigmin >= -ATOL_PSD:
-                raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
+        mat = _checked_entries(self.registry, self.entries, self.subnormalized, hermitian=True)
+        eigmin = float(np.min(np.linalg.eigvalsh(mat)))
+        if not eigmin >= -ATOL_PSD:
+            raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+    @classmethod
+    def _gram(cls, registry: SubsystemRegistry, entries, length: int) -> "DensityMatrix":
+        """A unit-trace Gram product fl(GG†) whose longest contraction is ``length``.
+
+        Its rounding error obeys |E| ≤ γ|G||G|† with γ = (n+2)u/(1 − (n+2)u)
+        for n = ``length`` (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, §3.5–3.6).  |G||G|† has the exact diagonal, which the
+        computed one, a sum of nonnegative terms, matches to a relative γ.
+        With s = γ/(1 − γ), as GG† is Hermitian and positive semidefinite,
+        max |ρ_ij − conj ρ_ji| ≤ 2s·max ρ_ii, checked against ATOL_CONSTRUCT,
+        and every eigenvalue is ≥ −s·tr ρ, checked against ATOL_PSD/2
+        (``eigvalsh`` reads one triangle, which moves it by √2 at most).
+        Shape and unit trace are checked as for raw entries; a non-finite
+        entry of G makes the trace non-finite.  If a bound fails, the
+        constructor checks the entries in full.
+        """
+        mat = _checked_entries(registry, entries, False, hermitian=False)
+        k = (length + 2) * 2.0**-53
+        slack = k / (1 - 2 * k)
+        diagonal = mat.diagonal().real
+        skew_bound, eigen_bound = 2 * slack * diagonal.max(), slack * diagonal.sum()
+        if not (skew_bound <= ATOL_CONSTRUCT and eigen_bound <= ATOL_PSD / 2):
+            return cls(registry, entries)
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        rho.__dict__.update(registry=registry, entries=mat, subnormalized=False)
+        return rho
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -222,51 +229,26 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-def _psd_certified(mat: np.ndarray) -> bool:
-    """Whether the entries alone prove that ``eigvalsh(mat)`` is ≥ -ATOL_PSD.
-
-    The pivot is the largest residual diagonal entry.  Pivoting stops once
-    that is ≤ ATOL_PSD/(2d), where a positive semidefinite remainder has
-    Frobenius norm ≤ its trace ≤ ATOL_PSD/2.  The proof reads the remainder
-    itself, so rounding or an indefinite matrix cannot fake it: it holds only
-    if ‖A − LL†‖_F ≤ ATOL_PSD/2.  Then by Weyl's inequality every eigenvalue
-    of A is ≥ -ATOL_PSD/2 when A is Hermitian.  When A = H + K is Hermitian
-    only to 1e-12, with K anti-Hermitian, ``eigvalsh`` reads the Hermitian
-    matrix of A's lower triangle, which is within ‖K‖_F of H.  K is
-    orthogonal to every Hermitian matrix, so ‖K‖_F + ‖H − LL†‖_F ≤
-    √2·‖A − LL†‖_F, and what ``eigvalsh`` reads has eigenvalues
-    ≥ -ATOL_PSD/√2.  Rank r costs O(d²·r) time.  ‖A − LL†‖_F² is summed
-    over blocks of BLOCK rows, so beyond A the proof holds L and one
-    BLOCK×d block of the remainder, never a d×d array.
-    """
-    d = mat.shape[0]
-    stop = ATOL_PSD / (2 * d)
-    residual_diag = mat.diagonal().real.copy()
-    rows = np.empty((min(d, 16), d), dtype=np.complex128)  # row k is column k of L
-    rank = 0
-    while rank < d:
-        p = int(np.argmax(residual_diag))
-        pivot = residual_diag[p]
-        if pivot <= stop:
-            break
-        if rank == len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows)))
-        col = mat[:, p] - rows[:rank].T @ rows[:rank, p].conj()
-        col /= math.sqrt(pivot)
-        rows[rank] = col
-        residual_diag -= col.real**2 + col.imag**2
-        rank += 1
-    factor = rows[:rank]
-    conj = factor.conj()
-    scratch = np.empty((min(d, BLOCK), d), dtype=np.complex128)
-    norm_sq = 0.0
-    for start in range(0, d, BLOCK):
-        block = mat[start : start + BLOCK]
-        remainder = scratch[: len(block)]
-        np.matmul(factor[:, start : start + BLOCK].T, conj, out=remainder)
-        remainder -= block
-        norm_sq += np.vdot(remainder, remainder).real
-    return math.sqrt(norm_sq) <= ATOL_PSD / 2
+def _checked_entries(
+    registry: SubsystemRegistry, entries, subnormalized: bool, hermitian: bool
+) -> np.ndarray:
+    """Entries as a C-ordered complex array once shape, Hermitian (if asked)
+    and, unless ``subnormalized``, unit trace are checked, in that order."""
+    mat = np.ascontiguousarray(np.asarray(entries), dtype=np.complex128)
+    d = registry.total_dimension
+    if mat.shape != (d, d):
+        raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
+    if hermitian and not _hermitian(mat):
+        raise ValueError(
+            f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+        )
+    if not subnormalized:
+        tr = complex(np.trace(mat))
+        if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
+            raise ValueError(
+                f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}"
+            )
+    return mat
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ keep d ≤ 256 or so.
 A branch is (weight, vector, records): a unit vector over the registry in
 registry order, its probability, and the outcomes its collapsed (or
 conditioned-on) agents recorded, as {agent: outcome}.
+
+:func:`assert_density` is the spectral check that a density the library
+builds no longer runs on itself: the library proves Hermiticity and
+positivity from the Gram product's shape, and this reads the answer.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from wignersim.states import ATOL_CONSTRUCT, ATOL_PSD
 
 BRANCH_CUT = 1e-12  # a branch at or below this probability is dropped
 
@@ -140,3 +146,11 @@ def reduced_density(labels, dims, branches, keep):
     out = np.einsum(rho.reshape(dims + dims), rows + cols, kept + [n + i for i in kept])
     d_keep = math.prod(dims[i] for i in kept)
     return out.reshape(d_keep, d_keep)
+
+
+def assert_density(matrix: np.ndarray) -> None:
+    """Hermitian within ATOL_CONSTRUCT, every eigenvalue at least -ATOL_PSD."""
+    skew = float(np.max(np.abs(matrix - matrix.conj().T)))
+    assert skew <= ATOL_CONSTRUCT, f"max |rho - rho^dagger| = {skew!r}"
+    least = float(np.linalg.eigvalsh(matrix).min())
+    assert least >= -ATOL_PSD, f"least eigenvalue {least!r}"

@@ -8,7 +8,8 @@ real) are checked under every collapse model: the ``evolve`` joint at every
 truncation time, ``conditional_via_renormalized_state`` for every ordered
 agent pair and possible outcome, and ``memory_state`` for every kept subset
 of up to two factors plus the memories, unconditioned and conditioned on
-every possible single outcome.
+every possible single outcome.  Every memory state is also checked to be
+Hermitian and positive semidefinite (``oracle.assert_density``).
 """
 
 import itertools
@@ -106,3 +107,4 @@ def test_memory_state(name, model):
             assert got.registry == registry.restricted(keep)
             want = oracle.reduced_density(labels, dims, branches, keep)
             assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL, (keep, given)
+            oracle.assert_density(got.entries)

@@ -44,6 +44,10 @@ UNREACHED = {
     "states.Projector.__post_init__": "the operand of born_probability, " + TRACED,
     "states.Projector._check_host": "the host check of born_probability, " + TRACED,
     "registry.SubsystemRegistry.combined": "the registry of tensor, " + TRACED,
+    "states.DensityMatrix.__post_init__": "checks raw entries from library callers, "
+    "and is the fallback when a Gram product's rounding bound fails",
+    "states._hermitian": "the Hermitian check of raw entries from library callers, "
+    "and of the fallback when a Gram product's rounding bound fails",
     "states.StateVector.amplitude": TESTS_ONLY,
     "states.DensityMatrix.dims": TESTS_ONLY,
     "states.DensityMatrix.trace": TESTS_ONLY,

@@ -34,7 +34,7 @@ from wignersim.experiment import (
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
-from wignersim.states import StateVector
+from wignersim.states import DensityMatrix, StateVector
 
 ORACLE_ATOL = 1e-12
 
@@ -78,6 +78,7 @@ def assert_matches_dense_route(spec, model):
             assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL, (
                 f"keep={keep} given={given}"
             )
+            oracle.assert_density(got.entries)
             cases += 1
     assert cases >= 2 ** len(labels) - 1
 
@@ -100,6 +101,7 @@ def test_evolved_density_matches_outer_product_sum(name, model):
         got = evolved_density(spec, model, through)
         assert got.registry == spec.registry_after(through)
         assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL
+        oracle.assert_density(got.entries)
 
 
 def test_unknown_discard_label_is_checked_before_evolving():
@@ -176,6 +178,7 @@ def test_six_friend_memories_at_d4096_stay_small(model):
     expected[aaaaaa, aaaaaa] = abs(ALPHA) ** 2
     expected[bbbbbb, bbbbbb] = abs(BETA) ** 2
     assert np.max(np.abs(rho.entries - expected)) < ORACLE_ATOL
+    oracle.assert_density(rho.entries)
 
 
 def _peak_bytes(call):
@@ -209,7 +212,9 @@ def test_evolved_density_holds_one_answer_sized_array(model):
     assert _peak_bytes(lambda: evolved_density(spec, model)) < 1.5 * 16 * d**2
     names, dims, branches = oracle.ensemble(spec, model)
     want = oracle.reduced_density(names, dims, branches, names)
-    assert np.max(np.abs(evolved_density(spec, model).entries - want)) < ORACLE_ATOL
+    got = evolved_density(spec, model)
+    assert np.max(np.abs(got.entries - want)) < ORACLE_ATOL
+    oracle.assert_density(got.entries)
 
 
 def test_memory_state_with_a_kept_record_holds_one_answer_sized_array():
@@ -229,3 +234,73 @@ def test_memory_state_with_a_kept_record_holds_one_answer_sized_array():
     branches = oracle.conditioned(spec, NO_COLLAPSE, names, dims, branches, {"W0": "p"})
     want = oracle.reduced_density(names, dims, branches, rho.registry.labels)
     assert np.max(np.abs(rho.entries - want)) < ORACLE_ATOL
+    oracle.assert_density(rho.entries)
+
+
+def post_init_calls(monkeypatch):
+    """The entries every ``DensityMatrix.__post_init__`` call receives, copied."""
+    seen = []
+    original = DensityMatrix.__post_init__
+
+    def spy(self):
+        seen.append(np.array(self.entries, dtype=np.complex128))
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
+    return seen
+
+
+def test_workload_sized_densities_are_proved_from_their_shape(monkeypatch):
+    """GHZ(2,2) and GHZ(3,2), d = 256 and 1024: the Gram bound holds, so no
+    answer runs the Hermitian check or the spectrum."""
+    small = ghz_spec(2, 2, ALPHA, BETA, GHZ_THETAS)
+    large = ghz_spec(3, 2, ALPHA, BETA, GHZ_THETAS)
+    qubits = {f"Q{i}" for i in range(3)}
+    seen = post_init_calls(monkeypatch)
+    answers = [
+        evolved_density(small, NO_COLLAPSE),
+        evolved_density(small, OBJECTIVE_COLLAPSE),
+        memory_state(large, NO_COLLAPSE, qubits, {"W0": "p"}),
+        memory_state(large, OBJECTIVE_COLLAPSE, qubits | {"W0", "W1"}, {"F0": "b"}),
+    ]
+    assert seen == []
+    for rho in answers:
+        assert not rho.entries.flags.writeable
+        assert not rho.subnormalized
+        oracle.assert_density(rho.entries)
+
+
+def test_a_contraction_past_the_bound_takes_the_full_checks(monkeypatch):
+    """Seven GHZ friends, d = 2^14, Q0 kept: one row contracted over 2^13
+    entries, so 2γ·max ρ_ii ≈ 1.3e-12 exceeds the Hermitian tolerance.  The
+    constructor then checks the product and keeps its bytes."""
+    spec = ghz_friends(7, ALPHA, BETA)
+    seen = post_init_calls(monkeypatch)
+    rho = memory_state(spec, NO_COLLAPSE, set(spec.registry_after().labels) - {"Q0"})
+    assert len(seen) == 1
+    assert rho.entries.tobytes() == seen[0].tobytes()
+    assert np.max(np.abs(rho.entries - np.diag([abs(ALPHA) ** 2, abs(BETA) ** 2]))) < ORACLE_ATOL
+
+
+@pytest.mark.parametrize("length,checked", [(4501, False), (4502, True)])
+def test_the_hermitian_bound_is_two_gamma_of_the_largest_diagonal(monkeypatch, length, checked):
+    """A pure state, max ρ_ii = 1: 2γ_{n+2} ≤ 1e-12 holds up to n = 4501."""
+    seen = post_init_calls(monkeypatch)
+    rho = DensityMatrix._gram(SubsystemRegistry((Subsystem("S", 1, ("0",)),)), [[1.0]], length)
+    assert len(seen) == int(checked)
+    assert rho.entries.tobytes() == np.array([[1.0]], dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([[1.0, 0.0], [0.0, 1.0]], "density matrix trace (2+0j) != 1 within 1e-12"),
+        ([[math.nan, 0.0], [0.0, 1.0]], "density matrix trace (nan+0j) != 1 within 1e-12"),
+    ],
+    ids=["trace-2", "nan-diagonal"],
+)
+def test_a_gram_product_still_has_its_trace_checked(entries, message):
+    registry = SubsystemRegistry((Subsystem("S", 2, ("0", "1")),))
+    with pytest.raises(ValueError) as err:
+        DensityMatrix._gram(registry, np.array(entries), 1)
+    assert str(err.value) == message

@@ -1,8 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circuits import ghz_spec
 from numpy_oracle import ensemble, padded
@@ -17,6 +19,7 @@ from wignersim.experiment import ConditionalTable, JointDistribution, evolved_de
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
+    ATOL_PSD,
     BLOCK,
     DensityMatrix,
     Projector,
@@ -378,6 +381,110 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == f"state not normalized: |psi|^2 = {norm_sq}"
+
+
+def one_factor(d):
+    return SubsystemRegistry.build([("S", tuple(str(i) for i in range(d)))])
+
+
+def from_spectrum(spectrum, seed, skew=0.0, d=None):
+    """U diag(spectrum) U† for a random unitary U, on a random set of rows of
+    a d×d zero matrix (a memory density leaves most basis rows empty), plus
+    an anti-Hermitian part whose entries are at most ``skew``."""
+    rng = np.random.default_rng(seed)
+    m = len(spectrum)
+    d = m if d is None else d
+    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    u, _ = np.linalg.qr(z)
+    block = (u * spectrum) @ u.conj().T
+    rows = rng.permutation(d)[:m]
+    mat = np.zeros((d, d), dtype=np.complex128)
+    mat[np.ix_(rows, rows)] = (block + block.conj().T) / 2
+    signs = rng.choice([-1.0, 1.0], size=(d, d))
+    return mat + 1j * skew * np.triu(signs) + 1j * skew * np.triu(signs, 1).T
+
+
+@st.composite
+def spectra(draw):
+    """(spectrum, seed, skew, d): low rank, full rank, or positive
+    semidefinite with one eigenvalue moved to ±k·ATOL_PSD for k in {0.1, 10}.
+
+    Positive parts are scaled to trace 1; a spectrum covers m ≤ d rows, a
+    full-rank one all d.  About half the weights are tiny (1e-9 to 1e-6).
+    Some draws carry a skew part just inside the 1e-12 Hermitian tolerance."""
+    kind = draw(st.sampled_from(("low-rank", "full-rank", "perturbed")))
+    least = 2 if kind == "perturbed" else 1
+    d = draw(st.integers(least, 64))
+    m = d if kind == "full-rank" else draw(st.integers(least, d))
+    if kind == "low-rank":
+        rank = draw(st.integers(1, max(1, m // 4)))
+    elif kind == "full-rank":
+        rank = m
+    else:
+        rank = draw(st.integers(1, m - 1))
+    weight = st.one_of(st.floats(0.05, 1.0), st.floats(1e-9, 1e-6)) if rank > 1 else st.just(1.0)
+    weights = np.array(draw(st.lists(weight, min_size=rank, max_size=rank)))
+    spectrum = np.zeros(m)
+    spectrum[:rank] = weights / weights.sum()
+    if kind == "perturbed":
+        spectrum[-1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.1, 10.0])) * ATOL_PSD
+    seed = draw(st.integers(0, 2**32 - 1))
+    skew = draw(st.sampled_from([0.0, 0.0, 4.9e-13]))
+    return spectrum, seed, skew, d
+
+
+def accepts(mat):
+    try:
+        DensityMatrix(one_factor(len(mat)), mat, subnormalized=True)
+    except ValueError as err:
+        assert "negative eigenvalue" in str(err)
+        return False
+    return True
+
+
+class TestRawEntriesTakeTheSpectrumsVerdict:
+    """Raw entries from a library caller are positive semidefinite exactly
+    when ``eigvalsh`` puts no eigenvalue below -ATOL_PSD."""
+
+    BAND = 1e-13  # verdicts this close to -ATOL_PSD may go either way
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra())
+    def test_accepts_exactly_when_no_eigenvalue_is_below_the_bound(self, case):
+        spectrum, seed, skew, d = case
+        mat = from_spectrum(spectrum, seed, skew, d)
+        eigmin = float(np.linalg.eigvalsh(mat).min())
+        if abs(eigmin + ATOL_PSD) > self.BAND:
+            assert accepts(mat) == (eigmin >= -ATOL_PSD)
+
+    @pytest.mark.parametrize("d", [1, 2, 64, 256])
+    def test_a_negative_direction_is_rejected(self, d):
+        spectrum = np.zeros(d)
+        spectrum[0] = 1.0
+        spectrum[-1] = -10 * ATOL_PSD if d > 1 else -1.0
+        assert not accepts(from_spectrum(spectrum, seed=d))
+
+    def test_the_message_names_the_least_eigenvalue(self):
+        spectrum = np.array([0.5, 0.3, 0.2 + 2 * ATOL_PSD, -2 * ATOL_PSD])
+        mat = from_spectrum(spectrum, seed=4)
+        eigmin = float(np.min(np.linalg.eigvalsh(mat)))
+        assert eigmin == pytest.approx(-2 * ATOL_PSD, abs=1e-15)
+        message = f"density matrix has negative eigenvalue {eigmin!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(one_factor(4), mat)
+        assert accepts(from_spectrum(np.array([0.5, 0.3, 0.2, 0.0]), seed=4))
+
+    def test_a_negative_direction_in_the_last_partial_row_block_is_rejected(self):
+        """d = 2·BLOCK + 3: a pure state on the first two row blocks, and
+        what is wrong only in the last three rows."""
+        d = 2 * BLOCK + 3
+        rng = np.random.default_rng(16)
+        u = np.zeros(d, dtype=np.complex128)
+        u[: 2 * BLOCK] = rng.normal(size=2 * BLOCK) + 1j * rng.normal(size=2 * BLOCK)
+        u /= np.linalg.norm(u)
+        v = np.zeros(d, dtype=np.complex128)
+        v[-3:] = np.array([1.0, 1j, -1.0]) / math.sqrt(3)
+        assert not accepts(np.outer(u, u.conj()) - 3e-10 * np.outer(v, v.conj()))
 
 
 class TestNotANumberRejected:
