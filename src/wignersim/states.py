@@ -20,9 +20,9 @@ ensemble rows, Hermitian and positive semidefinite by construction: an O(d)
 rounding bound from its diagonal and contraction length
 (:meth:`DensityMatrix._gram`) stands in for the O(d²) Hermitian check and
 the O(d³) spectrum, which run only if it fails.  Raw entries from a library
-caller are checked in full: shape, Hermitian, trace, ``eigvalsh``.  The
-Hermitian check reads BLOCK×BLOCK tiles, so the matrix is the only d×d
-array it holds.
+caller are checked in full: shape, Hermitian, trace, ``eigvalsh``, which
+costs O(d³) at any rank.  The Hermitian check reads BLOCK×BLOCK tiles, so
+the matrix is the only d×d array it holds.
 """
 
 from __future__ import annotations
@@ -186,7 +186,13 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self) -> None:
-        mat = _checked_entries(self.registry, self.entries, self.subnormalized, hermitian=True)
+        mat = _square(self.registry, self.entries)
+        if not _hermitian(mat):
+            raise ValueError(
+                f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+            )
+        if not self.subnormalized:
+            _check_unit_trace(mat)
         eigmin = float(np.min(np.linalg.eigvalsh(mat)))
         if not eigmin >= -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
@@ -209,7 +215,8 @@ class DensityMatrix:
         entry of G makes the trace non-finite.  If a bound fails, the
         constructor checks the entries in full.
         """
-        mat = _checked_entries(registry, entries, False, hermitian=False)
+        mat = _square(registry, entries)
+        _check_unit_trace(mat)
         k = (length + 2) * 2.0**-53
         slack = k / (1 - 2 * k)
         diagonal = mat.diagonal().real
@@ -229,26 +236,19 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-def _checked_entries(
-    registry: SubsystemRegistry, entries, subnormalized: bool, hermitian: bool
-) -> np.ndarray:
-    """Entries as a C-ordered complex array once shape, Hermitian (if asked)
-    and, unless ``subnormalized``, unit trace are checked, in that order."""
+def _square(registry: SubsystemRegistry, entries) -> np.ndarray:
+    """Entries as a C-ordered complex array, once their shape is the registry's d×d."""
     mat = np.ascontiguousarray(np.asarray(entries), dtype=np.complex128)
     d = registry.total_dimension
     if mat.shape != (d, d):
         raise ValueError(f"entries shape {mat.shape} does not match dimension {d}")
-    if hermitian and not _hermitian(mat):
-        raise ValueError(
-            f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
-        )
-    if not subnormalized:
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
-            raise ValueError(
-                f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}"
-            )
     return mat
+
+
+def _check_unit_trace(mat: np.ndarray) -> None:
+    tr = complex(np.trace(mat))
+    if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
+        raise ValueError(f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,14 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/pairs.py PARENT_REF --out BENCH_<n>.json [--pairs 10] [--seconds S]
+    python3 tools/pairs.py PARENT_REF --out BENCH_<n>.json
 
 ``PARENT_REF`` is unpacked with ``git archive`` into a temporary directory;
 the other side is this checkout's working tree.  For every workload of
-``BENCHMARK.json``, pair i runs ``perfbench/run.py --trace 0`` once on each
-side with the same seed, parent first in even pairs and change first in odd
-ones, so that drift of a shared host falls on both sides alike.  ``--seconds``
-defaults to the file's ``run_seconds``.
+``BENCHMARK.json``, pair i = 0…9 runs ``perfbench/run.py --trace 0`` for the
+file's ``run_seconds`` once on each side with seed i + 1, parent first when i
+is even and change first when it is odd, so that drift of a shared host
+falls on both sides alike.
 
 The file holds every run (its metrics, ``attempted`` and wall time) and, per
 workload and end-to-end metric: each side's median and interquartile range,
@@ -23,8 +23,9 @@ change won, and a verdict against the metric's bound:
 * ``ok``: otherwise.
 
 ``claim_met`` says whether the change is better in at least nine of ten
-pairs and its median beats the parent's by more than the parent's IQR.  The
-runner prints a summary paragraph as it finishes.
+pairs, its median beats the parent's by more than the parent's IQR, and its
+runs failed no more operations in all than the parent's.  The runner prints
+a summary paragraph as it finishes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def unpack(ref: str, into: Path) -> Path:
@@ -83,6 +85,7 @@ def summarize(runs: list[dict], metric: dict) -> dict:
     relative = gain / abs(median["parent"]) if median["parent"] else 0.0
     won = sum(sign * (r["change"]["metrics"][name] - r["parent"]["metrics"][name]) > 0 for r in runs)
     spread = max(iqr[side] / abs(median[side]) if median[side] else 0.0 for side in SIDES)
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
     dominates = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
     if -relative > metric["bound"]:
         verdict = "worse"
@@ -99,7 +102,8 @@ def summarize(runs: list[dict], metric: dict) -> dict:
         "relative_gain": relative,
         "pairs_won": won,
         "pairs": len(runs),
-        "claim_met": won >= 0.9 * len(runs) and gain > iqr["parent"],
+        "claim_met": (won >= 0.9 * len(runs) and gain > iqr["parent"]
+                      and failed["change"] <= failed["parent"]),
         "verdict": verdict,
     }
 
@@ -122,25 +126,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_ref")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     args = parser.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = float(spec["run_seconds"])
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent_ref], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
-    report = {"parent_ref": parent, "pairs": args.pairs, "seconds": args.seconds,
+    report = {"parent_ref": parent, "pairs": PAIRS, "seconds": seconds,
               "python": sys.version.split()[0], "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {"parent": unpack(parent, Path(tmp)), "change": ROOT}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
+            for i in range(PAIRS):
                 pair = {"pair": i}
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, i + 1, seconds)
                     m = pair[side]["metrics"]
                     print(f"{workload} pair {i} {side}: answers_per_s {m['answers_per_s']:.0f}, "
                           f"peak_rss_mb {m['peak_rss_mb']:.2f}, attempted {pair[side]['attempted']}",
