@@ -13,10 +13,12 @@ memories and would alter the answer.  :func:`conditional_table` applies that
 truncation; :func:`conditional` itself is plain Bayes on whatever joint
 distribution it is given.
 
-Of the truncated circuit, the two pair routes evolve only the backward cone
-of the two memories (see ``ExperimentSpec._cone``): a step that acts only on
-other labs is a channel on factors the pair never reads, so by no-signalling
-it cannot change what X can infer about Y.
+Every question evolves only the backward cone of the factors it reads (see
+``ExperimentSpec._cone``): the pair routes read the two memories,
+:func:`memory_state` its kept factors and the memories it is given, and
+:func:`evolve` and :func:`evolved_density` every factor.  A step outside the
+cone is a channel on factors the question never reads, so by no-signalling
+it cannot change the answer.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ class ExperimentSpec:
     collapse model, replays the plans; :meth:`registry_after` reads the
     chain.  A plan is derived from the frozen fields alone, like
     :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
-    or tables, so every answer is still computed in full on every call.  A
-    pair's backward cone (:meth:`_cone`) is built on first use and kept.  An
-    agent measures at most once, since tables and models name a measurement
-    by it.
+    or tables, so every answer is still computed in full on every call.
+    Every question evolves the backward cone (:meth:`_cone`) of the factors
+    it reads, built on first use and kept; it keeps the full initial
+    registry.  An agent measures at most once, since tables and models name
+    a measurement by it.
     """
 
     name: str
@@ -118,27 +121,25 @@ class ExperimentSpec:
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(self._measuring)
 
-    def _cone(self, target: str, given: str, through_time: int | None) -> "ExperimentSpec":
-        """The steps up to ``through_time`` that the two agents' memories can feel.
+    def _cone(self, reads: frozenset[str], through_time: int | None) -> "ExperimentSpec":
+        """The steps up to ``through_time`` that the factors in ``reads`` can feel.
 
-        Walking the steps backwards from the two memory labels, a step is
-        kept when its domain or its appended factor meets the relevant set,
-        and its domain then joins that set.  A step left out acts only on
-        factors that no later kept step and neither memory touches; under
-        any collapse model it is a channel on those factors, so the pair's
-        joint distribution is the same on the cone.  The cone is a spec with
-        this spec's name, registry and initial state, the kept steps and no
-        halting, to be evolved through ``through_time`` like this one.  When
-        no step is left out it is this spec itself, so its plans serve the
-        pair.  It is built on first use, keyed by the unordered pair and the
-        number of steps run, and published whole; like a plan it holds no
-        amplitudes or answers.
+        Walking the steps backwards from ``reads``, a step is kept when its
+        domain or its appended factor meets the relevant set, and its domain
+        then joins that set.  A step left out is, under any collapse model, a
+        channel on factors that are never read, so the read factors' state
+        and their records are the same on the cone: a spec with this spec's
+        name, registry and initial state, the kept steps and no halting.
+        When no step is left out (always, when every label is read) it is
+        this spec itself.  It is built on first use, keyed by ``reads`` and
+        the number of steps run, and published whole; like a plan it holds
+        no amplitudes or answers.
         """
         stop = self._stop(through_time)
-        key = (frozenset((target, given)), stop)
+        key = (reads, stop)
         cone = self._cones.get(key)
         if cone is None:
-            relevant = {self.step_for(a).iso.memory_label for a in (target, given)}
+            relevant = set(reads)
             kept = []
             for step in reversed(self.steps[:stop]):
                 iso = step.iso
@@ -290,64 +291,43 @@ class ConditionalTable:
 def _evolved_branches(
     spec: ExperimentSpec,
     model: CollapseModel,
+    reads: frozenset[str],
     through_time: int | None = None,
-) -> _Ensemble:
-    """The ensemble after evolving under the model, stacked (see :class:`_Ensemble`).
+) -> tuple[_Ensemble, ExperimentSpec]:
+    """The cone of ``reads`` (see :meth:`ExperimentSpec._cone`), evolved, and that cone.
 
-    The steps replay the plans the spec built (see :class:`ExperimentSpec`),
-    one plan per step whatever the model: the plan fixes the axis orders,
-    the registries and the outcome-major matrix, and holds nothing computed
-    from amplitudes.  Per call, each step expands any record on its domain,
-    then makes one transpose and one matmul over all rows, then checks every
-    row's norm or splits the rows by outcome.  The output axis order is kept
-    (see :func:`~wignersim.channels._isometry_image`): only a result that
-    needs registry order, such as ``_Ensemble.states`` or
-    :func:`_reduced_density`, permutes.
-    Collapsed memories are record factors, so a row scales with the factors
-    that are still quantum, not with the full registry; a collapse divides
-    every row into its outcome rows.  A step whose domain basis differs from
-    the experiment's never gets here: its plan, and so its spec, cannot be
-    built.
+    The model is checked on the full spec, and passes unchanged to the cone.
+    The steps replay the cone's plans: per call, each expands any record on
+    its domain, makes one transpose and one matmul over all rows, then
+    checks every row's norm or splits the rows by outcome.  The output axis
+    order is kept (see :func:`~wignersim.channels._isometry_image`); only a
+    result that needs registry order permutes.  Collapsed memories are
+    record factors, so a row scales with the factors still quantum.
     """
-    _check_model(spec, model)
-    return _replayed(spec, model, through_time)
-
-
-def _check_model(spec: ExperimentSpec, model: CollapseModel) -> None:
     if model.agents is not None and not model.agents.issubset(spec.measuring_agents):
         unknown = min(model.agents.difference(spec.measuring_agents))
         raise ValueError(
             f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
-
-
-def _replayed(
-    spec: ExperimentSpec, model: CollapseModel, through_time: int | None
-) -> _Ensemble:
-    """The initial state stepped through the spec's plans up to ``through_time``."""
-    ens = _Ensemble.of(spec.initial)
-    for step, plan in zip(spec.steps[: spec._stop(through_time)], spec._step_plans):
-        collapses = step.is_measurement and model.collapses_at(step.agent)
-        ens = ens.stepped(plan, collapses)
-    return ens
+    cone = spec._cone(reads, through_time)
+    ens = _Ensemble.of(cone.initial)
+    for step, plan in zip(cone.steps[: cone._stop(through_time)], cone._step_plans):
+        ens = ens.stepped(plan, step.is_measurement and model.collapses_at(step.agent))
+    return ens, cone
 
 
 def _pair_branches(
     spec: ExperimentSpec, model: CollapseModel, target: str, given: str
 ) -> tuple[_Ensemble, ExperimentSpec, int]:
-    """The ensemble of the pair's cone at the later of its two measurements.
+    """The cone of two agents' memories at the later of their steps, evolved.
 
-    Returns the ensemble, the cone and the time of that measurement.
-
-    The agents and the model are checked on the full spec, in the order a
-    full evolution checks them; every step passed its own check when the
-    spec was built.  Only the cone is evolved; the model passes unchanged
-    and its agents outside the cone never appear.
+    Returns the ensemble, the cone and that time.  The agents are checked
+    before the model, as a full evolution checks them.
     """
-    through = max(spec.step_for(target).time, spec.step_for(given).time)
-    _check_model(spec, model)
-    cone = spec._cone(target, given, through)
-    return _replayed(cone, model, through), cone, through
+    t, g = spec.step_for(target), spec.step_for(given)
+    through = max(t.time, g.time)
+    reads = frozenset((t.iso.memory_label, g.iso.memory_label))
+    return (*_evolved_branches(spec, model, reads, through), through)
 
 
 def _condition_branches(
@@ -432,8 +412,13 @@ def evolve(
     model: CollapseModel,
     through_time: int | None = None,
 ) -> JointDistribution:
-    """Exact joint distribution of the outcomes observed by ``through_time``."""
-    return _joint(_evolved_branches(spec, model, through_time), spec, model.tag, through_time)
+    """Exact joint distribution of the outcomes observed by ``through_time``.
+
+    It reads every factor, so its cone is the whole truncated circuit.
+    """
+    reads = frozenset(spec.registry_after(through_time).labels)
+    ens, _ = _evolved_branches(spec, model, reads, through_time)
+    return _joint(ens, spec, model.tag, through_time)
 
 
 def evolved_density(
@@ -443,15 +428,17 @@ def evolved_density(
 ) -> DensityMatrix:
     """Density matrix of the evolved (possibly branch-mixed) experiment.
 
-    This is :func:`memory_state` with nothing discarded, so its cost is
+    This is :func:`memory_state` with nothing discarded: it reads every
+    factor, so its cone is the whole truncated circuit and its cost is
     O(B·d·d_keep) with d_keep = d for B branches.  Shape and unit trace are
     checked; the Hermitian and positive semidefinite guarantees come from
     the answer being a Gram product, whose rounding bound
     :meth:`DensityMatrix._gram` checks in O(d), falling back to the full
     checks if it fails.
     """
-    ens = _evolved_branches(spec, model, through_time)
-    return _reduced_density(ens, spec.registry_after(through_time))
+    registry = spec.registry_after(through_time)
+    ens, _ = _evolved_branches(spec, model, frozenset(registry.labels), through_time)
+    return _reduced_density(ens, registry)
 
 
 def _summed_to(joint: JointDistribution, agents: tuple[str, ...]) -> np.ndarray:
@@ -600,15 +587,21 @@ def memory_state(
     and renormalizes), which is how a collapsed observer's conditional
     memory state is produced.
 
-    The reduced state is built from the branch ensemble directly, in
-    O(B·d·d_keep) time for B branches over total dimension d.  Beyond the
-    ensemble it holds one reordered copy of it, the d_keep×d_keep result and
-    block scratch (see :func:`_reduced_density`), so the cost scales with
-    the kept factors.  Shape and unit trace are checked; the Hermitian and
-    positive semidefinite guarantees come from the answer being a Gram
-    product, whose rounding bound :meth:`DensityMatrix._gram` checks in
-    O(d_keep) from the longest contraction, B times the discarded dimension
-    at most, falling back to the full checks if it fails.
+    Only the backward cone of the kept factors and the given agents'
+    memories is evolved (see :meth:`ExperimentSpec._cone`): a step outside
+    it is a channel on discarded factors, which commutes with the
+    projections on the given memories, so neither the reduced state nor its
+    norm changes, though a pruned step may move its last bits.  The cone
+    keeps the full initial registry.  The reduced state is built from the
+    cone's branch ensemble directly, in O(B·d·d_keep) time for B branches
+    over the cone's total dimension d.  Beyond the ensemble it holds one
+    reordered copy of it, the d_keep×d_keep result and block scratch (see
+    :func:`_reduced_density`), so the cost scales with the kept factors.
+    Shape and unit trace are checked; the Hermitian and positive
+    semidefinite guarantees come from the answer being a Gram product,
+    whose rounding bound :meth:`DensityMatrix._gram` checks in O(d_keep)
+    from the longest contraction, B times the discarded dimension at most,
+    falling back to the full checks if it fails.
     """
     registry = spec.registry_after()
     discard = set(discard)
@@ -618,9 +611,12 @@ def memory_state(
     keep = [l for l in registry.labels if l not in discard]
     if not keep:
         raise ValueError("discard names every subsystem; nothing is left to keep")
-    ens = _evolved_branches(spec, model)
+    given = given or {}
+    # An unknown given agent is named by the conditioning, after the model check.
+    memories = (spec._measuring[a].iso.memory_label for a in given if a in spec._measuring)
+    ens, cone = _evolved_branches(spec, model, frozenset(keep).union(memories))
     if given:
-        ens = _condition_branches(ens, spec, given)
+        ens = _condition_branches(ens, cone, given)
     return _reduced_density(ens, registry.restricted(keep))
 
 

@@ -1,4 +1,4 @@
-"""A pair's answers come from its backward cone and match the full circuit.
+"""Every question comes from the backward cone of the factors it reads.
 
 ``conditional_table`` and ``conditional_via_renormalized_state`` evolve only
 the steps that the two memories can feel.  These tests pin that nothing else
@@ -8,12 +8,19 @@ ordered pair's table equals Bayes' rule on the full truncated circuit, with
 the same columns and model tag, and so does every renormalized column.  A
 mechanism pin checks that GHZ(4,4)'s ``W3|F3`` replays two steps in a few
 KiB instead of the whole 65,536-amplitude state.
+
+``memory_state`` evolves the cone of its kept factors and its given
+memories: one lab of GHZ(n,n), n = 8 and 12, is checked against a per-site
+closed form in plain numpy, under a memory bound that grows as 2^n, the
+size of the initial registry every cone keeps.  The full circuit holds
+4^(2n) amplitudes per row.
 """
 
 import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from circuits import ghz_spec
@@ -23,6 +30,7 @@ from wignersim.experiment import (
     conditional_table,
     conditional_via_renormalized_state,
     evolve,
+    memory_state,
 )
 from wignersim.presets import presets
 
@@ -34,6 +42,12 @@ THETAS = (0.3, 1.1, 0.7, 0.2)
 BUILDERS = dict(sorted(presets().items()))
 for _n, _m in [(2, 2), (3, 3), (3, 2)]:
     BUILDERS[f"ghz-{_n}-{_m}"] = lambda n=_n, m=_m: ghz_spec(n, m, ALPHA, BETA, THETAS[:m])
+
+
+def pair_cone(spec, target, given, through):
+    """The cone a pair route evolves: the one that reads the two memories."""
+    reads = frozenset(spec.step_for(a).iso.memory_label for a in (target, given))
+    return spec._cone(reads, through)
 
 
 def collapse_sets(spec):
@@ -62,7 +76,7 @@ def test_every_pair_answers_as_the_full_truncated_circuit(name):
                 assert renormalized.keys() == want.columns[g].keys(), case + (g,)
                 for t, p in want.columns[g].items():
                     assert abs(renormalized[t] - p) <= ATOL, case + (g, t)
-            pruned += len(spec._cone(target, given, through).steps) < spec._stop(through)
+            pruned += len(pair_cone(spec, target, given, through).steps) < spec._stop(through)
     if name.startswith("ghz"):
         assert pruned > 0  # the comparison above covers cones that leave steps out
 
@@ -104,13 +118,96 @@ def test_a_pair_table_on_ghz_4_4_replays_its_two_steps_in_a_few_kib(model, monke
 def test_the_cone_keeps_what_the_memories_can_feel_and_is_shared_by_both_orders():
     spec = ghz_spec(3, 3, ALPHA, BETA, THETAS[:3])
     through = spec.step_for("W2").time
-    cone = spec._cone("W2", "F1", through)
+    cone = pair_cone(spec, "W2", "F1", through)
     # W1 acts on F1's memory after F1's step; F0 and W0 touch neither memory.
     assert [s.agent for s in cone.steps] == ["F1", "F2", "W1", "W2"]
     assert (cone.name, cone.halting) == (spec.name, None)
     assert cone.registry is spec.registry and cone.initial is spec.initial
-    assert spec._cone("F1", "W2", through) is cone
+    assert pair_cone(spec, "F1", "W2", through) is cone
     # W1 comes before W2 but reads only Q1 and F1.
-    assert [s.agent for s in spec._cone("W0", "W2", through).steps] == ["F0", "F2", "W0", "W2"]
+    assert [s.agent for s in pair_cone(spec, "W0", "W2", through).steps] == ["F0", "F2", "W0", "W2"]
     # A cone that leaves no step out is the spec itself, which has the plans.
-    assert spec._cone("F1", "F0", spec.step_for("F1").time) is spec
+    assert pair_cone(spec, "F1", "F0", spec.step_for("F1").time) is spec
+    # memory_state keeping F0 and W0 given F1: W1 acts on F1 after its step.
+    kept = spec._cone(frozenset({"F0", "W0", "F1"}), None)
+    assert [s.agent for s in kept.steps] == ["F0", "F1", "W0", "W1"]
+    # Reading every label, as evolve and evolved_density do, prunes nothing.
+    for through in [None, 0] + [s.time for s in spec.steps]:
+        assert spec._cone(frozenset(spec.registry_after(through).labels), through) is spec
+
+
+def site_tables(theta):
+    """One GHZ site's two branch states on (Qi, Fi, Wi), as (friend record, W record) tables.
+
+    V_Fi then V_Wi take |0⟩ to |0a⟩ = c e_p + s e_m and |1⟩ to
+    |1b⟩ = s e_p − c e_m, each e_w tagged with its record w, where
+    e_p = c|0a⟩ + s|1b⟩ and e_m = s|0a⟩ − c|1b⟩.  The qubit always equals
+    the friend's record, so entry [x, f, w] is branch x's amplitude of
+    |f f⟩|w⟩.  W's two completed outcomes never occur.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    e = np.array([[c, s], [s, -c]])  # e[w, f]: e_w's amplitude of |f f⟩
+    tables = np.zeros((2, 2, 4))
+    for x, k in enumerate(((c, s), (s, -c))):
+        tables[x, :, :2] = (np.array(k)[:, None] * e).T
+    return tables
+
+
+def one_lab_closed_form(alpha, beta, thetas, tag):
+    """ρ on (F0, W0) given F1 = a on GHZ(n, n), one site at a time: O(n).
+
+    ρ is Σ_xy c_x c_y* (site 0's block) Π_i⩾1 ⟨site i of y | site i of x⟩.
+    A collapsed friend leaves no x ≠ y term, and a collapsed W0 no
+    off-diagonal W0 term.  Given F1 = a, a collapsed F1 recorded its branch,
+    so only x = y = 0 is left; a coherent F1 is projected onto a at the end.
+    """
+    sites = [site_tables(theta) for theta in thetas]
+    coefficients = (alpha, beta)
+    friends_collapse = tag != "ism"
+    w0 = np.eye(4) if tag == "objective" else np.ones((4, 4))
+    rho = np.zeros((2, 4, 2, 4), dtype=complex)
+    for x, y in itertools.product((0, 1), repeat=2):
+        if friends_collapse and x != y:
+            continue
+        if tag == "objective":
+            overlap = float(x == y == 0)
+        else:
+            overlap = np.vdot(sites[1][y][0], sites[1][x][0])
+        for site in sites[2:]:
+            overlap *= np.vdot(site[y], site[x])
+        # Tracing out Q0, which equals F0's record, keeps f = g.
+        block = np.einsum("fw,gv,fg,wv->fwgv", sites[0][x], sites[0][y], np.eye(2), w0)
+        rho += coefficients[x] * np.conj(coefficients[y]) * overlap * block
+    rho = rho.reshape(8, 8)
+    return rho / np.trace(rho).real
+
+
+ONE_LAB_MODELS = {
+    "ism": NO_COLLAPSE,
+    "objective": OBJECTIVE_COLLAPSE,
+    "clps:F0": CollapseModel.subjective("F0"),
+}
+
+
+@pytest.mark.parametrize("tag", ONE_LAB_MODELS)
+@pytest.mark.parametrize("n", [8, 12])
+def test_one_lab_of_ghz_n_n_is_its_closed_form_in_memory_of_order_2_to_the_n(n, tag):
+    thetas = tuple(np.linspace(0.3, 1.2, n).tolist())
+    spec = ghz_spec(n, n, ALPHA, BETA, thetas)
+    model = ONE_LAB_MODELS[tag]
+    discard = set(spec.registry_after().labels) - {"F0", "W0"}
+    given = {"F1": "a"}
+    # Four steps whatever n: the full circuit would hold 4^(2n) amplitudes a row.
+    cone = spec._cone(frozenset({"F0", "W0", "F1"}), None)
+    assert [s.agent for s in cone.steps] == ["F0", "F1", "W0", "W1"]
+    memory_state(spec, model, discard, given)
+    tracemalloc.start()
+    try:
+        rho = memory_state(spec, model, discard, given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.registry.labels == ("F0", "W0")
+    want = one_lab_closed_form(ALPHA, BETA, thetas, tag)
+    assert np.max(np.abs(rho.entries - want)) <= ATOL
+    assert peak < 8 * 1024 * 2**n, peak

@@ -335,6 +335,36 @@ class TestMemoryState:
         with pytest.raises(KeyError):
             memory_state(wigner_friend("product"), NO_COLLAPSE, discard={"Q"})
 
+    @pytest.mark.parametrize(
+        "discard,model,given,error,message",
+        [
+            ({"C", "F1", "S", "F2", "A", "W", "Z"}, NO_COLLAPSE, None,
+             KeyError, "unknown subsystem labels ['Z']"),
+            ({"C", "F1", "S", "F2", "A", "W"}, CollapseModel.subjective("Z"), None,
+             ValueError, "discard names every subsystem; nothing is left to keep"),
+            ({"C"}, CollapseModel.subjective("Z"), {"Q": "x"},
+             ValueError, "collapse model names unknown agent 'Z' for 'fr'"),
+            ({"C"}, NO_COLLAPSE, {"Q": "x", "F1": "zz"},
+             KeyError, "no measuring agent 'Q' in experiment 'fr'"),
+            ({"C"}, NO_COLLAPSE, {"W": "perp2", "A": "zz"},
+             KeyError, "'zz' is not an outcome of 'A'"),
+        ],
+        ids=[
+            "discard-label-then-empty-keep",
+            "empty-keep-then-model-agent",
+            "model-agent-then-given-agent",
+            "given-agent-then-given-outcome",
+            "given-outcome-then-zero-probability",
+        ],
+    )
+    def test_each_pair_of_faults_names_the_first_check(self, discard, model, given, error, message):
+        # Checks run in the order: unknown discard label, empty keep, model
+        # agent, given agent, given outcome, zero probability.  W = perp2
+        # has probability 0 in FR.
+        with pytest.raises(error) as raised:
+            memory_state(frauchiger_renner(), model, discard, given)
+        assert type(raised.value) is error and raised.value.args == (message,)
+
 
 class TestObjectiveCollapse:
     def test_sequential_tree_joint(self):

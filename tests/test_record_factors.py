@@ -56,6 +56,14 @@ PRESET_MODELS = [
 IDS = [f"{n}-{m.tag}" for n, m in PRESET_MODELS]
 
 
+def evolved(spec, model, through=None):
+    """The ensemble of the whole truncated circuit: reading every label, the cone is the spec."""
+    reads = frozenset(spec.registry_after(through).labels)
+    ensemble, cone = _evolved_branches(spec, model, reads, through)
+    assert cone is spec
+    return ensemble
+
+
 def through_times(spec):
     return [None] + [s.time for s in spec.steps]
 
@@ -74,7 +82,7 @@ def test_branches_are_the_oracle_branches_with_records_folded(name, model):
     spec = presets()[name]()
     for through in through_times(spec):
         registry = spec.registry_after(through)
-        got = _evolved_branches(spec, model, through)
+        got = evolved(spec, model, through)
         labels, _, want = oracle.ensemble(spec, model, through)
         assert tuple(labels) == registry.labels
         assert len(got.amps) == len(got.weights) == len(want)
@@ -116,7 +124,7 @@ def test_evolve_support_view_matches_the_oracle_joint(name, model):
 
 def ndindex_joint(spec, model):
     """The readout loop over every cell, row by row, as ``evolve`` had it before."""
-    ensemble = _evolved_branches(spec, model)
+    ensemble = evolved(spec, model)
     registry = spec.registry_after()
     steps = spec.measuring_steps
     agents = tuple(s.agent for s in steps)
@@ -168,8 +176,8 @@ def test_conditioning_selects_recorded_rows_and_projects_coherent_memories(name)
     spec = presets()[name]()
     for step in spec.measuring_steps:
         memory, registry = step.iso.memory_label, spec.registry_after(step.time)
-        collapsed = _evolved_branches(spec, CollapseModel.subjective(step.agent), step.time)
-        coherent = _evolved_branches(spec, NO_COLLAPSE, step.time)
+        collapsed = evolved(spec, CollapseModel.subjective(step.agent), step.time)
+        coherent = evolved(spec, NO_COLLAPSE, step.time)
         assert memory in collapsed.records and memory not in coherent.records
         for index, outcome in enumerate(step.iso.outcome_labels):
             keep = collapsed.records[memory] == index
@@ -197,7 +205,7 @@ GHZ_BETA = math.sqrt(0.65) * complex(math.cos(1.1), math.sin(1.1))
 def test_ghz44_objective_branches_hold_only_uncollapsed_factors():
     spec = ghz_spec(4, 4, GHZ_ALPHA, GHZ_BETA, (0.3, 0.6, 0.9, 1.2))
     assert spec.registry_after().total_dimension == 65536
-    ensemble = _evolved_branches(spec, OBJECTIVE_COLLAPSE)
+    ensemble = evolved(spec, OBJECTIVE_COLLAPSE)
     assert len(ensemble.weights) == 32
     assert ensemble.amps[0].size <= 256
     tracemalloc.start()
@@ -215,7 +223,7 @@ def test_ghz44_objective_branches_hold_only_uncollapsed_factors():
 def test_step_on_an_unexpanded_record_factor_raises():
     spec = wigner_friend("superposition")
     friend, wigner = spec.steps
-    ensemble = _evolved_branches(spec, CollapseModel.subjective("F"), friend.time)
+    ensemble = evolved(spec, CollapseModel.subjective("F"), friend.time)
     assert len(ensemble.weights) == 2
     assert ensemble.is_record("F")
     with pytest.raises(ValueError, match="bases differ"):

@@ -271,10 +271,11 @@ def test_workload_sized_densities_are_proved_from_their_shape(monkeypatch):
 
 
 def test_a_contraction_past_the_bound_takes_the_full_checks(monkeypatch):
-    """Seven GHZ friends, d = 2^14, Q0 kept: one row contracted over 2^13
-    entries, so 2γ·max ρ_ii ≈ 1.3e-12 exceeds the Hermitian tolerance.  The
-    constructor then checks the product and keeps its bytes."""
-    spec = ghz_friends(7, ALPHA, BETA)
+    """Thirteen GHZ friends, d = 2^26, Q0 kept: its cone is F0's step alone,
+    so one row over Q0…Q12 and F0 is contracted over 2^13 entries, and
+    2γ·max ρ_ii ≈ 1.3e-12 exceeds the Hermitian tolerance.  The constructor
+    then checks the product and keeps its bytes."""
+    spec = ghz_friends(13, ALPHA, BETA)
     seen = post_init_calls(monkeypatch)
     rho = memory_state(spec, NO_COLLAPSE, set(spec.registry_after().labels) - {"Q0"})
     assert len(seen) == 1

@@ -29,6 +29,7 @@ from wignersim.experiment import (
     conditional_table,
     conditional_via_renormalized_state,
     evolve,
+    memory_state,
 )
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
@@ -89,7 +90,8 @@ def test_a_step_in_another_basis_fails_when_the_spec_is_built(build):
 def test_a_pairs_cone_leaves_out_the_steps_of_other_labs_and_is_planned(target, given, kept):
     spec = ghz_2_2()
     through = max(spec.step_for(target).time, spec.step_for(given).time)
-    cone = spec._cone(target, given, through)
+    # A GHZ memory bears its agent's name, so the pair reads those two labels.
+    cone = spec._cone(frozenset((target, given)), through)
     assert [s.agent for s in cone.steps] == kept
     assert [p.iso for p in vars(cone)["_step_plans"]] == [s.iso for s in cone.steps]
 
@@ -162,10 +164,25 @@ def pair_cases(spec):
     return cases
 
 
+def memory_answer(spec, case):
+    model, keep = case
+    discard = set(spec.registry_after().labels) - set(keep)
+    return memory_state(spec, model, discard, {"F1": "a"}).entries
+
+
+def kept_cases(spec):
+    """Every (model, kept pair) over one- and two-lab pairs, in a shuffled order."""
+    kept = [("F0", "W0"), ("F1", "W1"), ("F0", "F2"), ("Q1", "W2"), ("W0", "W1")]
+    cases = list(itertools.product(models_for(spec), kept))
+    np.random.default_rng(13).shuffle(cases)
+    return cases
+
+
 ROUTES = {
     "evolve": (BUILDERS["fr"], joint_cases, evolve_answer),
     "conditional_table": (ghz_3_3, pair_cases, table_answer),
     "renormalized": (ghz_3_3, pair_cases, renormalized_answer),
+    "memory_state": (ghz_3_3, kept_cases, memory_answer),
 }
 
 
