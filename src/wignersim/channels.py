@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -377,23 +378,33 @@ class _Ensemble:
 
     @classmethod
     def of(cls, state: StateVector) -> "_Ensemble":
-        return cls(state.registry, state.tensored()[None], np.ones(1), {})
+        """``state`` as one row of weight 1 with no records, all read-only, so it can be shared."""
+        weights = np.ones(1)
+        weights.setflags(write=False)
+        return cls(state.registry, state.tensored()[None], weights, MappingProxyType({}))
 
-    @classmethod
-    def renormalized(cls, layout, rows, weights, records) -> "_Ensemble":
-        """Rows scaled to unit norm, their probabilities folded into the weights.
+    def renormalized(
+        self, layout: SubsystemRegistry, rows: np.ndarray, label: str, outcomes: np.ndarray
+    ) -> "_Ensemble":
+        """Child rows scaled to unit norm, their probabilities folded into the weights.
 
-        A row of probability ≤ BRANCH_CUT is dropped.  A NaN probability is
-        kept, so the norm check rejects it.
+        With k = len(outcomes), row i of ``rows`` is a child of this
+        ensemble's row i // k that records ``outcomes[i % k]`` on memory
+        ``label``; the children are laid out as ``layout``.  Their
+        probabilities come first: a row of probability ≤ BRANCH_CUT is
+        dropped, and a NaN probability is kept, so the norm check rejects it.
+        Rows, weights and records are then gathered once, by the surviving
+        indices, and the gathered rows are scaled in place.
         """
         p = _row_norms_sq(rows)
-        keep = ~(p <= BRANCH_CUT)
-        if not keep.all():
-            rows, weights, p = rows[keep], weights[keep], p[keep]
-            records = {label: r[keep] for label, r in records.items()}
-        rows = rows / np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
+        index = np.flatnonzero(~(p <= BRANCH_CUT))
+        parent, child = np.divmod(index, len(outcomes))
+        rows, p = rows[index], p[index]
+        rows /= np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
         _check_unit_rows(rows)
-        return cls(layout, rows, weights * p, records)
+        records = {key: r[parent] for key, r in self.records.items()}
+        records[label] = outcomes[child]
+        return _Ensemble(layout, rows, self.weights[parent] * p, records)
 
     def is_record(self, label: str) -> bool:
         axis = self.layout.axis(label)
@@ -421,7 +432,12 @@ class _Ensemble:
     def stepped(self, plan: _StepPlan, collapses: bool) -> "_Ensemble":
         """``plan``'s step on every row; a collapse splits each row into its outcomes.
 
-        The rows must be laid out as the layout ``plan`` was built on.
+        The rows must be laid out as the layout ``plan`` was built on.  Any
+        record on the step's domain is expanded, then one transpose and one
+        matmul make the image of every row.  Without a collapse every image
+        row's norm is checked.  A collapse views the image as B·k child rows
+        and hands them to :meth:`renormalized`, which cuts the improbable
+        ones before it gathers anything.
         """
         ens = self.expanded(plan.domain)
         image = _isometry_image(ens.amps, plan)
@@ -430,11 +446,8 @@ class _Ensemble:
             return _Ensemble(plan.layout, image, ens.weights, ens.records)
         # Row b·k + i is row b's outcome i; the memory is left a record factor.
         b, k = image.shape[:2]
-        parent, outcome = np.divmod(np.arange(b * k), k)
-        records = {label: r[parent] for label, r in ens.records.items()}
-        records[plan.iso.appended.label] = outcome
         rows = image.reshape((b * k, 1) + image.shape[2:])
-        return _Ensemble.renormalized(plan.layout, rows, ens.weights[parent], records)
+        return ens.renormalized(plan.layout, rows, plan.iso.appended.label, np.arange(k))
 
     def selected(self, mask: np.ndarray) -> "_Ensemble":
         records = {label: r[mask] for label, r in self.records.items()}
@@ -446,9 +459,7 @@ class _Ensemble:
         axis = self.layout.axis(label) + 1
         ens = self.expanded([axis])
         rows = np.take(ens.amps, [index], axis=axis)
-        records = dict(ens.records)
-        records[label] = np.full(len(rows), index)
-        return _Ensemble.renormalized(ens.layout, rows, ens.weights, records)
+        return ens.renormalized(ens.layout, rows, label, np.array([index]))
 
     def states(self, registry: SubsystemRegistry) -> list[StateVector]:
         """Every row on the plan's ``registry``: records expanded, axes in its order."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -64,14 +64,19 @@ class ExperimentSpec:
     the registry and layout after it.  Building a plan is the step's only
     check, so a step on an unknown label, on a factor in another basis or
     appending a registered label fails here.  Every evolution, under any
-    collapse model, replays the plans; :meth:`registry_after` reads the
-    chain.  A plan is derived from the frozen fields alone, like
-    :attr:`measuring_steps`; it holds no amplitudes, weights, records, joints
-    or tables, so every answer is still computed in full on every call.
-    Every question evolves the backward cone (:meth:`_cone`) of the factors
-    it reads, built on first use and kept; it keeps the full initial
-    registry.  An agent measures at most once, since tables and models name
-    a measurement by it.
+    collapse model, replays the plans from the start ensemble, the initial
+    state as one row of weight 1 with no records; :meth:`registry_after`
+    reads the chain.  Every question evolves the backward cone
+    (:meth:`_cone`) of the factors it reads.  Cones are built on first use
+    and kept, one spec per distinct set of kept steps, which every (reads,
+    truncation) with that set shares; a cone keeps the full initial
+    registry.  :func:`_joint` reads out through a :class:`_ReadoutPlan`,
+    built on first use and kept per truncation and recorded memories.  All
+    of these are derived from the frozen fields alone, like
+    :attr:`measuring_steps`; none holds an answer, and the start ensemble's
+    weights and records are read-only, so every answer is still computed in
+    full on every call.  An agent measures at most once, since tables and
+    models name a measurement by it.
     """
 
     name: str
@@ -103,7 +108,10 @@ class ExperimentSpec:
                     )
         object.__setattr__(self, "_step_plans", tuple(plans))
         object.__setattr__(self, "_measuring", measuring)
+        object.__setattr__(self, "_start", _Ensemble.of(self.initial))
         object.__setattr__(self, "_cones", {})
+        object.__setattr__(self, "_cone_specs", {})
+        object.__setattr__(self, "_readouts", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
                 if agent not in measuring:
@@ -131,9 +139,11 @@ class ExperimentSpec:
         and their records are the same on the cone: a spec with this spec's
         name, registry and initial state, the kept steps and no halting.
         When no step is left out (always, when every label is read) it is
-        this spec itself.  It is built on first use, keyed by ``reads`` and
-        the number of steps run, and published whole; like a plan it holds
-        no amplitudes or answers.
+        this spec itself.  ``reads`` and the number of steps run map to the
+        indices of the kept steps, and each distinct tuple of those to one
+        cone spec, so the (reads, truncation) entries only refer to the
+        cones they share.  Both are built on first use and published whole;
+        like a plan, a cone holds no amplitudes or answers.
         """
         stop = self._stop(through_time)
         key = (reads, stop)
@@ -141,17 +151,34 @@ class ExperimentSpec:
         if cone is None:
             relevant = set(reads)
             kept = []
-            for step in reversed(self.steps[:stop]):
-                iso = step.iso
+            for i in range(stop - 1, -1, -1):
+                iso = self.steps[i].iso
                 if iso.appended.label in relevant or not relevant.isdisjoint(iso.domain.labels):
-                    kept.append(step)
+                    kept.append(i)
                     relevant.update(iso.domain.labels)
+            kept = tuple(kept[::-1])
             if len(kept) == stop:
                 cone = self
             else:
-                cone = ExperimentSpec(self.name, self.registry, self.initial, tuple(kept[::-1]))
+                cone = self._cone_specs.get(kept)
+                if cone is None:
+                    steps = tuple(self.steps[i] for i in kept)
+                    cone = ExperimentSpec(self.name, self.registry, self.initial, steps)
+                    cone = self._cone_specs.setdefault(kept, cone)
             cone = self._cones.setdefault(key, cone)
         return cone
+
+    def _readout(self, stop: int, records: frozenset[str]) -> "_ReadoutPlan":
+        """The readout plan after ``stop`` steps of an ensemble holding ``records``.
+
+        Built on first use and published whole, keyed by ``stop`` and the
+        recorded memory labels.
+        """
+        key = (stop, records)
+        plan = self._readouts.get(key)
+        if plan is None:
+            plan = self._readouts.setdefault(key, _ReadoutPlan.of(self, stop, records))
+        return plan
 
     def step_for(self, agent: str) -> Step:
         try:
@@ -168,6 +195,53 @@ class ExperimentSpec:
     def registry_after(self, through_time: int | None = None) -> SubsystemRegistry:
         stop = self._stop(through_time)
         return self._step_plans[stop - 1].registry if stop else self.registry
+
+
+@dataclass(frozen=True, eq=False)
+class _ReadoutPlan:
+    """What a spec fixes about reading out an ensemble after ``stop`` steps.
+
+    ``agents`` are the agents that measured by then, in step order, with
+    their ``alphabets``.  Agents whose memory is one of the ensemble's
+    records contribute their record: ``records`` holds those memories in
+    agent order and ``dims`` their alphabet lengths.  The others are read
+    from their memory factors: ``summed`` lists every other array axis,
+    the ensemble's row axis excluded, and ``weight_shape`` broadcasts the
+    weights over the free agents.  The cells come out with the recorded
+    agents first and the free ones in axis order; ``order`` transposes them
+    back to agent order.  Like a step plan it holds no amplitudes or answers.
+    """
+
+    agents: tuple[str, ...]
+    alphabets: dict[str, tuple[str, ...]]
+    records: tuple[str, ...]
+    dims: tuple[int, ...]
+    summed: tuple[int, ...]
+    weight_shape: tuple[int, ...]
+    order: tuple[int, ...]
+
+    @classmethod
+    def of(cls, spec: ExperimentSpec, stop: int, records: frozenset[str]) -> "_ReadoutPlan":
+        layout = spec._step_plans[stop - 1].layout if stop else spec.registry
+        steps = [s for s in spec.measuring_steps if stop and s.time <= spec.steps[stop - 1].time]
+        memories = [s.iso.memory_label for s in steps]
+        recorded = [i for i, m in enumerate(memories) if m in records]
+        # The other agents in axis order, which the readout's axes keep.
+        free = sorted(
+            (i for i, m in enumerate(memories) if m not in records),
+            key=lambda i: layout.axis(memories[i]),
+        )
+        axes = {layout.axis(memories[i]) + 1 for i in free}
+        order = recorded + free
+        return cls(
+            agents=tuple(s.agent for s in steps),
+            alphabets={s.agent: s.iso.outcome_labels for s in steps},
+            records=tuple(memories[i] for i in recorded),
+            dims=tuple(len(steps[i].iso.outcome_labels) for i in recorded),
+            summed=tuple(a for a in range(1, len(layout.subsystems) + 1) if a not in axes),
+            weight_shape=(-1,) + (1,) * len(free),
+            order=tuple(order.index(i) for i in range(len(steps))),
+        )
 
 
 @dataclass(frozen=True)
@@ -213,9 +287,11 @@ class JointDistribution:
         shape = tuple(len(self.alphabets[agent]) for agent in self.agents)
         if array.shape != shape:
             raise ValueError(f"joint array shape {array.shape}, expected {shape}")
-        if array.size and not array.min() >= -CONDITION_EPS:
-            raise ValueError(f"negative probability {float(array.min())!r}")
-        total = float(array.sum())
+        if array.size:
+            least = np.minimum.reduce(array, axis=None)
+            if not least >= -CONDITION_EPS:
+                raise ValueError(f"negative probability {float(least)!r}")
+        total = float(np.add.reduce(array, axis=None))
         if not abs(total - 1.0) <= ATOL_DIST:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
         array.setflags(write=False)
@@ -297,20 +373,21 @@ def _evolved_branches(
     """The cone of ``reads`` (see :meth:`ExperimentSpec._cone`), evolved, and that cone.
 
     The model is checked on the full spec, and passes unchanged to the cone.
-    The steps replay the cone's plans: per call, each expands any record on
-    its domain, makes one transpose and one matmul over all rows, then
-    checks every row's norm or splits the rows by outcome.  The output axis
-    order is kept (see :func:`~wignersim.channels._isometry_image`); only a
-    result that needs registry order permutes.  Collapsed memories are
-    record factors, so a row scales with the factors still quantum.
+    The steps replay the cone's plans from its start ensemble: per call,
+    each expands any record on its domain, makes one transpose and one
+    matmul over all rows, then checks every row's norm or splits the rows by
+    outcome.  The output axis order is kept (see
+    :func:`~wignersim.channels._isometry_image`); only a result that needs
+    registry order permutes.  Collapsed memories are record factors, so a
+    row scales with the factors still quantum.
     """
-    if model.agents is not None and not model.agents.issubset(spec.measuring_agents):
-        unknown = min(model.agents.difference(spec.measuring_agents))
+    if model.agents is not None and not spec._measuring.keys() >= model.agents:
+        unknown = min(model.agents.difference(spec._measuring))
         raise ValueError(
             f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
     cone = spec._cone(reads, through_time)
-    ens = _Ensemble.of(cone.initial)
+    ens = cone._start
     for step, plan in zip(cone.steps[: cone._stop(through_time)], cone._step_plans):
         ens = ens.stepped(plan, step.is_measurement and model.collapses_at(step.agent))
     return ens, cone
@@ -355,7 +432,7 @@ def _condition_branches(
         raise ZeroProbabilityError(
             f"conditioning on {dict(condition)} has zero probability"
         )
-    return replace(ens, weights=ens.weights / total)
+    return _Ensemble(ens.layout, ens.amps, ens.weights / total, ens.records)
 
 
 def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.ndarray:
@@ -371,40 +448,29 @@ def _joint(
 ) -> JointDistribution:
     """Joint distribution of what an ensemble observed by ``through_time``.
 
+    ``ens`` must come from replaying ``spec``'s steps through that time.
     An agent with a record (a collapsed measurement, or an outcome the
     ensemble was conditioned on) contributes that outcome; every other agent
-    contributes the diagonal readout of its memory factor.  The readout is
-    one |ψ|² reduction over all rows; rows are then summed by record.
+    contributes the diagonal readout of its memory factor.  What the spec
+    fixes about that split is the :class:`_ReadoutPlan` of the truncation
+    and the recorded memories, built once per spec.  Per call the readout
+    is one |ψ|² reduction over all rows, squared in place; rows are then
+    summed by record.
     """
-    steps = [
-        s
-        for s in spec.measuring_steps
-        if through_time is None or s.time <= through_time
-    ]
-    agents = tuple(s.agent for s in steps)
-    alphabets = {s.agent: s.iso.outcome_labels for s in steps}
-    memories = [s.iso.memory_label for s in steps]
-    recorded = [i for i, m in enumerate(memories) if m in ens.records]
-    # The other agents in axis order, which the readout's axes keep.
-    free = sorted(
-        (i for i, m in enumerate(memories) if m not in ens.records),
-        key=lambda i: ens.layout.axis(memories[i]),
-    )
-    axes = [ens.layout.axis(memories[i]) + 1 for i in free]
-    probs = np.abs(ens.amps) ** 2
-    readout = probs.sum(axis=tuple(a for a in range(1, probs.ndim) if a not in axes))
-    readout *= ens.weights.reshape((-1,) + (1,) * len(free))
+    plan = spec._readout(spec._stop(through_time), frozenset(ens.records))
+    probs = np.abs(ens.amps)
+    np.square(probs, out=probs)
+    readout = np.add.reduce(probs, axis=plan.summed)
+    readout *= ens.weights.reshape(plan.weight_shape)
     readout[readout <= SUPPORT_EPS] = 0.0
     # Each row lands on the cells of its records.  No two rows share their
     # records: a collapse gives its outcome rows distinct records, and
     # selecting or projecting rows keeps them distinct.
-    dims = [len(alphabets[agents[i]]) for i in recorded]
-    array = np.zeros((math.prod(dims),) + readout.shape[1:])
-    array[_record_keys([ens.records[memories[i]] for i in recorded], dims, len(readout))] = readout
-    array = array.reshape(dims + list(readout.shape[1:]))
-    order = recorded + free
-    array = array.transpose([order.index(i) for i in range(len(agents))])
-    return JointDistribution(agents, alphabets, array.copy(), model_tag)
+    records = [ens.records[label] for label in plan.records]
+    array = np.zeros((math.prod(plan.dims),) + readout.shape[1:])
+    array[_record_keys(records, plan.dims, len(readout))] = readout
+    array = array.reshape(plan.dims + readout.shape[1:]).transpose(plan.order)
+    return JointDistribution(plan.agents, dict(plan.alphabets), array.copy(), model_tag)
 
 
 def evolve(

@@ -71,9 +71,13 @@ def _not_normalized(norm_sq: float) -> ValueError:
 
 
 def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
-    """|row|² for every row of a complex array (B, …)."""
+    """|row|² for every row of a complex array (B, …).
+
+    One ``np.vecdot`` of the float view with itself: per row the BLAS dot
+    that a (B, 1, 2N) @ (B, 2N, 1) matmul also makes, so bitwise the same.
+    """
     real = rows.reshape(len(rows), math.prod(rows.shape[1:])).view(np.float64)
-    return (real[:, None, :] @ real[:, :, None]).reshape(len(rows))
+    return np.vecdot(real, real)
 
 
 def _hermitian(mat: np.ndarray) -> bool:
@@ -103,7 +107,7 @@ def _check_unit_rows(rows: np.ndarray) -> None:
     """Raise as :class:`StateVector` does unless every row has unit norm."""
     norm_sq = _row_norms_sq(rows)
     off = np.abs(norm_sq - 1.0)
-    if not off.max(initial=0.0) <= ATOL_CONSTRUCT:
+    if not np.maximum.reduce(off, initial=0.0) <= ATOL_CONSTRUCT:
         raise _not_normalized(float(norm_sq[~(off <= ATOL_CONSTRUCT)][0]))
 
 

@@ -97,3 +97,14 @@ def test_unknown_agents_are_named_first_in_sorted_order():
     )
     with pytest.raises(ValueError, match="unknown agent 'Zed'"):
         evolve(spec, CollapseModel({"nobody", "Zed", "W"}))
+
+
+def test_the_pair_routes_name_an_unknown_agent_before_an_unknown_model_agent():
+    spec = frauchiger_renner()
+    model = CollapseModel({"nobody"})
+    with pytest.raises(KeyError, match="no measuring agent 'Q'"):
+        conditional_table(spec, model, "Q", "F1")
+    with pytest.raises(KeyError, match="no measuring agent 'Q'"):
+        conditional_via_renormalized_state(spec, model, "W", "Q", "x")
+    with pytest.raises(ValueError, match="unknown agent 'nobody'"):
+        conditional_via_renormalized_state(spec, model, "W", "F1", "x")

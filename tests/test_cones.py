@@ -13,7 +13,8 @@ KiB instead of the whole 65,536-amplitude state.
 memories: one lab of GHZ(n,n), n = 8 and 12, is checked against a per-site
 closed form in plain numpy, under a memory bound that grows as 2^n, the
 size of the initial registry every cone keeps.  The full circuit holds
-4^(2n) amplitudes per row.
+4^(2n) amplitudes per row.  Every kept pair of GHZ(6,6)'s labels shares one
+cone per set of kept steps, with the bytes a fresh spec gives.
 """
 
 import itertools
@@ -134,6 +135,28 @@ def test_the_cone_keeps_what_the_memories_can_feel_and_is_shared_by_both_orders(
     # Reading every label, as evolve and evolved_density do, prunes nothing.
     for through in [None, 0] + [s.time for s in spec.steps]:
         assert spec._cone(frozenset(spec.registry_after(through).labels), through) is spec
+
+
+def test_every_kept_pair_of_ghz_6_6_shares_one_cone_per_set_of_kept_steps():
+    def build():
+        return ghz_spec(6, 6, ALPHA, BETA, (0.3, 1.1, 0.7, 0.2, 0.5, 0.9))
+
+    spec = build()
+    labels = spec.registry_after().labels
+    assert len(labels) == 18
+    for keep in itertools.combinations(labels, 2):
+        discard = set(labels) - set(keep)
+        got = memory_state(spec, NO_COLLAPSE, discard).entries
+        want = memory_state(build(), NO_COLLAPSE, discard).entries
+        assert np.array_equal(got, want), keep
+    cones, shared = vars(spec)["_cones"], vars(spec)["_cone_specs"]
+    assert len(cones) == 153
+    # One cone per lab (its friend's and superobserver's steps) and one per
+    # two labs; every (reads, truncation) entry refers to one of them.
+    assert sorted(len(kept) for kept in shared) == [2] * 6 + [4] * 15
+    assert {id(cone) for cone in cones.values()} == {id(cone) for cone in shared.values()}
+    for kept, cone in shared.items():
+        assert all(step is spec.steps[i] for step, i in zip(cone.steps, kept, strict=True))
 
 
 def site_tables(theta):

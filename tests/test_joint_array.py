@@ -11,12 +11,19 @@ GHZ friend/superobserver circuits.
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from circuits import ghz_spec, models_for
-from wignersim.experiment import conditional, evolve, marginal, post_select
+from wignersim.experiment import (
+    JointDistribution,
+    conditional,
+    evolve,
+    marginal,
+    post_select,
+)
 from wignersim.presets import presets
 
 TOL = 1e-15
@@ -129,3 +136,13 @@ def test_joint_array_and_support_view_are_read_only():
     assert joint.probability({"W": "no-such-outcome"}) == 0.0
     with pytest.raises(KeyError):
         joint.probability({"nobody": "o"})
+
+
+@pytest.mark.parametrize(
+    "array,message",
+    [([0.5, 0.4], "joint distribution sums to 0.9, not 1"), ([1.1, -0.1], "negative probability -0.1")],
+    ids=["sum", "negative"],
+)
+def test_an_array_that_is_no_distribution_is_rejected(array, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JointDistribution(("A",), {"A": ("a", "b")}, np.array(array), "ism")

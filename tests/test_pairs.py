@@ -1,4 +1,5 @@
-"""``tools/pairs.py``'s summary of one metric over alternating pairs of runs."""
+"""``tools/pairs.py``: its summary of one metric over alternating pairs of runs,
+and the shape of its interleaved comparison."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_eight_pairs_won_of_ten_do_not_meet_the_claim():
 def test_a_median_worse_beyond_the_bound_is_worse():
     slower = [70.0 + i for i in range(10)]
     assert pairs.summarize(runs(PARENT, slower), RATE)["verdict"] == "worse"
+
+
+def test_the_interleaved_run_gives_each_question_kind_its_ratio():
+    # Both sides are this checkout; a short run still makes one timed pass.
+    block = pairs.interleaved(ROOT, ROOT, "fr-questions", seconds=0.05)
+    assert set(block) == {"seed", "seconds", "passes", "rate", "new_over_old", "kinds", "failed"}
+    assert block["seed"] == pairs.PAIRS + 1 and block["passes"] >= 1 and block["failed"] == 0
+    assert set(block["rate"]) == {"old", "new"} and block["new_over_old"] > 0
+    assert {"conditional_table", "evolve", "memory_state"} <= set(block["kinds"])
+    assert all(isinstance(ratio, float) and ratio > 0 for ratio in block["kinds"].values())
+    report = {"parent_ref": "0000000", "pairs": 10, "seconds": 30.0, "workloads": {},
+              "interleave": {"fr-questions": block}}
+    assert "fr-questions interleaved (0.05 s, seed 11): new/old x" in pairs.paragraph(report)

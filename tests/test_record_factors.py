@@ -26,6 +26,7 @@ import pytest
 import numpy_oracle as oracle
 from circuits import ghz_spec, models_for
 from wignersim.channels import (
+    BRANCH_CUT,
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
@@ -44,7 +45,7 @@ from wignersim.experiment import (
 )
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
-from wignersim.states import StateVector, ZeroProbabilityError
+from wignersim.states import StateVector, ZeroProbabilityError, _row_norms_sq
 
 ORACLE_ATOL = 1e-12
 
@@ -241,6 +242,44 @@ def test_step_on_a_memory_in_another_basis_fails_when_the_spec_is_built():
     iso = build_measurement_isometry("W0", flipped, basis, memory="W0")
     with pytest.raises(ValueError, match="bases differ"):
         ExperimentSpec("flipped", spec.registry, spec.initial, (friend, Step(2, iso)))
+
+
+def test_a_collapse_keeps_each_surviving_child_of_its_parent():
+    # GHZ(3,2) under objective collapse: after F0 each row holds its qubits'
+    # values, so every later step cuts half of its children (two of F1's and
+    # F2's, and the two completion outcomes of W0's and W1's four).
+    spec = ghz_spec(3, 2, GHZ_ALPHA, GHZ_BETA, (0.3, 1.1))
+    ens, cut = spec._start, []
+    for plan in spec._step_plans:
+        image = _isometry_image(ens.expanded(plan.domain).amps, plan)
+        children = ens.stepped(plan, collapses=True)
+        b, k = image.shape[:2]
+        row = 0
+        for parent, outcome in np.ndindex(b, k):
+            child = image[parent, outcome][None]
+            p = _row_norms_sq(child[None])[0]
+            if p <= BRANCH_CUT:
+                continue
+            for label, records in ens.records.items():
+                assert children.records[label][row] == records[parent]
+            assert children.records[plan.iso.memory_label][row] == outcome
+            assert children.weights[row] == ens.weights[parent] * p
+            assert np.array_equal(children.amps[row], child / np.sqrt(p))
+            row += 1
+        assert len(children.weights) == len(children.amps) == row
+        assert children.records.keys() == ens.records.keys() | {plan.iso.memory_label}
+        cut.append(b * k - row)
+        ens = children
+    assert cut == [0, 2, 2, 4, 8]
+    # A NaN amplitude makes its row's children NaN: they are kept, so the
+    # norm check rejects them.
+    first = spec._start.stepped(spec._step_plans[0], collapses=True)
+    amps = first.amps.copy()
+    amps[1].flat[0] = math.nan
+    poisoned = _Ensemble(first.layout, amps, first.weights, first.records)
+    with pytest.raises(ValueError, match=r"^state not normalized: \|psi\|\^2 = nan$"):
+        with np.errstate(invalid="ignore"):
+            poisoned.stepped(spec._step_plans[1], collapses=True)
 
 
 NOT_NORMALIZED = re.compile(r"state not normalized: \|psi\|\^2 = (\S+)")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from wignersim.states import (
     DensityMatrix,
     Projector,
     StateVector,
+    _row_norms_sq,
     born_probability,
     partial_trace,
     tensor,
@@ -540,3 +542,20 @@ def test_debug_printing_sorted_by_multi_index():
         reg, {("down", "d"): SQ2, ("up", "u"): SQ2}
     )
     assert str(psi) == "0.70710678 |up,u⟩ + 0.70710678 |down,d⟩"
+
+
+ROW_COUNTS = (1, 2, 3, 5, 8, 12, 16, 32, 33, 64)
+ROW_LENGTHS = (1, 3, 256, 4099, 131072)
+ROW_SCALES = (1e-8, 1.0, 1e3)
+
+
+def test_row_norms_are_the_matmul_on_the_float_view_bit_for_bit():
+    # The reference is the (B, 1, 2N) @ (B, 2N, 1) matmul the kernel used
+    # before np.vecdot: both make one BLAS dot per row, so every bit agrees.
+    rng = np.random.default_rng(23)
+    for b, n, scale in itertools.product(ROW_COUNTS, ROW_LENGTHS, ROW_SCALES):
+        real = rng.standard_normal((b, 2 * n))
+        real *= scale
+        rows = real.view(np.complex128).reshape(b, 1, n)
+        want = (real[:, None, :] @ real[:, :, None]).reshape(b)
+        assert np.array_equal(_row_norms_sq(rows), want), (b, n, scale)

@@ -5,7 +5,10 @@ must not change when plans are reused: a step that cannot be planned fails
 when its spec is built, inside or outside a pair's cone, one spec serves
 every collapse model in any order (against the plain-numpy oracle, and
 equal to a fresh spec), every plan exists as soon as the spec does and
-chains the registries, and a plan holds no amplitudes.
+chains the registries, and a plan holds no amplitudes.  The readout plans
+a spec keeps per truncation and recorded memories give ``evolve`` and the
+pair tables the bytes a fresh spec gives, whichever question built them,
+and threads sharing one spec build exactly the plans their questions use.
 """
 
 import itertools
@@ -223,3 +226,73 @@ def test_threads_sharing_one_fresh_spec_get_the_answers_of_one_thread(route):
         if route != "evolve":
             pruned = [c for c in vars(spec)["_cones"].values() if len(c.steps) < len(spec.steps)]
             assert pruned
+        used = {}
+        for case in cases:
+            found = readout_key(spec, route, case)
+            if found is not None:
+                used.setdefault(id(found[0]), set()).add(found[1])
+        cones = {id(spec): spec} | {id(c): c for c in vars(spec)["_cone_specs"].values()}
+        for key, cone in cones.items():
+            assert set(vars(cone)["_readouts"]) == used.get(key, set())
+
+
+def readout_key(spec, route, case):
+    """The spec an answer is read out on, and the key of its readout plan.
+
+    None for ``memory_state``, which reads out no joint.  The key is the
+    number of steps run and the memories recorded: each collapsed
+    measurement's, and the given agent's for the renormalized route.
+    """
+    if route == "memory_state":
+        return None
+    model, question = case
+    recorded = set()
+    if route == "evolve":
+        cone, stop = spec, spec._stop(question)
+    else:
+        steps = [spec.step_for(agent) for agent in question]
+        reads = frozenset(step.iso.memory_label for step in steps)
+        through = max(step.time for step in steps)
+        cone = spec._cone(reads, through)
+        stop = cone._stop(through)
+        if route == "renormalized":
+            recorded.add(steps[1].iso.memory_label)
+    recorded.update(
+        s.iso.memory_label
+        for s in cone.steps[:stop]
+        if s.is_measurement and model.collapses_at(s.agent)
+    )
+    return cone, (stop, frozenset(recorded))
+
+
+def joint_bytes(spec, case):
+    model, through = case
+    joint = evolve(spec, model, through)
+    return joint.agents, joint.alphabets, joint.array.shape, joint.array.tobytes(), joint.model_tag
+
+
+def table_bytes(spec, case):
+    model, (target, given) = case
+    table = conditional_table(spec, model, target, given)
+    columns = {g: [v.hex() for v in column.values()] for g, column in table.columns.items()}
+    return table.target_alphabet, table.given_alphabet, columns, table.model_tag
+
+
+def readout_questions(spec):
+    """``evolve`` at every truncation and every ordered pair's table, under every model."""
+    questions = []
+    for model in models_for(spec):
+        times = [None] + [s.time for s in spec.steps]
+        questions += [(joint_bytes, (model, through)) for through in times]
+        pairs = itertools.permutations(spec.measuring_agents, 2)
+        questions += [(table_bytes, (model, pair)) for pair in pairs]
+    return questions
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_readout_plans_give_every_answer_the_bytes_of_a_fresh_spec(name, order):
+    shared = BUILDERS[name]()
+    for answer, case in readout_questions(shared)[::order]:
+        assert answer(shared, case) == answer(BUILDERS[name](), case), case
+    assert vars(shared)["_readouts"]

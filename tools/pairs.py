@@ -24,8 +24,14 @@ change won, and a verdict against the metric's bound:
 
 ``claim_met`` says whether the change is better in at least nine of ten
 pairs, its median beats the parent's by more than the parent's IQR, and its
-runs failed no more operations in all than the parent's.  The runner prints
-a summary paragraph as it finishes.
+runs failed no more operations in all than the parent's.
+
+After the pairs, ``tools/interleave.py`` asks every workload's deck of both
+trees in one process for 20 s, with seed 11, which no pair uses.  Its
+figures go under the file's ``interleave`` key, per workload: the best-of
+rates, their ratio and each question kind's old/new ratio of best
+latencies.  They measure only; the verdicts come from the pairs.  The
+runner prints a summary paragraph as it finishes.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+INTERLEAVE_SECONDS = 20.0
 
 
 def unpack(ref: str, into: Path) -> Path:
@@ -71,6 +78,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "wall_s": round(time.monotonic() - start, 1),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def interleaved(parent: Path, change: Path, workload: str,
+                seconds: float = INTERLEAVE_SECONDS) -> dict:
+    """``tools/interleave.py`` on the two trees: best-of rates and per-kind ratios."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "interleave.py"), str(parent), str(change),
+         "--workload", workload, "--seed", str(PAIRS + 1), "--seconds", str(seconds), "--json"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if done.returncode not in (0, 1) or not done.stdout.strip():
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"tools/interleave.py exited with {done.returncode} on {workload}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {
+        "seed": result["seed"],
+        "seconds": result["seconds"],
+        "passes": result["passes"],
+        "rate": result["rate"],
+        "new_over_old": result["new_over_old"],
+        "kinds": {kind: k["old_over_new"] for kind, k in result["kinds"].items()},
+        "failed": result["failed"],
     }
 
 
@@ -118,6 +148,10 @@ def paragraph(report: dict) -> str:
                          f"({100 * s['relative_gain']:+.1f}%, won {s['pairs_won']}/{s['pairs']}, "
                          f"{s['verdict']})")
         lines.append(f"{workload}: " + "; ".join(parts) + ".")
+    for workload, block in report["interleave"].items():
+        kinds = ", ".join(f"{kind} {ratio:.3f}" for kind, ratio in block["kinds"].items())
+        lines.append(f"{workload} interleaved ({block['seconds']:g} s, seed {block['seed']}): "
+                     f"new/old x{block['new_over_old']:.3f}; old/new per kind: {kinds}.")
     return "\n".join(lines)
 
 
@@ -149,6 +183,10 @@ def main(argv=None) -> int:
                 "runs": runs,
                 "metrics": {m["name"]: summarize(runs, m) for m in spec["end_to_end"]},
             }
+        report["interleave"] = {
+            workload: interleaved(trees["parent"], trees["change"], workload)
+            for workload in report["workloads"]
+        }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(paragraph(report))
     return 0
