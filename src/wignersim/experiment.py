@@ -19,6 +19,14 @@ Every question evolves only the backward cone of the factors it reads (see
 :func:`evolve` and :func:`evolved_density` every factor.  A step outside the
 cone is a channel on factors the question never reads, so by no-signalling
 it cannot change the answer.
+
+Collapse and isometry can only describe a measurement differently when a
+later step still acts on its memory.  :func:`evolve` therefore collapses
+every measurement its truncation *settles* (see
+``ExperimentSpec._settled``), whatever the caller's model: the projectors on
+an untouched memory commute with every later step, so the joint is the same,
+and every later step runs on rows that no longer carry that memory's
+outcome axis.  The pair routes and the density routes evolve literally.
 """
 
 from __future__ import annotations
@@ -71,7 +79,9 @@ class ExperimentSpec:
     and kept, one spec per distinct set of kept steps, which every (reads,
     truncation) with that set shares; a cone keeps the full initial
     registry.  :func:`_joint` reads out through a :class:`_ReadoutPlan`,
-    built on first use and kept per truncation and recorded memories.  All
+    built on first use and kept per truncation and recorded memories, and
+    :func:`evolve` collapses the measurements :meth:`_settled` finds, kept
+    per truncation; a spec that is never evolved computes none.  All
     of these are derived from the frozen fields alone, like
     :attr:`measuring_steps`; none holds an answer, and the start ensemble's
     weights and records are read-only, so every answer is still computed in
@@ -112,6 +122,7 @@ class ExperimentSpec:
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_cone_specs", {})
         object.__setattr__(self, "_readouts", {})
+        object.__setattr__(self, "_settled_sets", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
                 if agent not in measuring:
@@ -167,6 +178,27 @@ class ExperimentSpec:
                     cone = self._cone_specs.setdefault(kept, cone)
             cone = self._cones.setdefault(key, cone)
         return cone
+
+    def _settled(self, stop: int) -> frozenset[str]:
+        """The agents whose measurements the first ``stop`` steps settle.
+
+        A measurement is settled when at least one later step runs by then
+        and none of those steps has its memory in its domain.  Every later
+        step then acts as V ⊗ 1 on that memory, so the projectors on the
+        memory commute with it: collapsing the memory at its step gives the
+        joint that reading it after the last step gives.  Built on first use
+        and published whole, keyed by ``stop``.
+        """
+        settled = self._settled_sets.get(stop)
+        if settled is None:
+            touched: set[str] = set()
+            found = set()
+            for later, step in enumerate(reversed(self.steps[:stop])):
+                if later and step.is_measurement and step.iso.memory_label not in touched:
+                    found.add(step.agent)
+                touched.update(step.iso.domain.labels)
+            settled = self._settled_sets.setdefault(stop, frozenset(found))
+        return settled
 
     def _readout(self, stop: int, records: frozenset[str]) -> "_ReadoutPlan":
         """The readout plan after ``stop`` steps of an ensemble holding ``records``.
@@ -311,13 +343,18 @@ class JointDistribution:
             support[assignment] = float(self.array[cell])
         return support
 
-    def _cells(self, condition: Mapping[str, str]) -> tuple | None:
-        """Index of the cells matching a partial condition; None if none can."""
+    def _cells(self, condition: Mapping[str, str]) -> tuple:
+        """Index of the cells matching a partial condition.
+
+        An outcome outside its agent's alphabet is no event at all, not an
+        impossible one: it raises as every conditioning route does.
+        """
         unknown = set(condition) - set(self.agents)
         if unknown:
             raise KeyError(f"unknown agents {sorted(unknown)}")
-        if any(o not in self.alphabets[a] for a, o in condition.items()):
-            return None
+        for agent, outcome in condition.items():
+            if outcome not in self.alphabets[agent]:
+                raise KeyError(f"{outcome!r} is not an outcome of {agent!r}")
         return tuple(
             self.alphabets[a].index(condition[a]) if a in condition else slice(None)
             for a in self.agents
@@ -325,8 +362,7 @@ class JointDistribution:
 
     def probability(self, condition: Mapping[str, str]) -> float:
         """Total probability of all assignments matching a partial condition."""
-        cells = self._cells(condition)
-        return 0.0 if cells is None else float(self.array[cells].sum())
+        return float(self.array[self._cells(condition)].sum())
 
 
 @dataclass(frozen=True)
@@ -480,10 +516,22 @@ def evolve(
 ) -> JointDistribution:
     """Exact joint distribution of the outcomes observed by ``through_time``.
 
-    It reads every factor, so its cone is the whole truncated circuit.
+    It reads every factor, so its cone is the whole truncated circuit.  A
+    measurement the truncation settles (see :meth:`ExperimentSpec._settled`)
+    is evolved as a collapse whatever ``model`` says: no later step acts on
+    its memory, so the collapse gives the joint that the coherent readout
+    gives, while every later step runs on rows without that memory's
+    outcome axis.  The joint keeps the caller's model tag.  Only the branch
+    cut tells the two apart: a settled outcome of conditional probability
+    ≤ ``BRANCH_CUT`` is dropped at its step, as under any collapse, where a
+    coherent readout keeps cells above ``SUPPORT_EPS``.
     """
+    settled = spec._settled(spec._stop(through_time))
+    evolved = model
+    if model.agents is not None and not settled <= model.agents:
+        evolved = CollapseModel(model.agents | settled)
     reads = frozenset(spec.registry_after(through_time).labels)
-    ens, _ = _evolved_branches(spec, model, reads, through_time)
+    ens, _ = _evolved_branches(spec, evolved, reads, through_time)
     return _joint(ens, spec, model.tag, through_time)
 
 

@@ -1,8 +1,10 @@
 """Circuits and model lists shared by the tests.
 
 :func:`ghz_spec` builds the GHZ friend/superobserver circuits that the size
-and cone tests use; :func:`models_for` lists the collapse models a spec is
-checked under.
+and cone tests use, and :func:`site_tables` one site of their closed form;
+:func:`models_for` lists the collapse models a spec is checked under.
+:func:`settled` scans a truncation's steps for the measurements it settles,
+and :func:`read_model` is the model ``evolve`` runs for a caller's model.
 """
 
 from __future__ import annotations
@@ -26,6 +28,28 @@ def models_for(spec):
     return [NO_COLLAPSE, OBJECTIVE_COLLAPSE] + [
         CollapseModel.subjective(agent) for agent in spec.measuring_agents
     ]
+
+
+def settled(spec, through=None):
+    """The agents whose memory no later step by ``through`` reads, the last step's excepted.
+
+    A direct scan: each measurement is checked against every step after it.
+    """
+    steps = [s for s in spec.steps if through is None or s.time <= through]
+    return frozenset(
+        step.agent
+        for i, step in enumerate(steps)
+        if step.is_measurement
+        and i + 1 < len(steps)
+        and all(step.iso.memory_label not in later.iso.domain.labels for later in steps[i + 1 :])
+    )
+
+
+def read_model(spec, model, through=None):
+    """The caller's collapse set plus the settled measurements; ``objective`` as is."""
+    if model.agents is None:
+        return model
+    return CollapseModel(model.agents | settled(spec, through))
 
 
 def ghz_spec(n, m, alpha, beta, thetas):
@@ -68,3 +92,20 @@ def ghz_spec(n, m, alpha, beta, thetas):
         initial=StateVector(registry, amps),
         steps=tuple(steps),
     )
+
+
+def site_tables(theta):
+    """One GHZ site's two branch states on (Qi, Fi, Wi), as (friend record, W record) tables.
+
+    V_Fi then V_Wi take |0⟩ to |0a⟩ = c e_p + s e_m and |1⟩ to
+    |1b⟩ = s e_p − c e_m, each e_w tagged with its record w, where
+    e_p = c|0a⟩ + s|1b⟩ and e_m = s|0a⟩ − c|1b⟩.  The qubit always equals
+    the friend's record, so entry [x, f, w] is branch x's amplitude of
+    |f f⟩|w⟩.  W's two completed outcomes never occur.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    e = np.array([[c, s], [s, -c]])  # e[w, f]: e_w's amplitude of |f f⟩
+    tables = np.zeros((2, 2, 4))
+    for x, k in enumerate(((c, s), (s, -c))):
+        tables[x, :, :2] = (np.array(k)[:, None] * e).T
+    return tables

@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circuits import ghz_spec
+from circuits import ghz_spec, site_tables
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel, _Ensemble
 from wignersim.experiment import (
     conditional,
@@ -157,23 +157,6 @@ def test_every_kept_pair_of_ghz_6_6_shares_one_cone_per_set_of_kept_steps():
     assert {id(cone) for cone in cones.values()} == {id(cone) for cone in shared.values()}
     for kept, cone in shared.items():
         assert all(step is spec.steps[i] for step, i in zip(cone.steps, kept, strict=True))
-
-
-def site_tables(theta):
-    """One GHZ site's two branch states on (Qi, Fi, Wi), as (friend record, W record) tables.
-
-    V_Fi then V_Wi take |0⟩ to |0a⟩ = c e_p + s e_m and |1⟩ to
-    |1b⟩ = s e_p − c e_m, each e_w tagged with its record w, where
-    e_p = c|0a⟩ + s|1b⟩ and e_m = s|0a⟩ − c|1b⟩.  The qubit always equals
-    the friend's record, so entry [x, f, w] is branch x's amplitude of
-    |f f⟩|w⟩.  W's two completed outcomes never occur.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    e = np.array([[c, s], [s, -c]])  # e[w, f]: e_w's amplitude of |f f⟩
-    tables = np.zeros((2, 2, 4))
-    for x, k in enumerate(((c, s), (s, -c))):
-        tables[x, :, :2] = (np.array(k)[:, None] * e).T
-    return tables
 
 
 def one_lab_closed_form(alpha, beta, thetas, tag):

@@ -20,8 +20,10 @@ from circuits import ghz_spec, models_for
 from wignersim.experiment import (
     JointDistribution,
     conditional,
+    conditional_via_renormalized_state,
     evolve,
     marginal,
+    memory_state,
     post_select,
 )
 from wignersim.presets import presets
@@ -133,9 +135,27 @@ def test_joint_array_and_support_view_are_read_only():
         joint.array[(0,) * joint.array.ndim] = 1.0
     with pytest.raises(TypeError):
         joint.probs[next(iter(joint.probs))] = 1.0
-    assert joint.probability({"W": "no-such-outcome"}) == 0.0
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown agents"):
         joint.probability({"nobody": "o"})
+
+
+def test_an_unknown_outcome_is_no_event_on_every_route():
+    """An outcome outside its alphabet raises; it is not a zero-probability event."""
+    spec, model = SPECS["fr"], models_for(SPECS["fr"])[0]
+    joint = evolve(spec, model)
+    message = re.escape(repr("'zz' is not an outcome of 'A'"))
+    calls = [
+        lambda: joint.probability({"A": "zz"}),
+        lambda: post_select(joint, {"A": "zz"}),
+        lambda: post_select(joint, {"W": "O", "A": "zz"}),
+        lambda: conditional_via_renormalized_state(spec, model, "W", "A", "zz"),
+        lambda: memory_state(spec, model, ["S"], {"A": "zz"}),
+    ]
+    for call in calls:
+        with pytest.raises(KeyError, match=f"^{message}$"):
+            call()
+    with pytest.raises(KeyError, match="unknown agents"):
+        post_select(joint, {"nobody": "o", "A": "zz"})
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from circuits import ghz_spec, models_for
+from circuits import ghz_spec, models_for, read_model
 from wignersim.channels import (
     BRANCH_CUT,
     NO_COLLAPSE,
@@ -153,7 +153,9 @@ def ndindex_joint(spec, model):
 def test_support_readout_equals_every_cell_loop(name, model):
     spec = presets()[name]()
     got = evolve(spec, model).probs
-    want = ndindex_joint(spec, model)
+    # The loop runs on the ensemble evolve reads: the caller's collapse set
+    # plus the measurements the circuit settles.
+    want = ndindex_joint(spec, read_model(spec, model))
     assert got == want
     # The support view lists cells in basis order.  The loop's dict is in
     # branch order, which differs when a collapsed agent is not the first.

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from circuits import ghz_spec, models_for
+from circuits import ghz_spec, models_for, read_model
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -234,6 +234,9 @@ def test_threads_sharing_one_fresh_spec_get_the_answers_of_one_thread(route):
         cones = {id(spec): spec} | {id(c): c for c in vars(spec)["_cone_specs"].values()}
         for key, cone in cones.items():
             assert set(vars(cone)["_readouts"]) == used.get(key, set())
+        # Only evolve settles, once per number of steps its cases run.
+        stops = {spec._stop(through) for _, through in cases} if route == "evolve" else set()
+        assert set(vars(spec)["_settled_sets"]) == stops
 
 
 def readout_key(spec, route, case):
@@ -241,7 +244,8 @@ def readout_key(spec, route, case):
 
     None for ``memory_state``, which reads out no joint.  The key is the
     number of steps run and the memories recorded: each collapsed
-    measurement's, and the given agent's for the renormalized route.
+    measurement's (for ``evolve``, each settled one's too), and the given
+    agent's for the renormalized route.
     """
     if route == "memory_state":
         return None
@@ -249,6 +253,7 @@ def readout_key(spec, route, case):
     recorded = set()
     if route == "evolve":
         cone, stop = spec, spec._stop(question)
+        model = read_model(spec, model, question)
     else:
         steps = [spec.step_for(agent) for agent in question]
         reads = frozenset(step.iso.memory_label for step in steps)
