@@ -31,6 +31,7 @@ from .states import (
     StateVector,
     ZeroProbabilityError,
     _check_unit_rows,
+    _freeze,
     _row_norms_sq,
     _spelled,
 )
@@ -65,14 +66,13 @@ def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
 
 def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     """A read-only complex copy of a (d·k)×d matrix V, checked for V†V = 1."""
-    mat = np.ascontiguousarray(np.asarray(matrix), dtype=np.complex128)
+    mat = _freeze(matrix)
     if mat.shape != (d * k, d):
         raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
     if not np.max(np.abs(mat.conj().T @ mat - np.eye(d))) <= ATOL_ISOMETRY:
         raise ValueError(
             f"V†V differs from the identity beyond {_spelled(ATOL_ISOMETRY)}"
         )
-    mat.setflags(write=False)
     return mat
 
 

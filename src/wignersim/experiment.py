@@ -13,20 +13,21 @@ memories and would alter the answer.  :func:`conditional_table` applies that
 truncation; :func:`conditional` itself is plain Bayes on whatever joint
 distribution it is given.
 
-Every question evolves only the backward cone of the factors it reads (see
-``ExperimentSpec._cone``): the pair routes read the two memories,
-:func:`memory_state` its kept factors and the memories it is given, and
-:func:`evolve` and :func:`evolved_density` every factor.  A step outside the
-cone is a channel on factors the question never reads, so by no-signalling
-it cannot change the answer.
+Every question evolves only the backward cone of the factors it reads, up
+to its truncation (see ``ExperimentSpec._cone``): the pair routes read the
+two memories, :func:`memory_state` its kept factors and the memories it is
+given, and :func:`evolve` and :func:`evolved_density` every factor.  A step
+outside the cone is a channel on factors the question never reads, so by
+no-signalling it cannot change the answer.  The cone holds exactly the steps
+it runs, so the replay, the readout and the settled set read it whole.
 
 Collapse and isometry can only describe a measurement differently when a
 later step still acts on its memory.  :func:`evolve` therefore collapses
-every measurement its truncation *settles* (see
-``ExperimentSpec._settled``), whatever the caller's model: the projectors on
-an untouched memory commute with every later step, so the joint is the same,
-and every later step runs on rows that no longer carry that memory's
-outcome axis.  The pair routes and the density routes evolve literally.
+every measurement its cone *settles* (see ``ExperimentSpec._settled``),
+whatever the caller's model: the projectors on an untouched memory commute
+with every later step, so the joint is the same, and every later step runs
+on rows that no longer carry that memory's outcome axis.  The pair routes
+and the density routes evolve literally.
 """
 
 from __future__ import annotations
@@ -75,13 +76,14 @@ class ExperimentSpec:
     collapse model, replays the plans from the start ensemble, the initial
     state as one row of weight 1 with no records; :meth:`registry_after`
     reads the chain.  Every question evolves the backward cone
-    (:meth:`_cone`) of the factors it reads.  Cones are built on first use
-    and kept, one spec per distinct set of kept steps, which every (reads,
-    truncation) with that set shares; a cone keeps the full initial
-    registry.  :func:`_joint` reads out through a :class:`_ReadoutPlan`,
-    built on first use and kept per truncation and recorded memories, and
-    :func:`evolve` collapses the measurements :meth:`_settled` finds, kept
-    per truncation; a spec that is never evolved computes none.  All
+    (:meth:`_cone`) of the factors it reads, up to its truncation, and
+    nothing after the cone knows the truncation.  Cones are built on first
+    use and kept, one spec per distinct set of kept steps, which every
+    (reads, truncation) with that set shares; a cone keeps the full initial
+    registry.  :func:`_joint` reads a cone out through a
+    :class:`_ReadoutPlan`, built on first use and kept per set of recorded
+    memories, and :func:`evolve` collapses the measurements its cone's
+    :attr:`_settled` finds; a spec that is never evolved computes none.  All
     of these are derived from the frozen fields alone, like
     :attr:`measuring_steps`; none holds an answer, and the start ensemble's
     weights and records are read-only, so every answer is still computed in
@@ -122,7 +124,6 @@ class ExperimentSpec:
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_cone_specs", {})
         object.__setattr__(self, "_readouts", {})
-        object.__setattr__(self, "_settled_sets", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
                 if agent not in measuring:
@@ -148,13 +149,13 @@ class ExperimentSpec:
         then joins that set.  A step left out is, under any collapse model, a
         channel on factors that are never read, so the read factors' state
         and their records are the same on the cone: a spec with this spec's
-        name, registry and initial state, the kept steps and no halting.
-        When no step is left out (always, when every label is read) it is
-        this spec itself.  ``reads`` and the number of steps run map to the
-        indices of the kept steps, and each distinct tuple of those to one
-        cone spec, so the (reads, truncation) entries only refer to the
-        cones they share.  Both are built on first use and published whole;
-        like a plan, a cone holds no amplitudes or answers.
+        name, registry and initial state, the kept steps and no halting.  A
+        cone runs to its end, so every reader takes it whole: it is this spec
+        itself only when it keeps every step.  ``reads`` and the number of
+        steps run map to the indices of the kept steps, and each distinct
+        tuple of those to one cone spec, so the (reads, truncation) entries
+        only refer to the cones they share.  Both are built on first use and
+        published whole; like a plan, a cone holds no amplitudes or answers.
         """
         stop = self._stop(through_time)
         key = (reads, stop)
@@ -168,7 +169,7 @@ class ExperimentSpec:
                     kept.append(i)
                     relevant.update(iso.domain.labels)
             kept = tuple(kept[::-1])
-            if len(kept) == stop:
+            if len(kept) == len(self.steps):
                 cone = self
             else:
                 cone = self._cone_specs.get(kept)
@@ -179,37 +180,34 @@ class ExperimentSpec:
             cone = self._cones.setdefault(key, cone)
         return cone
 
-    def _settled(self, stop: int) -> frozenset[str]:
-        """The agents whose measurements the first ``stop`` steps settle.
+    @cached_property
+    def _settled(self) -> frozenset[str]:
+        """The agents whose measurements this spec's steps settle.
 
-        A measurement is settled when at least one later step runs by then
-        and none of those steps has its memory in its domain.  Every later
-        step then acts as V ⊗ 1 on that memory, so the projectors on the
-        memory commute with it: collapsing the memory at its step gives the
-        joint that reading it after the last step gives.  Built on first use
-        and published whole, keyed by ``stop``.
+        A measurement is settled when at least one later step runs and none
+        of those steps has its memory in its domain.  Every later step then
+        acts as V ⊗ 1 on that memory, so the projectors on the memory
+        commute with it: collapsing the memory at its step gives the joint
+        that reading it after the last step gives.  A truncation's settled
+        set is its cone's.
         """
-        settled = self._settled_sets.get(stop)
-        if settled is None:
-            touched: set[str] = set()
-            found = set()
-            for later, step in enumerate(reversed(self.steps[:stop])):
-                if later and step.is_measurement and step.iso.memory_label not in touched:
-                    found.add(step.agent)
-                touched.update(step.iso.domain.labels)
-            settled = self._settled_sets.setdefault(stop, frozenset(found))
-        return settled
+        touched: set[str] = set()
+        found = set()
+        for later, step in enumerate(reversed(self.steps)):
+            if later and step.is_measurement and step.iso.memory_label not in touched:
+                found.add(step.agent)
+            touched.update(step.iso.domain.labels)
+        return frozenset(found)
 
-    def _readout(self, stop: int, records: frozenset[str]) -> "_ReadoutPlan":
-        """The readout plan after ``stop`` steps of an ensemble holding ``records``.
+    def _readout(self, records: frozenset[str]) -> "_ReadoutPlan":
+        """The readout plan after every step of an ensemble holding ``records``.
 
-        Built on first use and published whole, keyed by ``stop`` and the
-        recorded memory labels.
+        Built on first use and published whole, keyed by the recorded
+        memory labels.
         """
-        key = (stop, records)
-        plan = self._readouts.get(key)
+        plan = self._readouts.get(records)
         if plan is None:
-            plan = self._readouts.setdefault(key, _ReadoutPlan.of(self, stop, records))
+            plan = self._readouts.setdefault(records, _ReadoutPlan.of(self, records))
         return plan
 
     def step_for(self, agent: str) -> Step:
@@ -231,17 +229,17 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, eq=False)
 class _ReadoutPlan:
-    """What a spec fixes about reading out an ensemble after ``stop`` steps.
+    """What a spec fixes about reading out an ensemble after its last step.
 
-    ``agents`` are the agents that measured by then, in step order, with
-    their ``alphabets``.  Agents whose memory is one of the ensemble's
-    records contribute their record: ``records`` holds those memories in
-    agent order and ``dims`` their alphabet lengths.  The others are read
-    from their memory factors: ``summed`` lists every other array axis,
-    the ensemble's row axis excluded, and ``weight_shape`` broadcasts the
-    weights over the free agents.  The cells come out with the recorded
-    agents first and the free ones in axis order; ``order`` transposes them
-    back to agent order.  Like a step plan it holds no amplitudes or answers.
+    ``agents`` are the spec's measuring agents, in step order, with their
+    ``alphabets``.  Agents whose memory is one of the ensemble's records
+    contribute their record: ``records`` holds those memories in agent order
+    and ``dims`` their alphabet lengths.  The others are read from their
+    memory factors: ``summed`` lists every other array axis, the ensemble's
+    row axis excluded, and ``weight_shape`` broadcasts the weights over the
+    free agents.  The cells come out with the recorded agents first and the
+    free ones in axis order; ``order`` transposes them back to agent order.
+    Like a step plan it holds no amplitudes or answers.
     """
 
     agents: tuple[str, ...]
@@ -253,9 +251,9 @@ class _ReadoutPlan:
     order: tuple[int, ...]
 
     @classmethod
-    def of(cls, spec: ExperimentSpec, stop: int, records: frozenset[str]) -> "_ReadoutPlan":
-        layout = spec._step_plans[stop - 1].layout if stop else spec.registry
-        steps = [s for s in spec.measuring_steps if stop and s.time <= spec.steps[stop - 1].time]
+    def of(cls, spec: ExperimentSpec, records: frozenset[str]) -> "_ReadoutPlan":
+        layout = spec._step_plans[-1].layout if spec.steps else spec.registry
+        steps = spec.measuring_steps
         memories = [s.iso.memory_label for s in steps]
         recorded = [i for i, m in enumerate(memories) if m in records]
         # The other agents in axis order, which the readout's axes keep.
@@ -306,7 +304,8 @@ class JointDistribution:
     """Exact joint outcome distribution with a collapse-model provenance tag.
 
     ``array`` has one axis per agent, in ``agents`` order, each as long as
-    that agent's alphabet, so array order is basis order.  It is read-only.
+    that agent's alphabet, so array order is basis order.  It is a
+    read-only C-ordered copy of the array it was given.
     """
 
     agents: tuple[str, ...]
@@ -315,7 +314,7 @@ class JointDistribution:
     model_tag: str
 
     def __post_init__(self) -> None:
-        array = np.asarray(self.array, dtype=np.float64)
+        array = np.array(self.array, dtype=np.float64, order="C")
         shape = tuple(len(self.alphabets[agent]) for agent in self.agents)
         if array.shape != shape:
             raise ValueError(f"joint array shape {array.shape}, expected {shape}")
@@ -409,7 +408,7 @@ def _evolved_branches(
     """The cone of ``reads`` (see :meth:`ExperimentSpec._cone`), evolved, and that cone.
 
     The model is checked on the full spec, and passes unchanged to the cone.
-    The steps replay the cone's plans from its start ensemble: per call,
+    Every step of the cone replays its plan from the start ensemble: per call,
     each expands any record on its domain, makes one transpose and one
     matmul over all rows, then checks every row's norm or splits the rows by
     outcome.  The output axis order is kept (see
@@ -424,23 +423,21 @@ def _evolved_branches(
         )
     cone = spec._cone(reads, through_time)
     ens = cone._start
-    for step, plan in zip(cone.steps[: cone._stop(through_time)], cone._step_plans):
+    for step, plan in zip(cone.steps, cone._step_plans):
         ens = ens.stepped(plan, step.is_measurement and model.collapses_at(step.agent))
     return ens, cone
 
 
 def _pair_branches(
     spec: ExperimentSpec, model: CollapseModel, target: str, given: str
-) -> tuple[_Ensemble, ExperimentSpec, int]:
-    """The cone of two agents' memories at the later of their steps, evolved.
+) -> tuple[_Ensemble, ExperimentSpec]:
+    """The cone of two agents' memories at the later of their steps, evolved, and that cone.
 
-    Returns the ensemble, the cone and that time.  The agents are checked
-    before the model, as a full evolution checks them.
+    The agents are checked before the model, as a full evolution checks them.
     """
     t, g = spec.step_for(target), spec.step_for(given)
-    through = max(t.time, g.time)
     reads = frozenset((t.iso.memory_label, g.iso.memory_label))
-    return (*_evolved_branches(spec, model, reads, through), through)
+    return _evolved_branches(spec, model, reads, max(t.time, g.time))
 
 
 def _condition_branches(
@@ -479,21 +476,19 @@ def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.nd
     return key
 
 
-def _joint(
-    ens: _Ensemble, spec: ExperimentSpec, model_tag: str, through_time: int | None
-) -> JointDistribution:
-    """Joint distribution of what an ensemble observed by ``through_time``.
+def _joint(ens: _Ensemble, spec: ExperimentSpec, model_tag: str) -> JointDistribution:
+    """Joint distribution of what an ensemble observed.
 
-    ``ens`` must come from replaying ``spec``'s steps through that time.
-    An agent with a record (a collapsed measurement, or an outcome the
+    ``ens`` must come from replaying every step of ``spec``, a cone.  An
+    agent with a record (a collapsed measurement, or an outcome the
     ensemble was conditioned on) contributes that outcome; every other agent
     contributes the diagonal readout of its memory factor.  What the spec
-    fixes about that split is the :class:`_ReadoutPlan` of the truncation
-    and the recorded memories, built once per spec.  Per call the readout
-    is one |ψ|² reduction over all rows, squared in place; rows are then
-    summed by record.
+    fixes about that split is the :class:`_ReadoutPlan` of the recorded
+    memories, built once per spec.  Per call the readout is one |ψ|²
+    reduction over all rows, squared in place; rows are then summed by
+    record.
     """
-    plan = spec._readout(spec._stop(through_time), frozenset(ens.records))
+    plan = spec._readout(frozenset(ens.records))
     probs = np.abs(ens.amps)
     np.square(probs, out=probs)
     readout = np.add.reduce(probs, axis=plan.summed)
@@ -506,7 +501,7 @@ def _joint(
     array = np.zeros((math.prod(plan.dims),) + readout.shape[1:])
     array[_record_keys(records, plan.dims, len(readout))] = readout
     array = array.reshape(plan.dims + readout.shape[1:]).transpose(plan.order)
-    return JointDistribution(plan.agents, dict(plan.alphabets), array.copy(), model_tag)
+    return JointDistribution(plan.agents, dict(plan.alphabets), array, model_tag)
 
 
 def evolve(
@@ -517,7 +512,7 @@ def evolve(
     """Exact joint distribution of the outcomes observed by ``through_time``.
 
     It reads every factor, so its cone is the whole truncated circuit.  A
-    measurement the truncation settles (see :meth:`ExperimentSpec._settled`)
+    measurement that cone settles (see :meth:`ExperimentSpec._settled`)
     is evolved as a collapse whatever ``model`` says: no later step acts on
     its memory, so the collapse gives the joint that the coherent readout
     gives, while every later step runs on rows without that memory's
@@ -526,13 +521,13 @@ def evolve(
     ≤ ``BRANCH_CUT`` is dropped at its step, as under any collapse, where a
     coherent readout keeps cells above ``SUPPORT_EPS``.
     """
-    settled = spec._settled(spec._stop(through_time))
+    reads = frozenset(spec.registry_after(through_time).labels)
+    settled = spec._cone(reads, through_time)._settled
     evolved = model
     if model.agents is not None and not settled <= model.agents:
         evolved = CollapseModel(model.agents | settled)
-    reads = frozenset(spec.registry_after(through_time).labels)
-    ens, _ = _evolved_branches(spec, evolved, reads, through_time)
-    return _joint(ens, spec, model.tag, through_time)
+    ens, cone = _evolved_branches(spec, evolved, reads, through_time)
+    return _joint(ens, cone, model.tag)
 
 
 def evolved_density(
@@ -608,8 +603,8 @@ def conditional_table(
     evolved (``ExperimentSpec._cone``): by no-signalling, a step acting only
     on other labs cannot change the pair's joint distribution.
     """
-    ens, cone, through = _pair_branches(spec, model, target, given)
-    return conditional(_joint(ens, cone, model.tag, through), target, given)
+    ens, cone = _pair_branches(spec, model, target, given)
+    return conditional(_joint(ens, cone, model.tag), target, given)
 
 
 def conditional_via_renormalized_state(
@@ -630,9 +625,9 @@ def conditional_via_renormalized_state(
     the cone acts only on other labs, so by no-signalling it cannot change
     the answer.
     """
-    ens, cone, through = _pair_branches(spec, model, target, given)
+    ens, cone = _pair_branches(spec, model, target, given)
     conditioned = _condition_branches(ens, cone, {given: given_outcome})
-    return marginal(_joint(conditioned, cone, model.tag, through), target)
+    return marginal(_joint(conditioned, cone, model.tag), target)
 
 
 def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> DensityMatrix:
@@ -738,12 +733,13 @@ def post_select(
     joint: JointDistribution, condition: Mapping[str, str]
 ) -> JointDistribution:
     """Condition a joint distribution on a partial assignment (halting round)."""
-    total = joint.probability(condition)
+    cells = joint._cells(condition)
+    kept = joint.array[cells]
+    total = float(kept.sum())
     if total <= CONDITION_EPS:
         raise ZeroProbabilityError(
             f"post-selection on {dict(condition)} has zero probability"
         )
-    cells = joint._cells(condition)
     array = np.zeros_like(joint.array)
-    array[cells] = joint.array[cells] / total
+    array[cells] = kept / total
     return JointDistribution(joint.agents, joint.alphabets, array, joint.model_tag)

@@ -2,7 +2,9 @@
 
 All values are immutable after construction and every operation is a pure
 function, so anything built here can be shared freely between threads or
-cached without copying.  Numeric conventions:
+cached without copying.  A constructor takes its own read-only copy of the
+array it is given, so the caller's array stays writeable and changing it
+changes no value.  Numeric conventions:
 
 * construction invariants (normalization, hermiticity, trace) hold to 1e-12,
 * positive semidefiniteness allows eigenvalues down to -1e-10,
@@ -54,8 +56,9 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an event of (numerically) zero probability."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _freeze(a) -> np.ndarray:
+    """A read-only C-ordered complex copy of ``a``; the caller's array stays its own."""
+    a = np.array(a, dtype=np.complex128, order="C")
     a.setflags(write=False)
     return a
 
@@ -122,7 +125,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
+        amps = _freeze(self.amplitudes).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape[0] != self.registry.total_dimension:
             raise ValueError(
@@ -190,7 +193,7 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self) -> None:
-        mat = _square(self.registry, self.entries)
+        mat = _square(self.registry, _freeze(self.entries))
         if not _hermitian(mat):
             raise ValueError(
                 f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
@@ -200,7 +203,6 @@ class DensityMatrix:
         eigmin = float(np.min(np.linalg.eigvalsh(mat)))
         if not eigmin >= -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
     @classmethod
@@ -269,7 +271,7 @@ class Projector:
     operator: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        op = np.ascontiguousarray(np.asarray(self.operator), dtype=np.complex128)
+        op = _freeze(self.operator)
         d = self.target_registry.total_dimension
         if tuple(self.target_labels) != self.target_registry.labels:
             raise ValueError("target_labels must match the target registry order")
@@ -283,7 +285,6 @@ class Projector:
             raise ValueError(
                 f"projector is not idempotent within {_spelled(ATOL_CONSTRUCT)}"
             )
-        op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
     def _check_host(self, registry: SubsystemRegistry) -> None:

@@ -45,6 +45,11 @@ def settled(spec, through=None):
     )
 
 
+def truncated_cone(spec, through=None):
+    """The cone ``evolve`` runs: it reads every label, so it keeps every step by ``through``."""
+    return spec._cone(frozenset(spec.registry_after(through).labels), through)
+
+
 def read_model(spec, model, through=None):
     """The caller's collapse set plus the settled measurements; ``objective`` as is."""
     if model.agents is None:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from circuits import ghz_spec, settled, site_tables
+from circuits import ghz_spec, settled, site_tables, truncated_cone
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel
 from wignersim.deduction import POSSIBILITY, certainty_deductions, chain
 from wignersim.experiment import (
@@ -145,14 +145,15 @@ def test_the_spec_settles_what_a_scan_of_its_steps_settles(name):
     for target, given in itertools.permutations(spec.measuring_agents, 2):
         conditional_table(spec, NO_COLLAPSE, target, given)
     # Only evolve settles: a spec built and asked only pair tables holds no set.
-    assert vars(spec)["_settled_sets"] == {}
+    cones = [spec, *vars(spec)["_cone_specs"].values()]
+    assert not any("_settled" in vars(cone) for cone in cones)
     for through in through_times(spec):
-        assert spec._settled(spec._stop(through)) == settled(spec, through), through
+        assert truncated_cone(spec, through)._settled == settled(spec, through), through
 
 
 def test_on_the_full_circuits_only_frs_a_and_the_ghz_superobservers_settle():
     specs = {name: build() for name, build in SCANNED.items()}
-    full = {name: spec._settled(len(spec.steps)) for name, spec in specs.items()}
+    full = {name: spec._settled for name, spec in specs.items()}
     assert full == {
         "deutsch": frozenset(),
         "fr": {"A"},
@@ -164,7 +165,7 @@ def test_on_the_full_circuits_only_frs_a_and_the_ghz_superobservers_settle():
     }
     # Truncated after A's step, FR also settles F2: W, who reads F2, has not run.
     fr = frauchiger_renner()
-    assert fr._settled(fr._stop(fr.step_for("A").time)) == {"F2"}
+    assert truncated_cone(fr, fr.step_for("A").time)._settled == {"F2"}
 
 
 def ghz_joint_closed_form(alpha, beta, thetas, friends_collapse):
@@ -214,7 +215,7 @@ def test_ghz_5_5_evolves_to_its_closed_form_in_a_few_mib(tag):
     model, friends_collapse = GHZ_5_5[tag]
     # Every superobserver but the last is settled; the coherent evolution
     # would hold 4^10 amplitudes a row (16 MiB a copy).
-    assert spec._settled(len(spec.steps)) == {"W0", "W1", "W2", "W3"}
+    assert spec._settled == {"W0", "W1", "W2", "W3"}
     tracemalloc.start()
     try:
         joint = evolve(spec, model)

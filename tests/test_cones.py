@@ -31,9 +31,11 @@ from wignersim.experiment import (
     conditional_table,
     conditional_via_renormalized_state,
     evolve,
+    evolved_density,
     memory_state,
 )
 from wignersim.presets import presets
+from wignersim.states import ZeroProbabilityError
 
 ATOL = 1e-12
 ALPHA = math.sqrt(0.35)
@@ -127,14 +129,57 @@ def test_the_cone_keeps_what_the_memories_can_feel_and_is_shared_by_both_orders(
     assert pair_cone(spec, "F1", "W2", through) is cone
     # W1 comes before W2 but reads only Q1 and F1.
     assert [s.agent for s in pair_cone(spec, "W0", "W2", through).steps] == ["F0", "F2", "W0", "W2"]
-    # A cone that leaves no step out is the spec itself, which has the plans.
-    assert pair_cone(spec, "F1", "F0", spec.step_for("F1").time) is spec
+    # A truncated cone that leaves no earlier step out still ends at its
+    # truncation: it is a spec of its own, not the spec.
+    first = pair_cone(spec, "F1", "F0", spec.step_for("F1").time)
+    assert [s.agent for s in first.steps] == ["F0", "F1"] and first is not spec
     # memory_state keeping F0 and W0 given F1: W1 acts on F1 after its step.
     kept = spec._cone(frozenset({"F0", "W0", "F1"}), None)
     assert [s.agent for s in kept.steps] == ["F0", "F1", "W0", "W1"]
-    # Reading every label, as evolve and evolved_density do, prunes nothing.
-    for through in [None, 0] + [s.time for s in spec.steps]:
-        assert spec._cone(frozenset(spec.registry_after(through).labels), through) is spec
+    # Reading every label, as evolve and evolved_density do, prunes nothing:
+    # the cone is every step by the truncation, and the spec when none is cut.
+    assert spec._cone(frozenset(spec.registry_after().labels), None) is spec
+    for through in [0] + [s.time for s in spec.steps]:
+        cone = spec._cone(frozenset(spec.registry_after(through).labels), through)
+        assert list(map(id, cone.steps)) == [id(s) for s in spec.steps if s.time <= through]
+
+
+def ask_every_route_at_every_truncation(spec):
+    for model in (NO_COLLAPSE, OBJECTIVE_COLLAPSE):
+        for through in [None, 0] + [s.time for s in spec.steps]:
+            evolve(spec, model, through)
+            # It reads what evolve reads, so it builds the same cones; it
+            # runs wherever its answer is at most 1024 wide.
+            if spec.registry_after(through).total_dimension <= 1024:
+                evolved_density(spec, model, through)
+        for target, given in itertools.permutations(spec.measuring_agents, 2):
+            conditional_table(spec, model, target, given)
+            for g in spec.step_for(given).iso.outcome_labels:
+                try:
+                    conditional_via_renormalized_state(spec, model, target, given, g)
+                except ZeroProbabilityError:
+                    pass
+        labels = spec.registry_after().labels
+        for keep in labels:
+            memory_state(spec, model, set(labels) - {keep})
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_every_cone_runs_to_its_end_and_is_the_spec_only_when_it_keeps_every_step(name):
+    spec = BUILDERS[name]()
+    ask_every_route_at_every_truncation(spec)
+    cones = vars(spec)["_cones"]
+    assert {stop for _, stop in cones} == set(range(len(spec.steps) + 1))
+    for (reads, stop), cone in cones.items():
+        run = {id(step) for step in spec.steps[:stop]}
+        # Every step the cone holds is one its truncation runs, so the cone
+        # is read whole: truncated at its last step, it keeps every step.
+        assert all(id(step) in run for step in cone.steps), (reads, stop)
+        last = cone.steps[-1].time if cone.steps else None
+        assert cone._stop(None) == cone._stop(last) == len(cone.steps), (reads, stop)
+        # Only a question that neither truncates nor prunes reads the spec.
+        whole = stop == len(spec.steps) and len(cone.steps) == stop
+        assert (cone is spec) == whole, (reads, stop)
 
 
 def test_every_kept_pair_of_ghz_6_6_shares_one_cone_per_set_of_kept_steps():

@@ -58,10 +58,11 @@ IDS = [f"{n}-{m.tag}" for n, m in PRESET_MODELS]
 
 
 def evolved(spec, model, through=None):
-    """The ensemble of the whole truncated circuit: reading every label, the cone is the spec."""
+    """The ensemble of the whole truncated circuit: reading every label, the cone runs every step by then."""
     reads = frozenset(spec.registry_after(through).labels)
     ensemble, cone = _evolved_branches(spec, model, reads, through)
-    assert cone is spec
+    run = [s for s in spec.steps if through is None or s.time <= through]
+    assert list(map(id, cone.steps)) == list(map(id, run))
     return ensemble
 
 

@@ -12,6 +12,7 @@ from numpy_oracle import ensemble, padded
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
+    Isometry,
     _checked_isometry,
     build_measurement_isometry,
 )
@@ -534,6 +535,70 @@ class TestNotANumberRejected:
     def test_deduction_rule_certainty(self):
         with pytest.raises(ValueError, match="certainty nan below"):
             DeductionRule("A", "o", "F2", "U", "ism", self.NAN)
+
+
+def hadamard_measurement():
+    plus = StateVector(qubit("S"), [SQ2, SQ2])
+    minus = StateVector(qubit("S"), [SQ2, -SQ2])
+    return build_measurement_isometry("F", qubit("S"), [plus, minus], "F")
+
+
+def hadamard_isometry(matrix):
+    iso = hadamard_measurement()
+    return Isometry(iso.agent, iso.domain, iso.appended, matrix, iso.basis)
+
+
+# (build a value from the caller's array, that array, the value's array, a new content)
+OWNED = {
+    "state-vector": (
+        lambda a: StateVector(qubit("S"), a),
+        np.array([1, 0j]),
+        lambda v: v.amplitudes,
+        [3, 4],
+    ),
+    "density-matrix": (
+        lambda a: DensityMatrix(qubit("S"), a),
+        np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+        lambda v: v.entries,
+        [[1, 2], [3, 4]],
+    ),
+    "joint-distribution": (
+        lambda a: JointDistribution(("A",), {"A": ("a", "b")}, a, "ism"),
+        np.array([0.25, 0.75]),
+        lambda v: v.array,
+        [0.5, 2.0],
+    ),
+    "projector": (
+        lambda a: Projector(("S",), qubit("S"), a),
+        np.array([[1, 0], [0, 0]], dtype=complex),
+        lambda v: v.operator,
+        [[0, 0], [0, 1]],
+    ),
+    "isometry": (
+        hadamard_isometry,
+        np.array(hadamard_measurement().matrix),
+        lambda v: v.matrix,
+        np.eye(4, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", OWNED)
+def test_a_value_keeps_its_own_copy_of_the_callers_array(kind):
+    build, given, held, new = OWNED[kind]
+    value = build(given)
+    before = held(value).copy()
+    assert given.flags.writeable and held(value).flags.c_contiguous
+    given[...] = new
+    assert np.array_equal(held(value), before)
+    assert not held(value).flags.writeable
+
+
+def test_a_gram_density_keeps_the_array_its_caller_built():
+    # The answer is the only d×d array a density route allocates: no copy.
+    entries = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    rho = DensityMatrix._gram(qubit("S"), entries, 2)
+    assert rho.entries is entries and not entries.flags.writeable
 
 
 def test_debug_printing_sorted_by_multi_index():

@@ -6,9 +6,10 @@ when its spec is built, inside or outside a pair's cone, one spec serves
 every collapse model in any order (against the plain-numpy oracle, and
 equal to a fresh spec), every plan exists as soon as the spec does and
 chains the registries, and a plan holds no amplitudes.  The readout plans
-a spec keeps per truncation and recorded memories give ``evolve`` and the
-pair tables the bytes a fresh spec gives, whichever question built them,
-and threads sharing one spec build exactly the plans their questions use.
+a cone keeps per set of recorded memories give ``evolve`` and the pair
+tables the bytes a fresh spec gives, whichever question built them, and
+threads sharing one spec build exactly the plans and settled sets their
+questions use.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from circuits import ghz_spec, models_for, read_model
+from circuits import ghz_spec, models_for, read_model, truncated_cone
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
@@ -234,40 +235,37 @@ def test_threads_sharing_one_fresh_spec_get_the_answers_of_one_thread(route):
         cones = {id(spec): spec} | {id(c): c for c in vars(spec)["_cone_specs"].values()}
         for key, cone in cones.items():
             assert set(vars(cone)["_readouts"]) == used.get(key, set())
-        # Only evolve settles, once per number of steps its cases run.
-        stops = {spec._stop(through) for _, through in cases} if route == "evolve" else set()
-        assert set(vars(spec)["_settled_sets"]) == stops
+        # Only evolve settles, once per truncated cone its cases run.
+        settling = {id(truncated_cone(spec, t)) for _, t in cases} if route == "evolve" else set()
+        assert {key for key, cone in cones.items() if "_settled" in vars(cone)} == settling
 
 
 def readout_key(spec, route, case):
-    """The spec an answer is read out on, and the key of its readout plan.
+    """The cone an answer is read out on, and the key of its readout plan.
 
     None for ``memory_state``, which reads out no joint.  The key is the
-    number of steps run and the memories recorded: each collapsed
-    measurement's (for ``evolve``, each settled one's too), and the given
-    agent's for the renormalized route.
+    memories recorded: each collapsed measurement's (for ``evolve``, each
+    settled one's too), and the given agent's for the renormalized route.
     """
     if route == "memory_state":
         return None
     model, question = case
     recorded = set()
     if route == "evolve":
-        cone, stop = spec, spec._stop(question)
+        cone = truncated_cone(spec, question)
         model = read_model(spec, model, question)
     else:
         steps = [spec.step_for(agent) for agent in question]
         reads = frozenset(step.iso.memory_label for step in steps)
-        through = max(step.time for step in steps)
-        cone = spec._cone(reads, through)
-        stop = cone._stop(through)
+        cone = spec._cone(reads, max(step.time for step in steps))
         if route == "renormalized":
             recorded.add(steps[1].iso.memory_label)
     recorded.update(
         s.iso.memory_label
-        for s in cone.steps[:stop]
+        for s in cone.steps
         if s.is_measurement and model.collapses_at(s.agent)
     )
-    return cone, (stop, frozenset(recorded))
+    return cone, frozenset(recorded)
 
 
 def joint_bytes(spec, case):
