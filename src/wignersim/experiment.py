@@ -18,23 +18,22 @@ to its truncation (see ``ExperimentSpec._cone``): the pair routes read the
 two memories, :func:`memory_state` its kept factors and the memories it is
 given, and :func:`evolve` and :func:`evolved_density` every factor.  A step
 outside the cone is a channel on factors the question never reads, so by
-no-signalling it cannot change the answer.  The cone holds exactly the steps
-it runs, so the replay, the readout and the settled set read it whole.
+no-signalling it cannot change the answer.  A cone is read whole.
 
 Collapse and isometry can only describe a measurement differently when a
 later step still acts on its memory.  :func:`evolve` therefore collapses
-every measurement its cone *settles* (see ``ExperimentSpec._settled``),
-whatever the caller's model: the projectors on an untouched memory commute
-with every later step, so the joint is the same, and every later step runs
-on rows that no longer carry that memory's outcome axis.  The pair routes
-and the density routes evolve literally.
+every measurement its cone *settles* (see ``_Cone._settled``), whatever the
+caller's model: the projectors on an untouched memory commute with every
+later step, so the joint is the same, and every later step runs on rows
+that no longer carry that memory's outcome axis.  The pair routes and the
+density routes evolve literally.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -64,31 +63,29 @@ class Step:
         return bool(self.iso.basis)
 
 
+def _planned(registry: SubsystemRegistry, steps: Iterable[Step]) -> tuple[_StepPlan, ...]:
+    """One plan per step, each on the registry and layout the step before leaves."""
+    plans: list[_StepPlan] = []
+    layout = registry
+    for step in steps:
+        plans.append(_StepPlan.of(registry, layout, step.iso))
+        registry, layout = plans[-1].registry, plans[-1].layout
+    return tuple(plans)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Initial state plus ordered steps, with an optional halting condition.
 
     Construction builds one :class:`~wignersim.channels._StepPlan` per step
-    in one walk: the step's outcome-major matrix, transpose, domain axes and
-    the registry and layout after it.  Building a plan is the step's only
-    check, so a step on an unknown label, on a factor in another basis or
-    appending a registered label fails here.  Every evolution, under any
-    collapse model, replays the plans from the start ensemble, the initial
-    state as one row of weight 1 with no records; :meth:`registry_after`
-    reads the chain.  Every question evolves the backward cone
-    (:meth:`_cone`) of the factors it reads, up to its truncation, and
-    nothing after the cone knows the truncation.  Cones are built on first
-    use and kept, one spec per distinct set of kept steps, which every
-    (reads, truncation) with that set shares; a cone keeps the full initial
-    registry.  :func:`_joint` reads a cone out through a
-    :class:`_ReadoutPlan`, built on first use and kept per set of recorded
-    memories, and :func:`evolve` collapses the measurements its cone's
-    :attr:`_settled` finds; a spec that is never evolved computes none.  All
-    of these are derived from the frozen fields alone, like
-    :attr:`measuring_steps`; none holds an answer, and the start ensemble's
-    weights and records are read-only, so every answer is still computed in
-    full on every call.  An agent measures at most once, since tables and
-    models name a measurement by it.
+    (:func:`_planned`), the step's only check: a step on an unknown label,
+    on a factor in another basis or appending a registered label fails
+    here.  :meth:`registry_after` reads the plans.  Every question evolves
+    a :class:`_Cone` (:meth:`_cone`), which replays plans from the start
+    ensemble, the initial state as one row of weight 1 with no records.
+    The spec keeps its plans, agents, start and cones, all derived from the
+    frozen fields alone and none holding an answer.  An agent measures at
+    most once, since tables and models name a measurement by it.
     """
 
     name: str
@@ -105,12 +102,9 @@ class ExperimentSpec:
         times = [s.time for s in self.steps]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")
-        plans: list[_StepPlan] = []
-        registry = layout = self.registry
+        object.__setattr__(self, "_step_plans", _planned(self.registry, self.steps))
         measuring: dict[str, Step] = {}
         for step in self.steps:
-            plans.append(_StepPlan.of(registry, layout, step.iso))
-            registry, layout = plans[-1].registry, plans[-1].layout
             if step.is_measurement:
                 first = measuring.setdefault(step.agent, step)
                 if first is not step:
@@ -118,12 +112,10 @@ class ExperimentSpec:
                         f"agent {step.agent!r} measures at t={first.time} and at "
                         f"t={step.time}; an agent may measure only once"
                     )
-        object.__setattr__(self, "_step_plans", tuple(plans))
         object.__setattr__(self, "_measuring", measuring)
         object.__setattr__(self, "_start", _Ensemble.of(self.initial))
         object.__setattr__(self, "_cones", {})
-        object.__setattr__(self, "_cone_specs", {})
-        object.__setattr__(self, "_readouts", {})
+        object.__setattr__(self, "_kept_cones", {})
         if self.halting is not None:
             for agent, outcome in self.halting:
                 if agent not in measuring:
@@ -141,21 +133,17 @@ class ExperimentSpec:
     def measuring_agents(self) -> tuple[str, ...]:
         return tuple(self._measuring)
 
-    def _cone(self, reads: frozenset[str], through_time: int | None) -> "ExperimentSpec":
+    def _cone(self, reads: frozenset[str], through_time: int | None) -> _Cone:
         """The steps up to ``through_time`` that the factors in ``reads`` can feel.
 
         Walking the steps backwards from ``reads``, a step is kept when its
         domain or its appended factor meets the relevant set, and its domain
         then joins that set.  A step left out is, under any collapse model, a
         channel on factors that are never read, so the read factors' state
-        and their records are the same on the cone: a spec with this spec's
-        name, registry and initial state, the kept steps and no halting.  A
-        cone runs to its end, so every reader takes it whole: it is this spec
-        itself only when it keeps every step.  ``reads`` and the number of
-        steps run map to the indices of the kept steps, and each distinct
-        tuple of those to one cone spec, so the (reads, truncation) entries
-        only refer to the cones they share.  Both are built on first use and
-        published whole; like a plan, a cone holds no amplitudes or answers.
+        and their records are the same on the cone.  A prefix of the steps
+        shares this spec's plans.  Each (reads, truncation) maps to the
+        indices of the kept steps, and each distinct tuple of those to one
+        cone; both are built on first use and published whole.
         """
         stop = self._stop(through_time)
         key = (reads, stop)
@@ -169,46 +157,16 @@ class ExperimentSpec:
                     kept.append(i)
                     relevant.update(iso.domain.labels)
             kept = tuple(kept[::-1])
-            if len(kept) == len(self.steps):
-                cone = self
-            else:
-                cone = self._cone_specs.get(kept)
-                if cone is None:
-                    steps = tuple(self.steps[i] for i in kept)
-                    cone = ExperimentSpec(self.name, self.registry, self.initial, steps)
-                    cone = self._cone_specs.setdefault(kept, cone)
+            cone = self._kept_cones.get(kept)
+            if cone is None:
+                steps = tuple(self.steps[i] for i in kept)
+                if kept == tuple(range(len(kept))):
+                    plans = self._step_plans[: len(kept)]
+                else:
+                    plans = _planned(self.registry, steps)
+                cone = self._kept_cones.setdefault(kept, _Cone(steps, plans, self._start))
             cone = self._cones.setdefault(key, cone)
         return cone
-
-    @cached_property
-    def _settled(self) -> frozenset[str]:
-        """The agents whose measurements this spec's steps settle.
-
-        A measurement is settled when at least one later step runs and none
-        of those steps has its memory in its domain.  Every later step then
-        acts as V ⊗ 1 on that memory, so the projectors on the memory
-        commute with it: collapsing the memory at its step gives the joint
-        that reading it after the last step gives.  A truncation's settled
-        set is its cone's.
-        """
-        touched: set[str] = set()
-        found = set()
-        for later, step in enumerate(reversed(self.steps)):
-            if later and step.is_measurement and step.iso.memory_label not in touched:
-                found.add(step.agent)
-            touched.update(step.iso.domain.labels)
-        return frozenset(found)
-
-    def _readout(self, records: frozenset[str]) -> "_ReadoutPlan":
-        """The readout plan after every step of an ensemble holding ``records``.
-
-        Built on first use and published whole, keyed by the recorded
-        memory labels.
-        """
-        plan = self._readouts.get(records)
-        if plan is None:
-            plan = self._readouts.setdefault(records, _ReadoutPlan.of(self, records))
-        return plan
 
     def step_for(self, agent: str) -> Step:
         try:
@@ -228,10 +186,54 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class _ReadoutPlan:
-    """What a spec fixes about reading out an ensemble after its last step.
+class _Cone:
+    """The steps a question runs, their plans and the ensemble they start from.
 
-    ``agents`` are the spec's measuring agents, in step order, with their
+    It runs to its end, so every reader takes it whole.  Its steps are a
+    subsequence of a built spec's: their times increase, each agent measures
+    once and every domain label is initial or appended by a kept step, so
+    nothing is checked again.  The plans chain from ``start.layout``, the
+    initial registry.  The :attr:`_settled` set and the readout plans are
+    built on first use and kept; like a plan, a cone holds no answers.
+    """
+
+    steps: tuple[Step, ...]
+    plans: tuple[_StepPlan, ...]
+    start: _Ensemble
+    _readouts: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _settled(self) -> frozenset[str]:
+        """The agents whose measurements this cone's steps settle.
+
+        A measurement is settled when at least one later step runs and none
+        of those steps has its memory in its domain.  Every later step then
+        acts as V ⊗ 1 on that memory, so the projectors on the memory
+        commute with it: collapsing the memory at its step gives the joint
+        that reading it after the last step gives.  A truncation's settled
+        set is that of the cone reading every factor.
+        """
+        touched: set[str] = set()
+        found = set()
+        for later, step in enumerate(reversed(self.steps)):
+            if later and step.is_measurement and step.iso.memory_label not in touched:
+                found.add(step.agent)
+            touched.update(step.iso.domain.labels)
+        return frozenset(found)
+
+    def _readout(self, records: frozenset[str]) -> "_ReadoutPlan":
+        """The readout plan of an ensemble holding ``records``, published whole."""
+        plan = self._readouts.get(records)
+        if plan is None:
+            plan = self._readouts.setdefault(records, _ReadoutPlan.of(self, records))
+        return plan
+
+
+@dataclass(frozen=True, eq=False)
+class _ReadoutPlan:
+    """What a cone fixes about reading out an ensemble after its last step.
+
+    ``agents`` are the cone's measuring agents, in step order, with their
     ``alphabets``.  Agents whose memory is one of the ensemble's records
     contribute their record: ``records`` holds those memories in agent order
     and ``dims`` their alphabet lengths.  The others are read from their
@@ -251,9 +253,9 @@ class _ReadoutPlan:
     order: tuple[int, ...]
 
     @classmethod
-    def of(cls, spec: ExperimentSpec, records: frozenset[str]) -> "_ReadoutPlan":
-        layout = spec._step_plans[-1].layout if spec.steps else spec.registry
-        steps = spec.measuring_steps
+    def of(cls, cone: _Cone, records: frozenset[str]) -> "_ReadoutPlan":
+        layout = cone.plans[-1].layout if cone.plans else cone.start.layout
+        steps = [s for s in cone.steps if s.is_measurement]
         memories = [s.iso.memory_label for s in steps]
         recorded = [i for i, m in enumerate(memories) if m in records]
         # The other agents in axis order, which the readout's axes keep.
@@ -404,17 +406,16 @@ def _evolved_branches(
     model: CollapseModel,
     reads: frozenset[str],
     through_time: int | None = None,
-) -> tuple[_Ensemble, ExperimentSpec]:
+) -> tuple[_Ensemble, _Cone]:
     """The cone of ``reads`` (see :meth:`ExperimentSpec._cone`), evolved, and that cone.
 
-    The model is checked on the full spec, and passes unchanged to the cone.
-    Every step of the cone replays its plan from the start ensemble: per call,
-    each expands any record on its domain, makes one transpose and one
-    matmul over all rows, then checks every row's norm or splits the rows by
-    outcome.  The output axis order is kept (see
-    :func:`~wignersim.channels._isometry_image`); only a result that needs
-    registry order permutes.  Collapsed memories are record factors, so a
-    row scales with the factors still quantum.
+    The model is checked on the spec, and passes unchanged to the cone.
+    Each step of the cone replays its plan from the cone's start: it expands
+    any record on its domain, makes one transpose and one matmul over all
+    rows, then checks every row's norm or splits the rows by outcome.  The
+    output axis order is kept (see :func:`~wignersim.channels._isometry_image`).
+    Collapsed memories are record factors, so a row scales with the factors
+    still quantum.
     """
     if model.agents is not None and not spec._measuring.keys() >= model.agents:
         unknown = min(model.agents.difference(spec._measuring))
@@ -422,15 +423,15 @@ def _evolved_branches(
             f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
     cone = spec._cone(reads, through_time)
-    ens = cone._start
-    for step, plan in zip(cone.steps, cone._step_plans):
+    ens = cone.start
+    for step, plan in zip(cone.steps, cone.plans):
         ens = ens.stepped(plan, step.is_measurement and model.collapses_at(step.agent))
     return ens, cone
 
 
 def _pair_branches(
     spec: ExperimentSpec, model: CollapseModel, target: str, given: str
-) -> tuple[_Ensemble, ExperimentSpec]:
+) -> tuple[_Ensemble, _Cone]:
     """The cone of two agents' memories at the later of their steps, evolved, and that cone.
 
     The agents are checked before the model, as a full evolution checks them.
@@ -476,19 +477,18 @@ def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.nd
     return key
 
 
-def _joint(ens: _Ensemble, spec: ExperimentSpec, model_tag: str) -> JointDistribution:
+def _joint(ens: _Ensemble, cone: _Cone, model_tag: str) -> JointDistribution:
     """Joint distribution of what an ensemble observed.
 
-    ``ens`` must come from replaying every step of ``spec``, a cone.  An
-    agent with a record (a collapsed measurement, or an outcome the
-    ensemble was conditioned on) contributes that outcome; every other agent
-    contributes the diagonal readout of its memory factor.  What the spec
-    fixes about that split is the :class:`_ReadoutPlan` of the recorded
-    memories, built once per spec.  Per call the readout is one |ψ|²
-    reduction over all rows, squared in place; rows are then summed by
-    record.
+    ``ens`` must come from replaying every step of ``cone``.  An agent with
+    a record (a collapsed measurement, or an outcome the ensemble was
+    conditioned on) contributes that outcome; every other agent contributes
+    the diagonal readout of its memory factor.  What the cone fixes about
+    that split is the :class:`_ReadoutPlan` of the recorded memories, built
+    once per cone.  Per call the readout is one |ψ|² reduction over all
+    rows, squared in place; rows are then summed by record.
     """
-    plan = spec._readout(frozenset(ens.records))
+    plan = cone._readout(frozenset(ens.records))
     probs = np.abs(ens.amps)
     np.square(probs, out=probs)
     readout = np.add.reduce(probs, axis=plan.summed)
@@ -512,14 +512,14 @@ def evolve(
     """Exact joint distribution of the outcomes observed by ``through_time``.
 
     It reads every factor, so its cone is the whole truncated circuit.  A
-    measurement that cone settles (see :meth:`ExperimentSpec._settled`)
-    is evolved as a collapse whatever ``model`` says: no later step acts on
-    its memory, so the collapse gives the joint that the coherent readout
-    gives, while every later step runs on rows without that memory's
-    outcome axis.  The joint keeps the caller's model tag.  Only the branch
-    cut tells the two apart: a settled outcome of conditional probability
-    ≤ ``BRANCH_CUT`` is dropped at its step, as under any collapse, where a
-    coherent readout keeps cells above ``SUPPORT_EPS``.
+    measurement that cone settles (see :attr:`_Cone._settled`) is evolved as
+    a collapse whatever ``model`` says: no later step acts on its memory, so
+    the collapse gives the joint that the coherent readout gives, while
+    every later step runs on rows without that memory's outcome axis.  The
+    joint keeps the caller's model tag.  Only the branch cut tells the two
+    apart: a settled outcome of conditional probability ≤ ``BRANCH_CUT`` is
+    dropped at its step, as under any collapse, where a coherent readout
+    keeps cells above ``SUPPORT_EPS``.
     """
     reads = frozenset(spec.registry_after(through_time).labels)
     settled = spec._cone(reads, through_time)._settled
@@ -626,7 +626,7 @@ def conditional_via_renormalized_state(
     the answer.
     """
     ens, cone = _pair_branches(spec, model, target, given)
-    conditioned = _condition_branches(ens, cone, {given: given_outcome})
+    conditioned = _condition_branches(ens, spec, {given: given_outcome})
     return marginal(_joint(conditioned, cone, model.tag), target)
 
 
@@ -723,9 +723,9 @@ def memory_state(
     given = given or {}
     # An unknown given agent is named by the conditioning, after the model check.
     memories = (spec._measuring[a].iso.memory_label for a in given if a in spec._measuring)
-    ens, cone = _evolved_branches(spec, model, frozenset(keep).union(memories))
+    ens, _ = _evolved_branches(spec, model, frozenset(keep).union(memories))
     if given:
-        ens = _condition_branches(ens, cone, given)
+        ens = _condition_branches(ens, spec, given)
     return _reduced_density(ens, registry.restricted(keep))
 
 

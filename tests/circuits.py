@@ -46,7 +46,10 @@ def settled(spec, through=None):
 
 
 def truncated_cone(spec, through=None):
-    """The cone ``evolve`` runs: it reads every label, so it keeps every step by ``through``."""
+    """The cone ``evolve`` runs: it reads every label, so it keeps every step by ``through``.
+
+    Its ``_settled`` is the truncation's settled set.
+    """
     return spec._cone(frozenset(spec.registry_after(through).labels), through)
 
 

@@ -145,7 +145,7 @@ def test_the_spec_settles_what_a_scan_of_its_steps_settles(name):
     for target, given in itertools.permutations(spec.measuring_agents, 2):
         conditional_table(spec, NO_COLLAPSE, target, given)
     # Only evolve settles: a spec built and asked only pair tables holds no set.
-    cones = [spec, *vars(spec)["_cone_specs"].values()]
+    cones = vars(spec)["_kept_cones"].values()
     assert not any("_settled" in vars(cone) for cone in cones)
     for through in through_times(spec):
         assert truncated_cone(spec, through)._settled == settled(spec, through), through
@@ -153,7 +153,7 @@ def test_the_spec_settles_what_a_scan_of_its_steps_settles(name):
 
 def test_on_the_full_circuits_only_frs_a_and_the_ghz_superobservers_settle():
     specs = {name: build() for name, build in SCANNED.items()}
-    full = {name: spec._settled for name, spec in specs.items()}
+    full = {name: truncated_cone(spec)._settled for name, spec in specs.items()}
     assert full == {
         "deutsch": frozenset(),
         "fr": {"A"},
@@ -215,7 +215,7 @@ def test_ghz_5_5_evolves_to_its_closed_form_in_a_few_mib(tag):
     model, friends_collapse = GHZ_5_5[tag]
     # Every superobserver but the last is settled; the coherent evolution
     # would hold 4^10 amplitudes a row (16 MiB a copy).
-    assert spec._settled == {"W0", "W1", "W2", "W3"}
+    assert truncated_cone(spec)._settled == {"W0", "W1", "W2", "W3"}
     tracemalloc.start()
     try:
         joint = evolve(spec, model)

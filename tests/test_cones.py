@@ -14,7 +14,10 @@ memories: one lab of GHZ(n,n), n = 8 and 12, is checked against a per-site
 closed form in plain numpy, under a memory bound that grows as 2^n, the
 size of the initial registry every cone keeps.  The full circuit holds
 4^(2n) amplitudes per row.  Every kept pair of GHZ(6,6)'s labels shares one
-cone per set of kept steps, with the bytes a fresh spec gives.
+cone per set of kept steps, with the bytes a fresh spec gives.  A cone whose
+steps are a prefix of the circuit's runs the spec's own step plans, so
+``evolve`` at every truncation under every collapse set plans no step
+beyond the spec's build.
 """
 
 import itertools
@@ -25,7 +28,13 @@ import numpy as np
 import pytest
 
 from circuits import ghz_spec, site_tables
-from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel, _Ensemble
+from wignersim.channels import (
+    NO_COLLAPSE,
+    OBJECTIVE_COLLAPSE,
+    CollapseModel,
+    _Ensemble,
+    _StepPlan,
+)
 from wignersim.experiment import (
     conditional,
     conditional_table,
@@ -124,21 +133,23 @@ def test_the_cone_keeps_what_the_memories_can_feel_and_is_shared_by_both_orders(
     cone = pair_cone(spec, "W2", "F1", through)
     # W1 acts on F1's memory after F1's step; F0 and W0 touch neither memory.
     assert [s.agent for s in cone.steps] == ["F1", "F2", "W1", "W2"]
-    assert (cone.name, cone.halting) == (spec.name, None)
-    assert cone.registry is spec.registry and cone.initial is spec.initial
+    assert cone.start is spec._start
     assert pair_cone(spec, "F1", "W2", through) is cone
     # W1 comes before W2 but reads only Q1 and F1.
     assert [s.agent for s in pair_cone(spec, "W0", "W2", through).steps] == ["F0", "F2", "W0", "W2"]
     # A truncated cone that leaves no earlier step out still ends at its
-    # truncation: it is a spec of its own, not the spec.
+    # truncation, on the spec's own plans of those steps.
     first = pair_cone(spec, "F1", "F0", spec.step_for("F1").time)
-    assert [s.agent for s in first.steps] == ["F0", "F1"] and first is not spec
+    assert [s.agent for s in first.steps] == ["F0", "F1"]
+    assert list(map(id, first.plans)) == list(map(id, spec._step_plans[:2]))
     # memory_state keeping F0 and W0 given F1: W1 acts on F1 after its step.
     kept = spec._cone(frozenset({"F0", "W0", "F1"}), None)
     assert [s.agent for s in kept.steps] == ["F0", "F1", "W0", "W1"]
     # Reading every label, as evolve and evolved_density do, prunes nothing:
-    # the cone is every step by the truncation, and the spec when none is cut.
-    assert spec._cone(frozenset(spec.registry_after().labels), None) is spec
+    # the cone is every step by the truncation, and the whole circuit's
+    # cone shares the spec's plans.
+    whole = spec._cone(frozenset(spec.registry_after().labels), None)
+    assert list(map(id, whole.plans)) == list(map(id, spec._step_plans))
     for through in [0] + [s.time for s in spec.steps]:
         cone = spec._cone(frozenset(spec.registry_after(through).labels), through)
         assert list(map(id, cone.steps)) == [id(s) for s in spec.steps if s.time <= through]
@@ -165,7 +176,7 @@ def ask_every_route_at_every_truncation(spec):
 
 
 @pytest.mark.parametrize("name", BUILDERS)
-def test_every_cone_runs_to_its_end_and_is_the_spec_only_when_it_keeps_every_step(name):
+def test_every_cone_runs_to_its_end_on_plans_of_its_own_steps(name):
     spec = BUILDERS[name]()
     ask_every_route_at_every_truncation(spec)
     cones = vars(spec)["_cones"]
@@ -173,13 +184,51 @@ def test_every_cone_runs_to_its_end_and_is_the_spec_only_when_it_keeps_every_ste
     for (reads, stop), cone in cones.items():
         run = {id(step) for step in spec.steps[:stop]}
         # Every step the cone holds is one its truncation runs, so the cone
-        # is read whole: truncated at its last step, it keeps every step.
+        # is read whole.
         assert all(id(step) in run for step in cone.steps), (reads, stop)
-        last = cone.steps[-1].time if cone.steps else None
-        assert cone._stop(None) == cone._stop(last) == len(cone.steps), (reads, stop)
-        # Only a question that neither truncates nor prunes reads the spec.
-        whole = stop == len(spec.steps) and len(cone.steps) == stop
-        assert (cone is spec) == whole, (reads, stop)
+        assert [p.iso for p in cone.plans] == [s.iso for s in cone.steps], (reads, stop)
+        assert cone.start is spec._start, (reads, stop)
+        # A cone that keeps every step by its truncation runs the spec's plans.
+        if len(cone.steps) == stop:
+            own = list(map(id, spec._step_plans[:stop]))
+            assert list(map(id, cone.plans)) == own, (reads, stop)
+
+
+def plan_calls(monkeypatch):
+    calls = []
+    of = _StepPlan.of.__func__
+
+    def counting(cls, registry, layout, iso):
+        calls.append(iso.agent)
+        return of(cls, registry, layout, iso)
+
+    monkeypatch.setattr(_StepPlan, "of", classmethod(counting))
+    return calls
+
+
+PLANNED = {"fr": BUILDERS["fr"], "ghz-4-4": lambda: ghz_spec(4, 4, ALPHA, BETA, THETAS)}
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_evolve_at_every_truncation_plans_no_step_beyond_the_specs_own(name, monkeypatch):
+    calls = plan_calls(monkeypatch)
+    spec = PLANNED[name]()
+    assert len(calls) == len(spec.steps)
+    agents = spec.measuring_agents
+    models = [OBJECTIVE_COLLAPSE] + [
+        CollapseModel(frozenset(s)) for r in range(len(agents) + 1)
+        for s in itertools.combinations(agents, r)
+    ]
+    for model in models:
+        for through in [None, 0] + [s.time for s in spec.steps]:
+            evolve(spec, model, through)
+    assert len(calls) == len(spec.steps)
+    # Each truncation's cone is a prefix, which takes the spec's own plans.
+    cones = vars(spec)["_cones"]
+    assert len({id(cone) for cone in cones.values()}) == len(spec.steps) + 1
+    for cone in cones.values():
+        own = list(map(id, spec._step_plans[: len(cone.steps)]))
+        assert list(map(id, cone.plans)) == own
 
 
 def test_every_kept_pair_of_ghz_6_6_shares_one_cone_per_set_of_kept_steps():
@@ -194,7 +243,7 @@ def test_every_kept_pair_of_ghz_6_6_shares_one_cone_per_set_of_kept_steps():
         got = memory_state(spec, NO_COLLAPSE, discard).entries
         want = memory_state(build(), NO_COLLAPSE, discard).entries
         assert np.array_equal(got, want), keep
-    cones, shared = vars(spec)["_cones"], vars(spec)["_cone_specs"]
+    cones, shared = vars(spec)["_cones"], vars(spec)["_kept_cones"]
     assert len(cones) == 153
     # One cone per lab (its friend's and superobserver's steps) and one per
     # two labs; every (reads, truncation) entry refers to one of them.

@@ -52,6 +52,7 @@ UNREACHED = {
     "states.DensityMatrix.dims": TESTS_ONLY,
     "states.DensityMatrix.trace": TESTS_ONLY,
     "experiment.ConditionalTable.probability": TESTS_ONLY,
+    "experiment.ExperimentSpec.measuring_steps": "read by the tests and tools/answer_drift.py",
     "deduction.DeductionChain.__len__": TESTS_ONLY,
     "storyplot.Violation.render": TESTS_ONLY,
     "registry.SubsystemRegistry.build": TESTS_ONLY,

@@ -17,6 +17,7 @@ under ``ism``, ``objective`` and every ``clps:X``:
 * ``renormalized`` (``conditional_via_renormalized_state``) for every
   ordered pair and every outcome of the given agent;
 * ``memory_state`` on the presets for every nonempty kept set of labels,
+  and on GHZ(2,2) and (3,2) for every kept set of one or two labels, each
   with no given outcome and with each single given outcome.
 
 It prints, per route, the number of answers, how many are bitwise equal
@@ -56,6 +57,7 @@ GHZ = {
     (4, 4): ghz.GhzParams(4, 4, math.sqrt(0.45), -1j * math.sqrt(0.55), (0.3, 1.1, 0.7, 0.2)),
 }
 DENSITY_MAX_DIM = 1024
+MEMORY_GHZ = ("ghz-2-2", "ghz-3-2")  # asked memory_state on kept sets of at most 2 labels
 ROUTES = ("evolve", "evolved_density", "conditional_table", "renormalized", "memory_state")
 
 
@@ -110,13 +112,14 @@ def questions(ws, name: str, spec):
                 yield ("renormalized", (name, model.tag, target, given, outcome),
                        lambda a=target, b=given, o=outcome, m=model:
                        ws.conditional_via_renormalized_state(spec, m, a, b, o))
-        if name.startswith("ghz"):
+        if name.startswith("ghz") and name not in MEMORY_GHZ:
             continue
         labels = spec.registry_after().labels
+        most = 2 if name in MEMORY_GHZ else len(labels)
         givens = [{}] + [
             {s.agent: o} for s in spec.measuring_steps for o in s.iso.outcome_labels
         ]
-        for r in range(1, len(labels) + 1):
+        for r in range(1, most + 1):
             for keep in itertools.combinations(labels, r):
                 discard = [label for label in labels if label not in keep]
                 for given in givens:
