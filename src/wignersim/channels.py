@@ -5,15 +5,16 @@ basis into a fresh memory factor: the i-th measurement-basis vector is mapped
 to itself tensored with the i-th memory record.  A controlled preparation is
 the same kind of map, so one :class:`Isometry` describes every step: V from
 some domain factors to those factors tensored with one fresh factor.
-Collapse, when a model calls for it, is the projective update rule with
-renormalization applied at the point of that agent's measurement; everything
-else stays unitary.
+Collapse, when a model calls for it, is the projective update rule applied
+at the point of that agent's measurement; everything else stays unitary.
 
 Both run on one kernel, :class:`_Ensemble`: a weighted branch ensemble
 stacked into one array, stepped by one matmul over all its rows as a
-:class:`_StepPlan` lays the step out.  ``experiment.evolve`` replays the
-plans its spec keeps on a whole ensemble; :func:`branch_decomposition`, one
-step on one state, lists a demo's branches.  :func:`apply_isometry` and
+:class:`_StepPlan` lays the step out.  A row is carried unnormalized: its
+squared norm is its branch probability, so a collapse splits rows without
+rescaling them.  ``experiment.evolve`` replays the step program its cone
+keeps for the collapse set on a whole ensemble; :func:`branch_decomposition`,
+one step on one state, lists a demo's branches.  :func:`apply_isometry` and
 :func:`collapse` run on no program path; the benchmark's tracer wraps them.
 """
 
@@ -30,15 +31,15 @@ from .registry import Subsystem, SubsystemRegistry
 from .states import (
     StateVector,
     ZeroProbabilityError,
-    _check_unit_rows,
+    _check_norms,
     _freeze,
     _row_norms_sq,
     _spelled,
 )
 
 ATOL_ISOMETRY = 1e-12
-# A branch this improbable is dropped: renormalizing it would blow rounding
-# noise up into a unit-norm state.
+# A branch this improbable given its parent is dropped: it is rounding noise,
+# which a reader normalizing it would blow up into a unit-norm state.
 BRANCH_CUT = 1e-12
 ATOL_ORTHO = 1e-9
 COMPLETION_RESIDUAL = 1e-6
@@ -328,19 +329,20 @@ def _isometry_image(amps: np.ndarray, plan: _StepPlan) -> np.ndarray:
 
     ``amps`` has a row axis, then one axis per subsystem of the layout the
     plan was built on.  An axis may be shorter than its subsystem (a record
-    factor, see :class:`_Ensemble`), but not on the step's domain.  The image
-    has shape (B, k, domain…, rest…): the fresh factor, the step's domain,
-    then the other axes in registry order, which keeps the factors a readout
-    sums over together.  Nothing is transposed back.  One transpose and one
-    matmul per call, whatever the number of rows.
+    factor, see :class:`_Ensemble`), but not on the step's domain.  The
+    image has shape (B, k, domain…, rest…): the fresh factor, the step's
+    domain, then the other axes in registry order, which keeps the factors a
+    readout sums over together.  Nothing is transposed back.  One transpose
+    and one matmul per call, whatever the number of rows.
     """
-    for i, axis in enumerate(plan.domain):
-        if amps.shape[axis] != plan.domain_dims[i]:
-            raise ValueError(
-                f"subsystem {plan.iso.domain.labels[i]!r} bases differ between the "
-                f"state and {plan.iso.agent}'s step: it is held as a record factor"
-            )
     moved = amps.transpose(plan.perm)
+    if moved.shape[1 : len(plan.domain) + 1] != plan.domain_dims:
+        held = zip(plan.iso.domain.labels, moved.shape[1:], plan.domain_dims)
+        label = next(label for label, length, dim in held if length != dim)
+        raise ValueError(
+            f"subsystem {label!r} bases differ between the "
+            f"state and {plan.iso.agent}'s step: it is held as a record factor"
+        )
     image = np.matmul(plan.matrix, moved.reshape(len(amps), plan.matrix.shape[1], -1))
     return image.reshape((len(amps), plan.iso.appended.dimension) + moved.shape[1:])
 
@@ -351,10 +353,13 @@ class _Ensemble:
 
     ``amps`` has a row axis, then one axis per subsystem of ``layout``, in
     ``layout`` order: the order the last step's :class:`_StepPlan` left, not
-    registry order, so axes are looked up with ``layout.axis``; a reader that
-    needs registry order is handed the plan's ``registry``.  Every row has
-    unit norm, checked wherever new amplitudes are computed (a step, a
-    renormalization): a weighted branch is a row and its ``weights`` entry.
+    registry order, so axes are looked up with ``layout.axis``; a reader
+    that needs registry order is handed the plan's ``registry``.  Rows are
+    not normalized: |row b|² is branch b's probability, which ``weights[b]``
+    must equal, and only :meth:`states` divides by √w.  Each norm is checked
+    against its weight, relative to it, once per run of steps: at a collapse
+    each parent's children must sum to its weight, and at the cone's end
+    each row must match its own.
 
     A step replays its :class:`_StepPlan`, which supplies the next
     ``layout``, so a step builds no registry.  The plan holds what the
@@ -383,28 +388,21 @@ class _Ensemble:
         weights.setflags(write=False)
         return cls(state.registry, state.tensored()[None], weights, MappingProxyType({}))
 
-    def renormalized(
-        self, layout: SubsystemRegistry, rows: np.ndarray, label: str, outcomes: np.ndarray
+    def _children(
+        self, layout: SubsystemRegistry, rows: np.ndarray, p: np.ndarray, label: str,
+        outcomes: np.ndarray,
     ) -> "_Ensemble":
-        """Child rows scaled to unit norm, their probabilities folded into the weights.
+        """The children that survive the branch cut, each weighted by its squared norm p.
 
-        With k = len(outcomes), row i of ``rows`` is a child of this
-        ensemble's row i // k that records ``outcomes[i % k]`` on memory
-        ``label``; the children are laid out as ``layout``.  Their
-        probabilities come first: a row of probability ≤ BRANCH_CUT is
-        dropped, and a NaN probability is kept, so the norm check rejects it.
-        Rows, weights and records are then gathered once, by the surviving
-        indices, and the gathered rows are scaled in place.
+        ``rows[b, i]``, laid out as ``layout``, is a child of row b that
+        records ``outcomes[i]`` on memory ``label``.  A child with p ≤
+        BRANCH_CUT times its parent's weight is dropped; a NaN one is kept.
+        Rows, weights and records are gathered once; nothing is divided.
         """
-        p = _row_norms_sq(rows)
-        index = np.flatnonzero(~(p <= BRANCH_CUT))
-        parent, child = np.divmod(index, len(outcomes))
-        rows, p = rows[index], p[index]
-        rows /= np.sqrt(p).reshape((-1,) + (1,) * (rows.ndim - 1))
-        _check_unit_rows(rows)
+        parent, child = np.nonzero(~(p <= BRANCH_CUT * self.weights[:, None]))
         records = {key: r[parent] for key, r in self.records.items()}
         records[label] = outcomes[child]
-        return _Ensemble(layout, rows, self.weights[parent] * p, records)
+        return _Ensemble(layout, rows[parent, child], p[parent, child], records)
 
     def is_record(self, label: str) -> bool:
         axis = self.layout.axis(label)
@@ -429,25 +427,26 @@ class _Ensemble:
         out[tuple(where)] = self.amps.squeeze(axis=tuple(axes))
         return _Ensemble(self.layout, out, self.weights, self.records)
 
-    def stepped(self, plan: _StepPlan, collapses: bool) -> "_Ensemble":
-        """``plan``'s step on every row; a collapse splits each row into its outcomes.
+    def stepped(
+        self, plan: _StepPlan, expand: tuple[int, ...], outcomes: np.ndarray | None
+    ) -> "_Ensemble":
+        """``plan``'s step on every row; with ``outcomes`` it collapses, splitting each row.
 
-        The rows must be laid out as the layout ``plan`` was built on.  Any
-        record on the step's domain is expanded, then one transpose and one
-        matmul make the image of every row.  Without a collapse every image
-        row's norm is checked.  A collapse views the image as B·k child rows
-        and hands them to :meth:`renormalized`, which cuts the improbable
-        ones before it gathers anything.
+        The record factors on array axes ``expand``, those on the step's
+        domain (``experiment._Cone._program``), are expanded first.  Only a
+        collapse checks a norm: each parent's children must sum to its
+        weight before :meth:`_children` cuts and gathers them.
         """
-        ens = self.expanded(plan.domain)
+        ens = self.expanded(expand) if expand else self
         image = _isometry_image(ens.amps, plan)
-        if not collapses:
-            _check_unit_rows(image)
+        if outcomes is None:
             return _Ensemble(plan.layout, image, ens.weights, ens.records)
-        # Row b·k + i is row b's outcome i; the memory is left a record factor.
+        # Child (b, i) is row b's outcome i; the memory is left a record factor.
         b, k = image.shape[:2]
-        rows = image.reshape((b * k, 1) + image.shape[2:])
-        return ens.renormalized(plan.layout, rows, plan.iso.appended.label, np.arange(k))
+        p = _row_norms_sq(image.reshape(b * k, -1)).reshape(b, k)
+        _check_norms(np.add.reduce(p, axis=1), ens.weights)
+        rows = image.reshape((b, k, 1) + image.shape[2:])
+        return ens._children(plan.layout, rows, p, plan.iso.appended.label, outcomes)
 
     def selected(self, mask: np.ndarray) -> "_Ensemble":
         records = {label: r[mask] for label, r in self.records.items()}
@@ -459,13 +458,15 @@ class _Ensemble:
         axis = self.layout.axis(label) + 1
         ens = self.expanded([axis])
         rows = np.take(ens.amps, [index], axis=axis)
-        return ens.renormalized(ens.layout, rows, label, np.array([index]))
+        p = _row_norms_sq(rows)[:, None]
+        return ens._children(ens.layout, rows[:, None], p, label, np.array([index]))
 
     def states(self, registry: SubsystemRegistry) -> list[StateVector]:
-        """Every row on the plan's ``registry``: records expanded, axes in its order."""
+        """Every row's unit state on the plan's ``registry``: divided by √w, records expanded."""
         full = self.expanded(range(1, self.amps.ndim))
         perm = [0] + [full.layout.axis(label) + 1 for label in registry.labels]
-        return [StateVector(registry, row) for row in full.amps.transpose(perm)]
+        rows = full.amps / np.sqrt(full.weights).reshape((-1,) + (1,) * (full.amps.ndim - 1))
+        return [StateVector(registry, row) for row in rows.transpose(perm)]
 
 
 def apply_isometry(state: StateVector, iso: Isometry) -> StateVector:
@@ -487,7 +488,7 @@ def branch_decomposition(
     extended by the full memory factor, one-hot at the branch's outcome.
     """
     plan = _StepPlan.of(state.registry, state.registry, iso)
-    ens = _Ensemble.of(state).stepped(plan, collapses=True)
+    ens = _Ensemble.of(state).stepped(plan, (), np.arange(iso.appended.dimension))
     records = ens.records[iso.memory_label].tolist()
     found = dict(zip(records, zip(ens.weights.tolist(), ens.states(plan.registry))))
     return [

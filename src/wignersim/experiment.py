@@ -3,8 +3,9 @@
 An experiment is a fixed initial state plus a time-ordered list of isometry
 steps (measurements and controlled preparations).  Evolution under a collapse
 model yields either a single coherent state (no collapse) or an ensemble of
-collapsed branches, and every distribution here is computed by exact branch
-and projector enumeration; nothing is ever sampled.
+collapsed branches, each one unnormalized row whose squared norm is its
+probability (see ``channels._Ensemble``).  Every distribution here is computed
+by exact branch and projector enumeration; nothing is ever sampled.
 
 Conditional tables deserve one warning.  "What does agent X know about agent Y"
 is evaluated on the circuit truncated at the later of the two measurements:
@@ -43,6 +44,7 @@ import numpy as np
 from .channels import CollapseModel, Isometry, _Ensemble, _StepPlan
 from .registry import SubsystemRegistry
 from .states import DensityMatrix, StateVector, ZeroProbabilityError, _spelled
+from .states import _check_norms, _row_norms_sq
 
 ATOL_DIST = 1e-9
 SUPPORT_EPS = 1e-15
@@ -193,13 +195,14 @@ class _Cone:
     subsequence of a built spec's: their times increase, each agent measures
     once and every domain label is initial or appended by a kept step, so
     nothing is checked again.  The plans chain from ``start.layout``, the
-    initial registry.  The :attr:`_settled` set and the readout plans are
-    built on first use and kept; like a plan, a cone holds no answers.
+    initial registry.  The :attr:`_settled` set, step programs and readout
+    plans are built on first use and kept; like a plan, a cone holds no answers.
     """
 
     steps: tuple[Step, ...]
     plans: tuple[_StepPlan, ...]
     start: _Ensemble
+    _programs: dict = field(default_factory=dict, init=False, repr=False)
     _readouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -221,6 +224,34 @@ class _Cone:
             touched.update(step.iso.domain.labels)
         return frozenset(found)
 
+    @cached_property
+    def _agents(self) -> frozenset[str]:
+        return frozenset(step.agent for step in self.steps if step.is_measurement)
+
+    def _program(self, model: CollapseModel) -> tuple:
+        """Each step's arguments to :meth:`_Ensemble.stepped` under ``model``, per collapse set.
+
+        Which record factors a step must expand, and the outcome indices of
+        a collapsing step (None otherwise), depend only on the cone and on
+        which of its agents collapse; built on first use and published whole.
+        """
+        collapsing = self._agents if model.agents is None else self._agents & model.agents
+        program = self._programs.get(collapsing)
+        if program is None:
+            held: set[str] = set()
+            entries = []
+            for step, plan in zip(self.steps, self.plans):
+                domain = step.iso.domain.labels
+                expand = tuple(a for a, label in zip(plan.domain, domain) if label in held)
+                held.difference_update(domain)
+                collapses = step.is_measurement and model.collapses_at(step.agent)
+                if collapses:
+                    held.add(step.iso.memory_label)
+                outcomes = np.arange(step.iso.appended.dimension) if collapses else None
+                entries.append((plan, expand, outcomes))
+            program = self._programs.setdefault(collapsing, tuple(entries))
+        return program
+
     def _readout(self, records: frozenset[str]) -> "_ReadoutPlan":
         """The readout plan of an ensemble holding ``records``, published whole."""
         plan = self._readouts.get(records)
@@ -238,10 +269,9 @@ class _ReadoutPlan:
     contribute their record: ``records`` holds those memories in agent order
     and ``dims`` their alphabet lengths.  The others are read from their
     memory factors: ``summed`` lists every other array axis, the ensemble's
-    row axis excluded, and ``weight_shape`` broadcasts the weights over the
-    free agents.  The cells come out with the recorded agents first and the
-    free ones in axis order; ``order`` transposes them back to agent order.
-    Like a step plan it holds no amplitudes or answers.
+    row axis excluded.  The cells come out with the recorded agents first
+    and the free ones in axis order; ``order`` transposes them back to agent
+    order.  Like a step plan it holds no amplitudes or answers.
     """
 
     agents: tuple[str, ...]
@@ -249,7 +279,6 @@ class _ReadoutPlan:
     records: tuple[str, ...]
     dims: tuple[int, ...]
     summed: tuple[int, ...]
-    weight_shape: tuple[int, ...]
     order: tuple[int, ...]
 
     @classmethod
@@ -271,7 +300,6 @@ class _ReadoutPlan:
             records=tuple(memories[i] for i in recorded),
             dims=tuple(len(steps[i].iso.outcome_labels) for i in recorded),
             summed=tuple(a for a in range(1, len(layout.subsystems) + 1) if a not in axes),
-            weight_shape=(-1,) + (1,) * len(free),
             order=tuple(order.index(i) for i in range(len(steps))),
         )
 
@@ -409,11 +437,11 @@ def _evolved_branches(
 ) -> tuple[_Ensemble, _Cone]:
     """The cone of ``reads`` (see :meth:`ExperimentSpec._cone`), evolved, and that cone.
 
-    The model is checked on the spec, and passes unchanged to the cone.
-    Each step of the cone replays its plan from the cone's start: it expands
-    any record on its domain, makes one transpose and one matmul over all
-    rows, then checks every row's norm or splits the rows by outcome.  The
-    output axis order is kept (see :func:`~wignersim.channels._isometry_image`).
+    The model is checked on the spec and picks the cone's step program
+    (:meth:`_Cone._program`), replayed from the cone's start: per step one
+    transpose, one matmul and, at a collapse, one split that checks each
+    parent's norm.  Steps after the last collapse are checked at the end.
+    The output axis order is kept (see :func:`~wignersim.channels._isometry_image`).
     Collapsed memories are record factors, so a row scales with the factors
     still quantum.
     """
@@ -423,9 +451,12 @@ def _evolved_branches(
             f"collapse model names unknown agent {unknown!r} for {spec.name!r}"
         )
     cone = spec._cone(reads, through_time)
+    program = cone._program(model)
     ens = cone.start
-    for step, plan in zip(cone.steps, cone.plans):
-        ens = ens.stepped(plan, step.is_measurement and model.collapses_at(step.agent))
+    for plan, expand, outcomes in program:
+        ens = ens.stepped(plan, expand, outcomes)
+    if program and outcomes is None:
+        _check_norms(_row_norms_sq(ens.amps), ens.weights)
     return ens, cone
 
 
@@ -444,7 +475,7 @@ def _pair_branches(
 def _condition_branches(
     ens: _Ensemble, spec: ExperimentSpec, condition: Mapping[str, str]
 ) -> _Ensemble:
-    """Condition the ensemble on memory outcomes, renormalizing the weights.
+    """Condition the ensemble on memory outcomes, then rescale it to unit total weight.
 
     A memory holds a record exactly when its agent collapsed: conditioning
     then keeps the rows with the matching record (the outcome was decided at
@@ -466,7 +497,7 @@ def _condition_branches(
         raise ZeroProbabilityError(
             f"conditioning on {dict(condition)} has zero probability"
         )
-    return _Ensemble(ens.layout, ens.amps, ens.weights / total, ens.records)
+    return _Ensemble(ens.layout, ens.amps / math.sqrt(total), ens.weights / total, ens.records)
 
 
 def _record_keys(records: list[np.ndarray], dims: list[int], rows: int) -> np.ndarray:
@@ -485,14 +516,13 @@ def _joint(ens: _Ensemble, cone: _Cone, model_tag: str) -> JointDistribution:
     conditioned on) contributes that outcome; every other agent contributes
     the diagonal readout of its memory factor.  What the cone fixes about
     that split is the :class:`_ReadoutPlan` of the recorded memories, built
-    once per cone.  Per call the readout is one |ψ|² reduction over all
-    rows, squared in place; rows are then summed by record.
+    once per cone.  A row carries its weight, so per call the readout is one
+    |row|² reduction over all rows, squared in place; rows are then summed by record.
     """
     plan = cone._readout(frozenset(ens.records))
     probs = np.abs(ens.amps)
     np.square(probs, out=probs)
     readout = np.add.reduce(probs, axis=plan.summed)
-    readout *= ens.weights.reshape(plan.weight_shape)
     readout[readout <= SUPPORT_EPS] = 0.0
     # Each row lands on the cells of its records.  No two rows share their
     # records: a collapse gives its outcome rows distinct records, and
@@ -631,23 +661,24 @@ def conditional_via_renormalized_state(
 
 
 def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> DensityMatrix:
-    """Σ_b w_b Ψ_b Ψ_b† over the kept factors, in registry order.
+    """Σ_b Ψ_b Ψ_b† over the kept factors, in registry order.
 
     ``sub_registry`` is the plan chain's registry restricted to the kept
     factors.  Ψ_b is row b with its kept quantum axes moved first, in
     registry order, and reshaped to (kept, discarded), so the discarded
-    factors are contracted away and no d×d matrix is ever formed.  With no
-    kept record the whole ensemble is one contraction, scaled by √w_b, and
-    its Gram product is the answer.  A kept record factor has length 1: row
-    b then fills only the block of its recorded outcomes.  The answer is
-    then allocated once, in registry order, and each block is one matmul
-    over the rows that share its records, written through a view of the
-    answer with the kept records' axes fixed at those records.  Discarded
-    records cost nothing.  Either way the answer is a Gram product, and
-    :meth:`DensityMatrix._gram` bounds its rounding by the longest block's
-    contraction length.  Beyond the ensemble and one reordered copy of it,
-    the only d_keep×d_keep array is the answer: temporaries that size would
-    make the allocator trim the heap and fault it back in on every call.
+    factors are contracted away and no d×d matrix is ever formed; a row
+    carries its weight, so nothing is scaled.  With no kept record the whole
+    ensemble is one contraction, and its Gram product is the answer.  A kept
+    record factor has length 1: row b then fills only the block of its
+    recorded outcomes.  The answer is then allocated once, in registry
+    order, and each block is one matmul over the rows that share its
+    records, written through a view of the answer with the kept records'
+    axes fixed at those records.  Discarded records cost nothing.  Either
+    way the answer is a Gram product, and :meth:`DensityMatrix._gram` bounds
+    its rounding by the longest block's contraction length.  Beyond the
+    ensemble and at most one reordered copy of it, the only d_keep×d_keep
+    array is the answer: temporaries that size would make the allocator trim
+    the heap and fault it back in on every call.
     """
     layout = ens.layout
     held = [label for label in sub_registry.labels if ens.is_record(label)]
@@ -655,9 +686,7 @@ def _reduced_density(ens: _Ensemble, sub_registry: SubsystemRegistry) -> Density
     axes = [layout.axis(label) + 1 for label in quantum]
     other = [a for a in range(1, ens.amps.ndim) if a not in axes]
     rows = len(ens.amps)
-    perm = axes + [0] + other
-    scale = np.sqrt(ens.weights).reshape((-1,) + (1,) * (ens.amps.ndim - 1))
-    psi = np.multiply(ens.amps.transpose(perm), scale.transpose(perm), order="C")
+    psi = ens.amps.transpose(axes + [0] + other)
     quantum_dims = psi.shape[: len(axes)]
     q = math.prod(quantum_dims)
     psi = psi.reshape(q, rows, -1)

@@ -17,14 +17,14 @@ NaN gets into a state or a density matrix.
 :func:`tensor` act on one state and run on no program path, which builds its
 densities from a branch ensemble; the benchmark's tracer still wraps them.
 
-A density the program returns is a Gram product ρ = GG† of the weighted
-ensemble rows, Hermitian and positive semidefinite by construction: an O(d)
-rounding bound from its diagonal and contraction length
-(:meth:`DensityMatrix._gram`) stands in for the O(d²) Hermitian check and
-the O(d³) spectrum, which run only if it fails.  Raw entries from a library
-caller are checked in full: shape, Hermitian, trace, ``eigvalsh``, which
-costs O(d³) at any rank.  The Hermitian check reads BLOCK×BLOCK tiles, so
-the matrix is the only d×d array it holds.
+A density the program returns is a Gram product ρ = GG† of the ensemble
+rows, which carry their weights, Hermitian and positive semidefinite by
+construction: an O(d) rounding bound from its diagonal and contraction
+length (:meth:`DensityMatrix._gram`) stands in for the O(d²) Hermitian check
+and the O(d³) spectrum, which run only if it fails.  Raw entries from a
+library caller are checked in full: shape, Hermitian, trace, ``eigvalsh``,
+which costs O(d³) at any rank.  The Hermitian check reads BLOCK×BLOCK tiles,
+so the matrix is the only d×d array it holds.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def _hermitian(mat: np.ndarray) -> bool:
     return True
 
 
-def _check_unit_rows(rows: np.ndarray) -> None:
-    """Raise as :class:`StateVector` does unless every row has unit norm."""
-    norm_sq = _row_norms_sq(rows)
-    off = np.abs(norm_sq - 1.0)
+def _check_norms(norm_sq: np.ndarray, weights: np.ndarray) -> None:
+    """Raise as :class:`StateVector` does, on norm_sq/w, unless each is 1 within ATOL_CONSTRUCT."""
+    ratio = norm_sq / weights
+    off = np.abs(ratio - 1.0)
     if not np.maximum.reduce(off, initial=0.0) <= ATOL_CONSTRUCT:
-        raise _not_normalized(float(norm_sq[~(off <= ATOL_CONSTRUCT)][0]))
+        raise _not_normalized(float(ratio[~(off <= ATOL_CONSTRUCT)][0]))
 
 
 @dataclass(frozen=True)

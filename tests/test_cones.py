@@ -97,9 +97,9 @@ def counted_steps(monkeypatch):
     calls = []
     stepped = _Ensemble.stepped
 
-    def counting(self, plan, collapses):
+    def counting(self, plan, expand, outcomes):
         calls.append(plan.iso.agent)
-        return stepped(self, plan, collapses)
+        return stepped(self, plan, expand, outcomes)
 
     monkeypatch.setattr(_Ensemble, "stepped", counting)
     return calls

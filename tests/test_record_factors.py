@@ -13,7 +13,11 @@ selects the rows of a collapsed memory and projects a coherent one, and the
 two give the same state.  A step that reads a memory in another basis
 never reaches a record factor: its spec cannot be built.  A plan replayed
 by hand on an ensemble that holds its domain as a record is still caught
-when the step is applied.
+when the step is applied.  Rows carry their weights: a collapse keeps each
+surviving child unscaled, its cut is conditional on the parent (two
+independent 1e-7 outcomes keep their 1e-14 cell, as the oracle does), and
+a row off its weight fails the norm check, relative to that weight, at a
+collapse and at the cone's end.
 """
 
 import math
@@ -24,7 +28,7 @@ import numpy as np
 import pytest
 
 import numpy_oracle as oracle
-from circuits import ghz_spec, models_for, read_model
+from circuits import ghz_spec, models_for, read_model, truncated_cone
 from wignersim.channels import (
     BRANCH_CUT,
     NO_COLLAPSE,
@@ -124,8 +128,14 @@ def test_evolve_support_view_matches_the_oracle_joint(name, model):
         assert np.max(np.abs(got - want)) < ORACLE_ATOL
 
 
+def carried_rows(ensemble, registry):
+    """Every row as the ensemble carries it, |row|² its weight: records expanded, axes in registry order."""
+    full = ensemble.expanded(range(1, ensemble.amps.ndim))
+    return full.amps.transpose([0] + [full.layout.axis(label) + 1 for label in registry.labels])
+
+
 def ndindex_joint(spec, model):
-    """The readout loop over every cell, row by row, as ``evolve`` had it before."""
+    """The readout loop over every cell, row by row, on each row's |amplitude|²."""
     ensemble = evolved(spec, model)
     registry = spec.registry_after()
     steps = spec.measuring_steps
@@ -134,10 +144,9 @@ def ndindex_joint(spec, model):
     memory_axes = [registry.axis(s.iso.memory_label) for s in readout_steps]
     mem_dims = tuple(registry.dims[a] for a in memory_axes)
     probs = {}
-    for row, (weight, state) in enumerate(zip(ensemble.weights, ensemble.states(registry))):
-        amps = state.tensored()
+    for row, amps in enumerate(carried_rows(ensemble, registry)):
         other = tuple(i for i in range(amps.ndim) if i not in memory_axes)
-        readout = weight * (np.abs(amps) ** 2).sum(axis=other)
+        readout = (np.abs(amps) ** 2).sum(axis=other)
         for idx in np.ndindex(*mem_dims):
             p = float(readout[idx])
             if p <= 1e-15:
@@ -168,9 +177,9 @@ def test_support_readout_equals_every_cell_loop(name, model):
 
 
 def weighted_density(ensemble, registry):
-    """The ensemble's density matrix on ``registry``, from its weighted rows."""
-    rows = np.stack([state.amplitudes for state in ensemble.states(registry)])
-    return np.einsum("b,bi,bj->ij", ensemble.weights, rows, rows.conj())
+    """The ensemble's density matrix on ``registry``: Σ row row†, each row carrying its weight."""
+    rows = carried_rows(ensemble, registry).reshape(len(ensemble.weights), -1)
+    return np.einsum("bi,bj->ij", rows, rows.conj())
 
 
 @pytest.mark.parametrize("name", sorted(presets()))
@@ -191,7 +200,9 @@ def test_conditioning_selects_recorded_rows_and_projects_coherent_memories(name)
                         _condition_branches(ensemble, spec, {step.agent: outcome})
                 continue
             selected = _condition_branches(collapsed, spec, {step.agent: outcome})
-            assert np.array_equal(selected.amps, collapsed.amps[keep])
+            # The recorded rows, rescaled once by their total weight.
+            total = math.sqrt(collapsed.weights[keep].sum())
+            assert np.array_equal(selected.amps, collapsed.amps[keep] / total)
             projected = _condition_branches(coherent, spec, {step.agent: outcome})
             assert projected.is_record(memory)
             assert projected.records[memory].tolist() == [index] * len(projected.weights)
@@ -250,24 +261,28 @@ def test_step_on_a_memory_in_another_basis_fails_when_the_spec_is_built():
 def test_a_collapse_keeps_each_surviving_child_of_its_parent():
     # GHZ(3,2) under objective collapse: after F0 each row holds its qubits'
     # values, so every later step cuts half of its children (two of F1's and
-    # F2's, and the two completion outcomes of W0's and W1's four).
+    # F2's, and the two completion outcomes of W0's and W1's four).  Each
+    # child is kept as the step made it: its squared norm is its weight.
     spec = ghz_spec(3, 2, GHZ_ALPHA, GHZ_BETA, (0.3, 1.1))
+    program = truncated_cone(spec)._program(OBJECTIVE_COLLAPSE)
+    assert [plan for plan, _, _ in program] == list(spec._step_plans)
     ens, cut = spec._start, []
-    for plan in spec._step_plans:
-        image = _isometry_image(ens.expanded(plan.domain).amps, plan)
-        children = ens.stepped(plan, collapses=True)
+    for plan, expand, outcomes in program:
+        assert outcomes.tolist() == list(range(len(plan.iso.outcome_labels)))
+        image = _isometry_image(ens.expanded(expand).amps, plan)
+        children = ens.stepped(plan, expand, outcomes)
         b, k = image.shape[:2]
         row = 0
         for parent, outcome in np.ndindex(b, k):
             child = image[parent, outcome][None]
             p = _row_norms_sq(child[None])[0]
-            if p <= BRANCH_CUT:
+            if p <= BRANCH_CUT * ens.weights[parent]:
                 continue
             for label, records in ens.records.items():
                 assert children.records[label][row] == records[parent]
             assert children.records[plan.iso.memory_label][row] == outcome
-            assert children.weights[row] == ens.weights[parent] * p
-            assert np.array_equal(children.amps[row], child / np.sqrt(p))
+            assert children.weights[row] == p
+            assert np.array_equal(children.amps[row], child)
             row += 1
         assert len(children.weights) == len(children.amps) == row
         assert children.records.keys() == ens.records.keys() | {plan.iso.memory_label}
@@ -275,34 +290,43 @@ def test_a_collapse_keeps_each_surviving_child_of_its_parent():
         ens = children
     assert cut == [0, 2, 2, 4, 8]
     # A NaN amplitude makes its row's children NaN: they are kept, so the
-    # norm check rejects them.
-    first = spec._start.stepped(spec._step_plans[0], collapses=True)
+    # parent's norm check rejects them.
+    first = spec._start.stepped(*program[0])
     amps = first.amps.copy()
     amps[1].flat[0] = math.nan
     poisoned = _Ensemble(first.layout, amps, first.weights, first.records)
     with pytest.raises(ValueError, match=r"^state not normalized: \|psi\|\^2 = nan$"):
         with np.errstate(invalid="ignore"):
-            poisoned.stepped(spec._step_plans[1], collapses=True)
+            poisoned.stepped(*program[1])
 
 
 NOT_NORMALIZED = re.compile(r"state not normalized: \|psi\|\^2 = (\S+)")
 
 
-@pytest.mark.parametrize("norm_sq", [1 + 2e-12, 1 - 2e-12, math.nan], ids=["high", "low", "nan"])
-@pytest.mark.parametrize("collapses", [False, True], ids=["step", "collapse"])
-def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapses):
+def started_from(rows, weights):
+    """wigner_friend("superposition") with every cone started from ``rows`` and ``weights``."""
     spec = wigner_friend("superposition")
-    good = spec.initial.tensored()
-    rows = np.stack([good, good * math.sqrt(norm_sq)])
+    object.__setattr__(spec, "_start", _Ensemble(spec.registry, rows, weights, {}))
+    return spec
+
+
+# F measures the spin and W measures spin and memory together: under
+# objective collapse F's step checks the start rows, and under ism the rows
+# are first checked at the cone's end.
+WHERE = {"collapse": OBJECTIVE_COLLAPSE, "end": NO_COLLAPSE}
+
+
+@pytest.mark.parametrize("norm_sq", [1 + 2e-12, 1 - 2e-12, math.nan], ids=["high", "low", "nan"])
+@pytest.mark.parametrize("where", WHERE)
+def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, where):
+    good = wigner_friend("superposition").initial
     with pytest.raises(ValueError) as state_error:
-        StateVector(spec.registry, rows[1])
-    ensemble = _Ensemble(spec.registry, rows, np.array([0.5, 0.5]), {})
-    if collapses and not math.isnan(norm_sq):
-        # A collapse renormalizes its outcome rows, so only NaN survives it.
-        assert len(ensemble.stepped(spec._step_plans[0], collapses).weights) == 4
-        return
+        StateVector(good.registry, good.amplitudes * math.sqrt(norm_sq))
+    rows = np.stack([good.tensored(), good.tensored() * math.sqrt(norm_sq)])
+    spec = started_from(rows, np.ones(2))
+    reads = frozenset(spec.registry_after().labels)
     with pytest.raises(ValueError) as ensemble_error, np.errstate(invalid="ignore"):
-        ensemble.stepped(spec._step_plans[0], collapses)
+        _evolved_branches(spec, WHERE[where], reads)
     want = NOT_NORMALIZED.fullmatch(str(state_error.value))
     got = NOT_NORMALIZED.fullmatch(str(ensemble_error.value))
     assert want and got
@@ -310,8 +334,50 @@ def test_row_norm_check_rejects_a_bad_row_as_state_vector_does(norm_sq, collapse
 
 
 def test_row_norm_check_accepts_rows_within_the_bound():
-    spec = wigner_friend("superposition")
-    good = spec.initial.tensored()
+    # F and W each split every row in two under objective collapse.
+    good = wigner_friend("superposition").initial.tensored()
     rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)])
-    ensemble = _Ensemble(spec.registry, rows, np.array([0.5, 0.5]), {})
-    assert len(ensemble.stepped(spec._step_plans[0], False).weights) == 2
+    reads = frozenset(wigner_friend("superposition").registry_after().labels)
+    for where, count in [("collapse", 8), ("end", 2)]:
+        ens, _ = _evolved_branches(started_from(rows, np.ones(2)), WHERE[where], reads)
+        assert len(ens.weights) == count
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_row_norm_check_is_relative_to_each_rows_weight(where):
+    # Off its weight by 2.5e-12 of it, a row fails, though the absolute
+    # difference is 2.5e-20; its sibling is within 5e-13 of its own.
+    good = wigner_friend("superposition").initial.tensored()
+    rows = np.stack([good * math.sqrt(1 + 5e-13), good * math.sqrt(1 - 5e-13)]) * 1e-4
+    weights = np.array([1e-8, 1e-8 * (1 + 2e-12)])
+    reads = frozenset(wigner_friend("superposition").registry_after().labels)
+    with pytest.raises(ValueError, match=r"^state not normalized: \|psi\|\^2 = 0\.99999999999"):
+        _evolved_branches(started_from(rows, weights), WHERE[where], reads)
+
+
+def rare_pair():
+    """Two qubits, each |1⟩ with probability 1e-7, measured by F0 then F1."""
+    qubits = [Subsystem(f"Q{i}", 2, ("0", "1")) for i in range(2)]
+    registry = SubsystemRegistry(tuple(qubits))
+    one = np.array([math.sqrt(1 - 1e-7), math.sqrt(1e-7)])
+    steps = []
+    for i, qubit in enumerate(qubits):
+        reg = SubsystemRegistry((qubit,))
+        basis = [StateVector.basis_state(reg, "0"), StateVector.basis_state(reg, "1")]
+        iso = build_measurement_isometry(f"F{i}", reg, basis, memory=f"F{i}", memory_labels=("a", "b"))
+        steps.append(Step(i + 1, iso))
+    return ExperimentSpec("rare", registry, StateVector(registry, np.kron(one, one)), tuple(steps))
+
+
+def test_the_branch_cut_is_conditional_on_the_parent():
+    # F1's rare child of F0's rare branch has probability 1e-14: far below
+    # BRANCH_CUT in absolute terms, but 1e-7 of its parent, so it is kept,
+    # as the oracle keeps it, and its cell is in the support.
+    spec = rare_pair()
+    got = evolve(spec, OBJECTIVE_COLLAPSE)
+    want = oracle.joint(spec, OBJECTIVE_COLLAPSE, *oracle.ensemble(spec, OBJECTIVE_COLLAPSE))
+    assert want[1, 1] == pytest.approx(1e-14, rel=1e-9)
+    cell = OutcomeAssignment((("F0", "b"), ("F1", "b")))
+    assert got.probs[cell] == pytest.approx(want[1, 1], rel=1e-12, abs=0)
+    assert np.max(np.abs(got.array - want)) < ORACLE_ATOL
+    assert len(evolved(spec, OBJECTIVE_COLLAPSE).weights) == 4

@@ -9,13 +9,15 @@ chains the registries, and a plan holds no amplitudes.  The readout plans
 a cone keeps per set of recorded memories give ``evolve`` and the pair
 tables the bytes a fresh spec gives, whichever question built them, and
 threads sharing one spec build exactly the plans and settled sets their
-questions use.
+questions use.  The step programs a cone keeps per collapse set stay small
+when GHZ(4,4) is asked under every collapse set at every truncation.
 """
 
 import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from circuits import ghz_spec, models_for, read_model, truncated_cone
 from wignersim.channels import (
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
+    CollapseModel,
     build_measurement_isometry,
 )
 from wignersim.experiment import (
@@ -299,3 +302,35 @@ def test_readout_plans_give_every_answer_the_bytes_of_a_fresh_spec(name, order):
     for answer, case in readout_questions(shared)[::order]:
         assert answer(shared, case) == answer(BUILDERS[name](), case), case
     assert any(vars(cone)["_readouts"] for cone in vars(shared)["_kept_cones"].values())
+
+
+def test_the_step_programs_of_every_collapse_set_hold_little_memory():
+    # Warm GHZ(4,4) with one question, then run evolve under all 256
+    # collapse sets at every truncation: each cone keeps one step program
+    # per collapse set of its own agents and one readout plan per set of
+    # records, and nothing per call.
+    spec = ghz_spec(4, 4, GHZ_ALPHA, GHZ_BETA, (0.3, 0.6, 0.9, 1.2))
+    evolve(spec, NO_COLLAPSE)
+    agents = spec.measuring_agents
+    models = [
+        CollapseModel(frozenset(s)) for r in range(len(agents) + 1) for s in itertools.combinations(agents, r)
+    ]
+    assert len(models) == 256
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for model in models:
+            for through in [None, 0] + [s.time for s in spec.steps]:
+                evolve(spec, model, through)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A truncation's cone keeps one program per set of its agents that
+    # collapse: the caller's set plus the settled ones.
+    runs = {}
+    for through in [0] + [s.time for s in spec.steps]:
+        ran = frozenset(s.agent for s in spec.measuring_steps if s.time <= through)
+        runs[through] = {read_model(spec, m, through).agents & ran for m in models}
+    programs = sum(len(cone._programs) for cone in spec._kept_cones.values())
+    assert programs == sum(map(len, runs.values())) == 69
+    assert held < 0.5 * 2**20, held
