@@ -27,22 +27,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import tolerances as tol
 from .registry import Subsystem, SubsystemRegistry
-from .states import (
-    StateVector,
-    ZeroProbabilityError,
-    _check_norms,
-    _freeze,
-    _row_norms_sq,
-    _spelled,
-)
-
-ATOL_ISOMETRY = 1e-12
-# A branch this improbable given its parent is dropped: it is rounding noise,
-# which a reader normalizing it would blow up into a unit-norm state.
-BRANCH_CUT = 1e-12
-ATOL_ORTHO = 1e-9
-COMPLETION_RESIDUAL = 1e-6
+from .states import StateVector, ZeroProbabilityError, _check_norms, _freeze, _row_norms_sq
 
 
 def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -58,7 +45,7 @@ def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
         for b in basis:
             residual = residual - b * np.vdot(b, residual)
         norm = np.linalg.norm(residual)
-        if norm > COMPLETION_RESIDUAL:
+        if norm > tol.COMPLETION_RESIDUAL:
             basis.append(residual / norm)
     if len(basis) != dim:
         raise ValueError("basis completion failed to span the measured space")
@@ -70,9 +57,9 @@ def _checked_isometry(matrix, d: int, k: int) -> np.ndarray:
     mat = _freeze(matrix)
     if mat.shape != (d * k, d):
         raise ValueError(f"isometry matrix shape {mat.shape}, expected {(d * k, d)}")
-    if not np.max(np.abs(mat.conj().T @ mat - np.eye(d))) <= ATOL_ISOMETRY:
+    if not np.max(np.abs(mat.conj().T @ mat - np.eye(d))) <= tol.ATOL_ISOMETRY:
         raise ValueError(
-            f"V†V differs from the identity beyond {_spelled(ATOL_ISOMETRY)}"
+            f"V†V differs from the identity beyond {tol._spelled(tol.ATOL_ISOMETRY)}"
         )
     return mat
 
@@ -202,9 +189,9 @@ def build_measurement_isometry(
     if not vecs or len(vecs) > d:
         raise ValueError(f"need between 1 and {d} basis vectors, got {len(vecs)}")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if not np.max(np.abs(gram - np.eye(len(vecs)))) <= ATOL_ORTHO:
+    if not np.max(np.abs(gram - np.eye(len(vecs)))) <= tol.ATOL_ORTHO:
         raise ValueError(
-            f"measurement basis is not orthonormal within {_spelled(ATOL_ORTHO)}"
+            f"measurement basis is not orthonormal within {tol._spelled(tol.ATOL_ORTHO)}"
         )
 
     if memory_labels is None:
@@ -399,7 +386,7 @@ class _Ensemble:
         BRANCH_CUT times its parent's weight is dropped; a NaN one is kept.
         Rows, weights and records are gathered once; nothing is divided.
         """
-        parent, child = np.nonzero(~(p <= BRANCH_CUT * self.weights[:, None]))
+        parent, child = np.nonzero(~(p <= tol.BRANCH_CUT * self.weights[:, None]))
         records = {key: r[parent] for key, r in self.records.items()}
         records[label] = outcomes[child]
         return _Ensemble(layout, rows[parent, child], p[parent, child], records)

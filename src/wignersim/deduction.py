@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import tolerances as tol
 from .channels import NO_COLLAPSE, CollapseModel
 from .experiment import (
     ConditionalTable,
@@ -31,7 +32,6 @@ from .experiment import (
     marginal,
 )
 from .presets import _check_wigner_basis, _shared
-from .states import _spelled
 from .storyplot import (
     CompatibilityVerdict,
     Deduced,
@@ -45,13 +45,6 @@ from .storyplot import (
     plot_from_distribution,
     plot_to_json,
 )
-
-# A rule needs its column's point mass within this of 1.
-CERTAINTY_SLACK = 1e-9
-CERTAINTY = 1.0 - CERTAINTY_SLACK
-# A Deutsch answer bit reads 1 when P(phi-) exceeds this: far above the
-# float noise of an exact zero, far below every possible outcome's weight.
-POSSIBILITY = 1e-9
 
 
 class ChainCycleError(ValueError):
@@ -74,10 +67,10 @@ class DeductionRule:
     certainty: float
 
     def __post_init__(self) -> None:
-        if not self.certainty >= CERTAINTY:
+        if not self.certainty >= 1.0 - tol.CERTAINTY_SLACK:
             raise ValueError(
                 f"certainty {self.certainty!r} below the "
-                f"1 - {_spelled(CERTAINTY_SLACK)} threshold"
+                f"1 - {tol._spelled(tol.CERTAINTY_SLACK)} threshold"
             )
 
     def render(self) -> str:
@@ -126,7 +119,7 @@ def certainty_deductions(table: ConditionalTable) -> list[DeductionRule]:
     for given_outcome in table.present_columns():
         column = table.columns[given_outcome]
         for target_outcome in table.target_alphabet:
-            if column[target_outcome] >= CERTAINTY:
+            if column[target_outcome] >= 1.0 - tol.CERTAINTY_SLACK:
                 rules.append(
                     DeductionRule(
                         reasoner=table.given,
@@ -492,7 +485,7 @@ def build_deutsch_scenario(
     )
     p_wigner = marginal(evolve(spec, NO_COLLAPSE), "W")
     friend_answer, wigner_answer = (
-        "1" if p["phi-"] > POSSIBILITY else "0" for p in (p_friend, p_wigner)
+        "1" if p["phi-"] > tol.POSSIBILITY else "0" for p in (p_friend, p_wigner)
     )
     wigner_record = max(p_wigner, key=p_wigner.get)  # phi+ with certainty
     friend_rule = DeductionRule(

@@ -41,14 +41,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import tolerances as tol
 from .channels import CollapseModel, Isometry, _Ensemble, _StepPlan
 from .registry import SubsystemRegistry
-from .states import DensityMatrix, StateVector, ZeroProbabilityError, _spelled
+from .states import DensityMatrix, StateVector, ZeroProbabilityError
 from .states import _check_norms, _row_norms_sq
-
-ATOL_DIST = 1e-9
-SUPPORT_EPS = 1e-15
-CONDITION_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -350,10 +347,10 @@ class JointDistribution:
             raise ValueError(f"joint array shape {array.shape}, expected {shape}")
         if array.size:
             least = np.minimum.reduce(array, axis=None)
-            if not least >= -CONDITION_EPS:
+            if not least >= -tol.CONDITION_EPS:
                 raise ValueError(f"negative probability {float(least)!r}")
         total = float(np.add.reduce(array, axis=None))
-        if not abs(total - 1.0) <= ATOL_DIST:
+        if not abs(total - 1.0) <= tol.ATOL_DIST:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
         array.setflags(write=False)
         object.__setattr__(self, "array", array)
@@ -413,9 +410,9 @@ class ConditionalTable:
     def __post_init__(self) -> None:
         for g, column in self.columns.items():
             total = sum(column.values())
-            if not abs(total - 1.0) <= ATOL_DIST:
+            if not abs(total - 1.0) <= tol.ATOL_DIST:
                 raise ValueError(
-                    f"column {g!r} sums to {total!r}, not 1 within {_spelled(ATOL_DIST)}"
+                    f"column {g!r} sums to {total!r}, not 1 within {tol._spelled(tol.ATOL_DIST)}"
                 )
 
     def probability(self, target_outcome: str, given_outcome: str) -> float:
@@ -493,7 +490,7 @@ def _condition_branches(
         else:
             ens = ens.projected(label, index)
     total = float(ens.weights.sum())
-    if total <= CONDITION_EPS:
+    if total <= tol.CONDITION_EPS:
         raise ZeroProbabilityError(
             f"conditioning on {dict(condition)} has zero probability"
         )
@@ -523,7 +520,7 @@ def _joint(ens: _Ensemble, cone: _Cone, model_tag: str) -> JointDistribution:
     probs = np.abs(ens.amps)
     np.square(probs, out=probs)
     readout = np.add.reduce(probs, axis=plan.summed)
-    readout[readout <= SUPPORT_EPS] = 0.0
+    readout[readout <= tol.SUPPORT_EPS] = 0.0
     # Each row lands on the cells of its records.  No two rows share their
     # records: a collapse gives its outcome rows distinct records, and
     # selecting or projecting rows keeps them distinct.
@@ -606,7 +603,7 @@ def conditional(
     columns = {
         g: {t: float(p / pg) for t, p in zip(joint.alphabets[target], pair[:, j])}
         for j, (g, pg) in enumerate(zip(joint.alphabets[given], pair.sum(axis=0)))
-        if pg > CONDITION_EPS
+        if pg > tol.CONDITION_EPS
     }
     return ConditionalTable(
         target=target,
@@ -765,7 +762,7 @@ def post_select(
     cells = joint._cells(condition)
     kept = joint.array[cells]
     total = float(kept.sum())
-    if total <= CONDITION_EPS:
+    if total <= tol.CONDITION_EPS:
         raise ZeroProbabilityError(
             f"post-selection on {dict(condition)} has zero probability"
         )

@@ -4,12 +4,7 @@ All values are immutable after construction and every operation is a pure
 function, so anything built here can be shared freely between threads or
 cached without copying.  A constructor takes its own read-only copy of the
 array it is given, so the caller's array stays writeable and changing it
-changes no value.  Numeric conventions:
-
-* construction invariants (normalization, hermiticity, trace) hold to 1e-12,
-* positive semidefiniteness allows eigenvalues down to -1e-10,
-* computed probabilities are compared against exact fractions at 1e-9.
-
+changes no value.  Every tolerance is read from :mod:`wignersim.tolerances`.
 Validation bounds are written as ``not (x <= tol)``, which NaN fails, so no
 NaN gets into a state or a density matrix.
 
@@ -35,21 +30,11 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
+from . import tolerances as tol
 from .registry import SubsystemRegistry
 
-ATOL_CONSTRUCT = 1e-12
-ATOL_PSD = 1e-10
-ATOL_PROB = 1e-9
-# Amplitudes and imaginary parts this small print as zero: they are rounding
-# noise at the construction tolerance, not terms of the state.
-PRINT_ZERO = 1e-12
 # The Hermitian check reads BLOCK×BLOCK tiles, so it holds no d×d temporary.
 BLOCK = 64
-
-
-def _spelled(tol: float) -> str:
-    """A tolerance as error messages spell it: ``1e-9`` where repr gives ``1e-09``."""
-    return repr(tol).replace("e-0", "e-")
 
 
 class ZeroProbabilityError(ValueError):
@@ -64,7 +49,7 @@ def _freeze(a) -> np.ndarray:
 
 
 def _format_coefficient(z: complex) -> str:
-    if abs(z.imag) < PRINT_ZERO:
+    if abs(z.imag) < tol.PRINT_ZERO:
         return f"{z.real:.8g}"
     return f"({z.real:.8g}{z.imag:+.8g}j)"
 
@@ -101,7 +86,7 @@ def _hermitian(mat: np.ndarray) -> bool:
             skew = scratch[: tile.size].reshape(tile.shape)
             np.conjugate(mat[cols, rows].T, out=skew)
             np.subtract(tile, skew, out=skew)
-            if not np.max(np.abs(skew)) <= ATOL_CONSTRUCT:
+            if not np.max(np.abs(skew)) <= tol.ATOL_CONSTRUCT:
                 return False
     return True
 
@@ -110,8 +95,8 @@ def _check_norms(norm_sq: np.ndarray, weights: np.ndarray) -> None:
     """Raise as :class:`StateVector` does, on norm_sq/w, unless each is 1 within ATOL_CONSTRUCT."""
     ratio = norm_sq / weights
     off = np.abs(ratio - 1.0)
-    if not np.maximum.reduce(off, initial=0.0) <= ATOL_CONSTRUCT:
-        raise _not_normalized(float(ratio[~(off <= ATOL_CONSTRUCT)][0]))
+    if not np.maximum.reduce(off, initial=0.0) <= tol.ATOL_CONSTRUCT:
+        raise _not_normalized(float(ratio[~(off <= tol.ATOL_CONSTRUCT)][0]))
 
 
 @dataclass(frozen=True)
@@ -133,7 +118,7 @@ class StateVector:
                 f"dimension {self.registry.total_dimension}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= ATOL_CONSTRUCT:
+        if not abs(norm_sq - 1.0) <= tol.ATOL_CONSTRUCT:
             raise _not_normalized(norm_sq)
 
     @classmethod
@@ -169,7 +154,7 @@ class StateVector:
     def __str__(self) -> str:
         parts = []
         for i, amp in enumerate(self.amplitudes):
-            if abs(amp) <= PRINT_ZERO:
+            if abs(amp) <= tol.PRINT_ZERO:
                 continue
             labels = ",".join(self.registry.basis_tuple(i))
             parts.append(f"{_format_coefficient(complex(amp))} |{labels}⟩")
@@ -180,8 +165,6 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator over a registry.
 
-    ``subnormalized=True`` marks a conditional block whose trace may be < 1.
-
     Raw entries are checked in full: shape, Hermitian within
     ``ATOL_CONSTRUCT``, unit trace, and ``eigvalsh`` down to ``-ATOL_PSD``.
     The program's densities are Gram products, whose Hermitian and positive
@@ -190,18 +173,16 @@ class DensityMatrix:
 
     registry: SubsystemRegistry
     entries: np.ndarray
-    subnormalized: bool = False
 
     def __post_init__(self) -> None:
         mat = _square(self.registry, _freeze(self.entries))
         if not _hermitian(mat):
             raise ValueError(
-                f"density matrix is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+                f"density matrix is not Hermitian within {tol._spelled(tol.ATOL_CONSTRUCT)}"
             )
-        if not self.subnormalized:
-            _check_unit_trace(mat)
+        _check_unit_trace(mat)
         eigmin = float(np.min(np.linalg.eigvalsh(mat)))
-        if not eigmin >= -ATOL_PSD:
+        if not eigmin >= -tol.ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
         object.__setattr__(self, "entries", mat)
 
@@ -223,15 +204,15 @@ class DensityMatrix:
         """
         mat = _square(registry, entries)
         _check_unit_trace(mat)
-        k = (length + 2) * 2.0**-53
+        k = (length + 2) * tol.UNIT_ROUNDOFF
         slack = k / (1 - 2 * k)
         diagonal = mat.diagonal().real
         skew_bound, eigen_bound = 2 * slack * diagonal.max(), slack * diagonal.sum()
-        if not (skew_bound <= ATOL_CONSTRUCT and eigen_bound <= ATOL_PSD / 2):
+        if not (skew_bound <= tol.ATOL_CONSTRUCT and eigen_bound <= tol.ATOL_PSD / 2):
             return cls(registry, entries)
         mat.setflags(write=False)
         rho = object.__new__(cls)
-        rho.__dict__.update(registry=registry, entries=mat, subnormalized=False)
+        rho.__dict__.update(registry=registry, entries=mat)
         return rho
 
     @property
@@ -253,8 +234,10 @@ def _square(registry: SubsystemRegistry, entries) -> np.ndarray:
 
 def _check_unit_trace(mat: np.ndarray) -> None:
     tr = complex(np.trace(mat))
-    if not abs(tr - 1.0) <= ATOL_CONSTRUCT:
-        raise ValueError(f"density matrix trace {tr!r} != 1 within {_spelled(ATOL_CONSTRUCT)}")
+    if not abs(tr - 1.0) <= tol.ATOL_CONSTRUCT:
+        raise ValueError(
+            f"density matrix trace {tr!r} != 1 within {tol._spelled(tol.ATOL_CONSTRUCT)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -279,11 +262,11 @@ class Projector:
             raise ValueError(f"operator shape {op.shape} does not match dimension {d}")
         if not _hermitian(op):
             raise ValueError(
-                f"projector is not Hermitian within {_spelled(ATOL_CONSTRUCT)}"
+                f"projector is not Hermitian within {tol._spelled(tol.ATOL_CONSTRUCT)}"
             )
-        if not np.max(np.abs(op @ op - op)) <= ATOL_CONSTRUCT:
+        if not np.max(np.abs(op @ op - op)) <= tol.ATOL_CONSTRUCT:
             raise ValueError(
-                f"projector is not idempotent within {_spelled(ATOL_CONSTRUCT)}"
+                f"projector is not idempotent within {tol._spelled(tol.ATOL_CONSTRUCT)}"
             )
         object.__setattr__(self, "operator", op)
 
@@ -322,7 +305,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         tens = np.trace(tens, axis1=ax, axis2=ax + n)
         n -= 1
     d = sub_registry.total_dimension
-    return DensityMatrix(sub_registry, tens.reshape(d, d), subnormalized=rho.subnormalized)
+    return DensityMatrix(sub_registry, tens.reshape(d, d))
 
 
 def born_probability(
@@ -350,8 +333,8 @@ def born_probability(
         out = targets + [t + n for t in targets]
         reduced = np.einsum(tens, list(range(n)) + cols, out)
         value = float(np.real(np.sum(reduced.reshape(k, k) * proj.operator.T)))
-    if not value >= -ATOL_PSD:
-        raise ValueError(f"Born probability {value!r} below -{_spelled(ATOL_PSD)}")
-    if value > 1.0 + ATOL_PROB:
+    if not value >= -tol.ATOL_PSD:
+        raise ValueError(f"Born probability {value!r} below -{tol._spelled(tol.ATOL_PSD)}")
+    if value > 1.0 + tol.ATOL_PROB:
         raise ValueError(f"Born probability {value!r} above 1")
     return min(max(value, 0.0), 1.0)

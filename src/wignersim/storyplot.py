@@ -16,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .experiment import (
-    CONDITION_EPS,
-    JointDistribution,
-    marginal,
-    post_select,
-)
+from . import tolerances as tol
+from .experiment import JointDistribution, marginal, post_select
 
 WILDCARD_GLYPH = "⋆"
 
@@ -310,7 +306,7 @@ def plot_from_distribution(
         if agent in observed:
             continue
         time, slot = schema.agent_cell(agent)
-        support = [o for o, p in marginal(seen, agent).items() if p > CONDITION_EPS]
+        support = [o for o, p in marginal(seen, agent).items() if p > tol.CONDITION_EPS]
         if len(support) == 1:
             events.append(make_event(schema, time, {slot: Deduced(support[0])}))
         else:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from wignersim.states import ATOL_CONSTRUCT, ATOL_PSD
+from wignersim.tolerances import ATOL_CONSTRUCT, ATOL_PSD
 
 BRANCH_CUT = 1e-12  # a branch at or below this probability is dropped
 

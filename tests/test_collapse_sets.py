@@ -24,7 +24,7 @@ import pytest
 import numpy_oracle as oracle
 from circuits import ghz_spec, settled, site_tables, truncated_cone
 from wignersim.channels import NO_COLLAPSE, OBJECTIVE_COLLAPSE, CollapseModel
-from wignersim.deduction import POSSIBILITY, certainty_deductions, chain
+from wignersim.deduction import certainty_deductions, chain
 from wignersim.experiment import (
     conditional_table,
     conditional_via_renormalized_state,
@@ -32,6 +32,7 @@ from wignersim.experiment import (
     marginal,
 )
 from wignersim.presets import deutsch_variant, frauchiger_renner, presets
+from wignersim.tolerances import POSSIBILITY
 
 ORACLE_ATOL = 1e-12
 

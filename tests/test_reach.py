@@ -30,7 +30,7 @@ TRACED = "a target of perfbench/tracing.py, kept until the benchmark drops it"
 TESTS_ONLY = "only tests call it"
 
 UNREACHED = {
-    "states._spelled": ERROR_PATH,
+    "tolerances._spelled": ERROR_PATH,
     "states._not_normalized": ERROR_PATH,
     "deduction.ChainCycleError.__init__": ERROR_PATH,
     "deduction.DeductionRule.render": "renders a rule for an error message",

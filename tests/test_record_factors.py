@@ -30,7 +30,6 @@ import pytest
 import numpy_oracle as oracle
 from circuits import ghz_spec, models_for, read_model, truncated_cone
 from wignersim.channels import (
-    BRANCH_CUT,
     NO_COLLAPSE,
     OBJECTIVE_COLLAPSE,
     CollapseModel,
@@ -50,6 +49,7 @@ from wignersim.experiment import (
 from wignersim.presets import presets, wigner_friend
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import StateVector, ZeroProbabilityError, _row_norms_sq
+from wignersim.tolerances import BRANCH_CUT
 
 ORACLE_ATOL = 1e-12
 
@@ -381,3 +381,12 @@ def test_the_branch_cut_is_conditional_on_the_parent():
     assert got.probs[cell] == pytest.approx(want[1, 1], rel=1e-12, abs=0)
     assert np.max(np.abs(got.array - want)) < ORACLE_ATOL
     assert len(evolved(spec, OBJECTIVE_COLLAPSE).weights) == 4
+
+
+def test_the_branch_cut_is_read_from_the_tolerances_module(monkeypatch):
+    # With the cut at 1e-6 of the parent, both 1e-7 children are dropped at
+    # their steps and only the (a, a) row survives.
+    monkeypatch.setattr("wignersim.tolerances.BRANCH_CUT", 1e-6)
+    ens = evolved(rare_pair(), OBJECTIVE_COLLAPSE)
+    assert {label: r.tolist() for label, r in ens.records.items()} == {"F0": [0], "F1": [0]}
+    assert ens.weights.tolist() == pytest.approx([(1 - 1e-7) ** 2], rel=1e-12)

@@ -266,7 +266,6 @@ def test_workload_sized_densities_are_proved_from_their_shape(monkeypatch):
     assert seen == []
     for rho in answers:
         assert not rho.entries.flags.writeable
-        assert not rho.subnormalized
         oracle.assert_density(rho.entries)
 
 

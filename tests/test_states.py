@@ -21,7 +21,6 @@ from wignersim.experiment import ConditionalTable, JointDistribution, evolved_de
 from wignersim.presets import presets
 from wignersim.registry import Subsystem, SubsystemRegistry
 from wignersim.states import (
-    ATOL_PSD,
     BLOCK,
     DensityMatrix,
     Projector,
@@ -31,6 +30,7 @@ from wignersim.states import (
     partial_trace,
     tensor,
 )
+from wignersim.tolerances import ATOL_PSD
 
 SQ2 = math.sqrt(0.5)
 
@@ -291,22 +291,22 @@ def _uncertain_rule():
     DeductionRule("A", "o", "F2", "U", "ism", 0.5)
 
 
-# Each message spells its tolerance from the constant, so moving the
-# constant moves the message.
+# Each message spells its tolerance from the constant, read at call time, so
+# setting the constant in wignersim.tolerances moves the message.
 @pytest.mark.parametrize(
-    "module, constant, default, trigger",
+    "constant, default, trigger",
     [
-        ("states", "ATOL_CONSTRUCT", "not Hermitian within 1e-12", _non_hermitian_density),
-        ("channels", "ATOL_ORTHO", "not orthonormal within 1e-9", _skewed_basis),
-        ("experiment", "ATOL_DIST", "not 1 within 1e-9", _unnormalized_column),
-        ("deduction", "CERTAINTY_SLACK", "below the 1 - 1e-9 threshold", _uncertain_rule),
+        ("ATOL_CONSTRUCT", "not Hermitian within 1e-12", _non_hermitian_density),
+        ("ATOL_ORTHO", "not orthonormal within 1e-9", _skewed_basis),
+        ("ATOL_DIST", "not 1 within 1e-9", _unnormalized_column),
+        ("CERTAINTY_SLACK", "below the 1 - 1e-9 threshold", _uncertain_rule),
     ],
 )
-def test_tolerance_messages_follow_their_constants(monkeypatch, module, constant, default, trigger):
+def test_tolerance_messages_follow_their_constants(monkeypatch, constant, default, trigger):
     with pytest.raises(ValueError) as err:
         trigger()
     assert default in str(err.value)
-    monkeypatch.setattr(f"wignersim.{module}.{constant}", 0.25)
+    monkeypatch.setattr(f"wignersim.tolerances.{constant}", 0.25)
     with pytest.raises(ValueError) as err:
         trigger()
     assert default.replace("1e-12", "0.25").replace("1e-9", "0.25") in str(err.value)
@@ -331,19 +331,21 @@ class TestDensityMatrixInvariants:
 
     def test_eigenvalue_bound_is_minus_1e_10(self):
         """Both sides of the bound are left to eigvalsh: no proof covers them."""
-        DensityMatrix(qubit("S"), np.diag([0.0, -9e-11]), subnormalized=True)
+        DensityMatrix(qubit("S"), np.diag([1 + 9e-11, -9e-11]))
         with pytest.raises(ValueError) as err:
-            DensityMatrix(qubit("S"), np.diag([0.0, -1.1e-10]), subnormalized=True)
+            DensityMatrix(qubit("S"), np.diag([1 + 1.1e-10, -1.1e-10]))
         assert str(err.value) == "density matrix has negative eigenvalue -1.1e-10"
 
     def test_rejects_negative_direction_beside_a_large_pure_state(self):
-        """d = 256: rank 1 plus an eigenvalue of -2e-10 on an orthogonal vector."""
+        """d = 256: (1 + 2e-10)·u0u0† − 2e-10·u1u1†, of unit trace, with an
+        eigenvalue of -2e-10 on a vector orthogonal to the pure state."""
         reg = SubsystemRegistry.build([(f"q{i}", ("0", "1")) for i in range(8)])
         rng = np.random.default_rng(3)
         u, _ = np.linalg.qr(rng.normal(size=(256, 2)) + 1j * rng.normal(size=(256, 2)))
-        mat = np.outer(u[:, 0], u[:, 0].conj()) - 2e-10 * np.outer(u[:, 1], u[:, 1].conj())
+        u0u0, u1u1 = (np.outer(u[:, i], u[:, i].conj()) for i in (0, 1))
+        mat = (1 + 2e-10) * u0u0 - 2e-10 * u1u1
         with pytest.raises(ValueError, match="negative eigenvalue -2.0000"):
-            DensityMatrix(reg, (mat + mat.conj().T) / 2, subnormalized=True)
+            DensityMatrix(reg, (mat + mat.conj().T) / 2)
 
     @pytest.mark.parametrize(
         "where,value,accepted",
@@ -369,8 +371,11 @@ class TestDensityMatrixInvariants:
             DensityMatrix(reg, mat)
         assert str(err.value) == "density matrix is not Hermitian within 1e-12"
 
-    def test_subnormalized_block_allowed(self):
-        DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
+    def test_no_option_switches_the_trace_check_off(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(qubit("S"), np.diag([0.5, 0.0]))
+        with pytest.raises(TypeError):
+            DensityMatrix(qubit("S"), np.diag([0.5, 0.0]), subnormalized=True)
 
     @pytest.mark.parametrize(
         "build,norm_sq",
@@ -393,7 +398,8 @@ def one_factor(d):
 def from_spectrum(spectrum, seed, skew=0.0, d=None):
     """U diag(spectrum) U† for a random unitary U, on a random set of rows of
     a d×d zero matrix (a memory density leaves most basis rows empty), plus
-    an anti-Hermitian part whose entries are at most ``skew``."""
+    an anti-Hermitian part whose off-diagonal entries are at most ``skew``;
+    the diagonal stays real, so the trace is the spectrum's sum."""
     rng = np.random.default_rng(seed)
     m = len(spectrum)
     d = m if d is None else d
@@ -404,7 +410,7 @@ def from_spectrum(spectrum, seed, skew=0.0, d=None):
     mat = np.zeros((d, d), dtype=np.complex128)
     mat[np.ix_(rows, rows)] = (block + block.conj().T) / 2
     signs = rng.choice([-1.0, 1.0], size=(d, d))
-    return mat + 1j * skew * np.triu(signs) + 1j * skew * np.triu(signs, 1).T
+    return mat + 1j * skew * np.triu(signs, 1) + 1j * skew * np.triu(signs, 1).T
 
 
 @st.composite
@@ -412,7 +418,8 @@ def spectra(draw):
     """(spectrum, seed, skew, d): low rank, full rank, or positive
     semidefinite with one eigenvalue moved to ±k·ATOL_PSD for k in {0.1, 10}.
 
-    Positive parts are scaled to trace 1; a spectrum covers m ≤ d rows, a
+    Every spectrum sums to 1: a perturbed one scales its positive part to
+    1 minus the moved eigenvalue.  A spectrum covers m ≤ d rows, a
     full-rank one all d.  About half the weights are tiny (1e-9 to 1e-6).
     Some draws carry a skew part just inside the 1e-12 Hermitian tolerance."""
     kind = draw(st.sampled_from(("low-rank", "full-rank", "perturbed")))
@@ -431,6 +438,7 @@ def spectra(draw):
     spectrum[:rank] = weights / weights.sum()
     if kind == "perturbed":
         spectrum[-1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.1, 10.0])) * ATOL_PSD
+        spectrum[:rank] *= 1 - spectrum[-1]
     seed = draw(st.integers(0, 2**32 - 1))
     skew = draw(st.sampled_from([0.0, 0.0, 4.9e-13]))
     return spectrum, seed, skew, d
@@ -438,7 +446,7 @@ def spectra(draw):
 
 def accepts(mat):
     try:
-        DensityMatrix(one_factor(len(mat)), mat, subnormalized=True)
+        DensityMatrix(one_factor(len(mat)), mat)
     except ValueError as err:
         assert "negative eigenvalue" in str(err)
         return False
@@ -460,11 +468,11 @@ class TestRawEntriesTakeTheSpectrumsVerdict:
         if abs(eigmin + ATOL_PSD) > self.BAND:
             assert accepts(mat) == (eigmin >= -ATOL_PSD)
 
-    @pytest.mark.parametrize("d", [1, 2, 64, 256])
+    @pytest.mark.parametrize("d", [2, 64, 256])
     def test_a_negative_direction_is_rejected(self, d):
         spectrum = np.zeros(d)
-        spectrum[0] = 1.0
-        spectrum[-1] = -10 * ATOL_PSD if d > 1 else -1.0
+        spectrum[0] = 1 + 10 * ATOL_PSD
+        spectrum[-1] = -10 * ATOL_PSD
         assert not accepts(from_spectrum(spectrum, seed=d))
 
     def test_the_message_names_the_least_eigenvalue(self):
@@ -487,7 +495,7 @@ class TestRawEntriesTakeTheSpectrumsVerdict:
         u /= np.linalg.norm(u)
         v = np.zeros(d, dtype=np.complex128)
         v[-3:] = np.array([1.0, 1j, -1.0]) / math.sqrt(3)
-        assert not accepts(np.outer(u, u.conj()) - 3e-10 * np.outer(v, v.conj()))
+        assert not accepts((1 + 3e-10) * np.outer(u, u.conj()) - 3e-10 * np.outer(v, v.conj()))
 
 
 class TestNotANumberRejected:
@@ -509,10 +517,9 @@ class TestNotANumberRejected:
         [[[NAN, 0.0], [0.0, 1.0]], [[0.5, NAN], [NAN, 0.5]], [[0.5, NAN], [0.0, 0.5]]],
         ids=["diagonal", "off-diagonal-pair", "off-diagonal"],
     )
-    @pytest.mark.parametrize("subnormalized", [False, True])
-    def test_density_matrix(self, entries, subnormalized):
+    def test_density_matrix(self, entries):
         with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
-            DensityMatrix(qubit("S"), np.array(entries), subnormalized=subnormalized)
+            DensityMatrix(qubit("S"), np.array(entries))
 
     def test_projector(self):
         reg = qubit("S")
